@@ -101,10 +101,20 @@ def parse_descriptor(text: str) -> StateDescriptor:
         raise ValueError(f"descriptor JSON missing keys: {sorted(missing)}")
     if data["version"] != DESCRIPTOR_VERSION:
         raise ValueError(f"unsupported descriptor version {data['version']!r}")
-    sigma = as_bits(data["sigma"])
-    if len(sigma) != int(data["K"]):
+    for key in ("d", "K"):
+        if type(data[key]) is not int:
+            raise ValueError(f"descriptor {key} must be an integer, got {data[key]!r}")
+    sigma = data["sigma"]
+    if not isinstance(sigma, list) or any(type(b) is not int for b in sigma):
+        raise ValueError(f"descriptor sigma must be a list of 0/1 integers, got {sigma!r}")
+    sigma = as_bits(sigma)
+    if len(sigma) != data["K"]:
         raise ValueError(f"K = {data['K']} does not match sigma length {len(sigma)}")
-    return StateDescriptor(int(data["d"]), sigma, np.asarray(data["fidelities"], dtype=float))
+    try:
+        fidelities = np.asarray(data["fidelities"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"descriptor fidelities must be a list of numbers: {exc}") from exc
+    return StateDescriptor(data["d"], sigma, fidelities)
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +174,11 @@ def parse_operator(text: str) -> Operator:
 
 
 def qopb_encode(op: Operator) -> bytes:
+    # a little-endian complex128 array already stores each entry as an
+    # (re, im) f64 pair in row-major order, which is the QOPB payload
+    payload = np.ascontiguousarray(op.mat, dtype="<c16")
     header = QOPB_MAGIC + struct.pack("<BII", QOPB_VERSION, op.d, op.n)
-    interleaved = np.empty((op.side, op.side, 2), dtype="<f8")
-    interleaved[:, :, 0] = op.mat.real
-    interleaved[:, :, 1] = op.mat.imag
-    return header + interleaved.tobytes()
+    return b"".join((header, memoryview(payload).cast("B")))
 
 
 def qopb_decode(data: bytes) -> Operator:
@@ -183,5 +193,7 @@ def qopb_decode(data: bytes) -> Operator:
     expected = 13 + 16 * side * side
     if len(data) != expected:
         raise ValueError(f"QOPB payload has {len(data)} bytes, expected {expected}")
-    flat = np.frombuffer(data, dtype="<f8", offset=13).reshape(side, side, 2)
-    return Operator(d, n, flat[:, :, 0] + 1j * flat[:, :, 1])
+    # the payload starts at offset 13, so the view is unaligned; the single
+    # copy made by astype is aligned and native-endian
+    payload = np.frombuffer(data, dtype="<c16", offset=13).reshape(side, side)
+    return Operator(d, n, payload.astype(np.complex128))

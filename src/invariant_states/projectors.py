@@ -13,23 +13,28 @@ vector alpha) yields 2^K families of 2^K mutually orthogonal projectors,
 each family summing to the identity.  Their traces factor into per-pair
 closed forms.
 
-Constructors are cached per argument tuple, since fidelity computations
-reuse the same projectors many times.  Cached operators are immutable and
-safe for concurrent readers.
+Each family member also factors as a product over pairs of a_i I + b_i X_i,
+with X_i = F_i for a Werner-split pair and X_i = d E_i for an isotropic
+one.  Expanding the product writes it as a combination of the 2^K
+"moment" operators X_S = prod_{i in S} X_i, whose coefficients form a
+Kronecker product of 2 x 2 blocks (:func:`moment_expansion`).  Every X_S
+is a 0/1 matrix with exactly d^(2K) nonzero entries, so overlaps
+Tr(rho P) and mixtures of family members reduce to gathers and scatters
+on those entries; no dense projector is formed.  :func:`invariant_projector` builds the dense
+matrices by Kronecker products and serves as the independent oracle.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterable
 
 import numpy as np
 
-from .bits import as_bits
+from .bits import all_vectors, as_bits
 from .operators import MAX_SIDE, Operator, identity
 
 
-@lru_cache(maxsize=None)
 def flip(d: int) -> Operator:
     """Exchange (swap) operator on a pair: F (x |i>|j>) = |j>|i>."""
     d = int(d)
@@ -42,7 +47,6 @@ def flip(d: int) -> Operator:
     return Operator(d, 2, mat)
 
 
-@lru_cache(maxsize=None)
 def max_entangled_projector(d: int) -> Operator:
     """Rank-1 projector onto the canonical maximally entangled pair state."""
     d = int(d)
@@ -55,7 +59,6 @@ def max_entangled_projector(d: int) -> Operator:
     return Operator(d, 2, mat)
 
 
-@lru_cache(maxsize=None)
 def werner_projector(d: int, alpha: int) -> Operator:
     """Projector onto the (-1)^alpha eigenspace of the exchange operator.
 
@@ -69,7 +72,6 @@ def werner_projector(d: int, alpha: int) -> Operator:
     return (identity(int(d), 2) + sign * flip(int(d))) * 0.5
 
 
-@lru_cache(maxsize=None)
 def isotropic_projector(d: int, alpha: int) -> Operator:
     """Maximally entangled projector (alpha = 1) or its complement (alpha = 0)."""
     if alpha not in (0, 1):
@@ -87,43 +89,78 @@ def pair_projector(d: int, sigma: int, alpha: int) -> Operator:
     return isotropic_projector(d, alpha)
 
 
-def _permute_slots(mat: np.ndarray, d: int, n: int, current: tuple[int, ...]) -> np.ndarray:
-    """Reorder tensor slots of a dense matrix from `current` labels to 1..n."""
-    pos = [current.index(t) for t in range(1, n + 1)]
-    axes = pos + [n + p for p in pos]
-    side = d**n
-    return mat.reshape((d,) * (2 * n)).transpose(axes).reshape(side, side)
-
-
-@lru_cache(maxsize=None)
-def _invariant_projector(d: int, sigma: tuple[int, ...], alpha: tuple[int, ...]) -> Operator:
-    k = len(sigma)
+def _check_side(d: int, k: int) -> int:
     side = d ** (2 * k)
     if side > MAX_SIDE:
         raise ValueError(
             f"scale exceeded: d={d}, K={k} needs matrix side {side} > {MAX_SIDE}"
         )
-    mats = [pair_projector(d, s, a).mat for s, a in zip(sigma, alpha)]
-    mat = reduce(np.kron, mats)
-    if k > 1:
-        # the kron above lives on slot order (1, K+1, 2, K+2, ...); the
-        # canonical layout interleaves all first members before all second
-        current = tuple(x for i in range(1, k + 1) for x in (i, k + i))
-        mat = _permute_slots(mat, d, 2 * k, current)
-    return Operator(d, 2 * k, mat)
+    return side
 
 
 def invariant_projector(d: int, sigma: Iterable[int], alpha: Iterable[int]) -> Operator:
-    """K-pair family projector on the 2K-slot space.
+    """K-pair family projector on the 2K-slot space, as a dense matrix.
 
     Pair i of the tensor product acts on slots (i, K+i).  For fixed sigma
     the 2^K projectors over alpha are mutually orthogonal and sum to the
-    identity.
+    identity.  Built by Kronecker products and a slot permutation, this is
+    the brute-force reference for :func:`moment_expansion`.
     """
     sigma, alpha = as_bits(sigma), as_bits(alpha)
     if len(sigma) != len(alpha):
         raise ValueError(f"length mismatch: sigma has {len(sigma)}, alpha has {len(alpha)}")
-    return _invariant_projector(int(d), sigma, alpha)
+    d, k = int(d), len(sigma)
+    side = _check_side(d, k)
+    mat = reduce(np.kron, [pair_projector(d, s, a).mat for s, a in zip(sigma, alpha)])
+    if k > 1:
+        # the kron above lives on slot order (1, K+1, 2, K+2, ...); the
+        # canonical layout puts all first members before all second ones
+        pos = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
+        axes = pos + [2 * k + p for p in pos]
+        mat = mat.reshape((d,) * (4 * k)).transpose(axes).reshape(side, side)
+    return Operator(d, 2 * k, mat)
+
+
+def moment_expansion(d: int, sigma: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Family projectors as combinations of the moment operators X_S.
+
+    Returns ``(coeffs, patterns)``.  ``coeffs`` is the 2^K x 2^K real
+    matrix with P_alpha = sum_S coeffs[alpha, S] X_S, the Kronecker product
+    of the per-pair 2 x 2 blocks; both indices follow the bit encoding of
+    :mod:`.bits`, a 1 in position i of S selecting X_i.  ``patterns`` has
+    shape (2^K, d^(2K)): row S lists the flat (row-major) positions of the
+    entries of X_S in a d^(2K)-sided matrix, all of which equal 1.  Each
+    X_S is real symmetric, so Tr(rho X_S) sums the entries of rho at the
+    positions in row S.
+    """
+    d, sigma = int(d), as_bits(sigma)
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
+    k = len(sigma)
+    side = _check_side(d, k)
+    first, second = np.divmod(np.arange(d * d), d)
+    # per pair, block row alpha holds (a, b) with P_alpha = a I + b X, and
+    # offsets hold the flat positions of the entries of I and X on slots
+    # (i, K+i) in a row-major side x side matrix
+    blocks, offsets = [], []
+    for i, s in enumerate(sigma):
+        wa, wb = d ** (2 * k - 1 - i), d ** (k - 1 - i)  # place values of the two slots
+        row = first * wa + second * wb
+        if s == 0:
+            blocks.append(np.array([[0.5, 0.5], [0.5, -0.5]]))
+            x = row * side + second * wa + first * wb  # F = sum |ab><ba|
+        else:
+            blocks.append(np.array([[1.0, -1.0 / d], [0.0, 1.0 / d]]))
+            x = (first * side + second) * (wa + wb)  # d E = sum |aa><bb|
+        offsets.append((row * (side + 1), x))
+    coeffs = reduce(np.kron, blocks)
+    patterns = np.stack(
+        [
+            reduce(np.add.outer, [offsets[i][bit] for i, bit in enumerate(subset)]).reshape(-1)
+            for subset in all_vectors(k)
+        ]
+    )
+    return coeffs, patterns
 
 
 def projector_trace(d: int, sigma: Iterable[int], alpha: Iterable[int]) -> float:
@@ -144,12 +181,3 @@ def projector_trace(d: int, sigma: Iterable[int], alpha: Iterable[int]) -> float
         else:
             total *= d * d - 1
     return total
-
-
-def clear_caches():
-    """Drop all cached projectors (mainly for memory-sensitive sweeps)."""
-    _invariant_projector.cache_clear()
-    isotropic_projector.cache_clear()
-    werner_projector.cache_clear()
-    max_entangled_projector.cache_clear()
-    flip.cache_clear()

@@ -42,7 +42,6 @@ from .simplex import (
     check_ppt_all,
     biseparable_fidelities,
     exact_twirl,
-    extract_fidelities,
     extremal_fidelities,
     extremal_product_state,
     isotropic_pt_matrix,
@@ -66,6 +65,21 @@ class CheckResult:
 def _bob_slots(mu) -> list[int]:
     k = len(mu)
     return [k + i for i in range(1, k + 1) if mu[i - 1] == 1]
+
+
+def _dense_fidelities(rho: Operator, sigma, families: dict) -> np.ndarray:
+    """Overlaps Tr(rho P) with dense family projectors: the brute-force
+    counterpart of the library's fidelity extraction.
+
+    ``families`` maps (d, sigma) to the family's projector matrices; each
+    check passes its own dict, so projectors live for one check only.
+    """
+    key = (rho.d, tuple(sigma))
+    if key not in families:
+        families[key] = [
+            invariant_projector(rho.d, sigma, alpha).mat for alpha in all_vectors(len(sigma))
+        ]
+    return np.array([np.einsum("ij,ji->", rho.mat, p).real for p in families[key]])
 
 
 def check_transfer_inverse() -> CheckResult:
@@ -152,7 +166,7 @@ def check_biseparable_construction() -> CheckResult:
     formula_dev = float(np.max(np.abs(q - expected)))
 
     product = Operator(d, 4, np.kron(ent.mat, ent.mat))
-    dense = exact_twirl(product, (0, 0)).fidelities
+    dense = _dense_fidelities(product, (0, 0), {})
     dense_dev = float(np.max(np.abs(dense - q)))
 
     desc = StateDescriptor(d, (0, 0), q)
@@ -179,6 +193,7 @@ def check_transform_dense(seed: int = 0, per_combo: int = 50) -> CheckResult:
     """
     worst = 0.0
     block = 0
+    families: dict = {}
     for d in (2, 3):
         for k in (1, 2):
             for sigma in all_vectors(k):
@@ -190,8 +205,8 @@ def check_transform_dense(seed: int = 0, per_combo: int = 50) -> CheckResult:
                     rho = synthesize(desc)
                     for mu in all_vectors(k):
                         fast = transform_fidelities(desc, mu)
-                        dense = extract_fidelities(
-                            partial_transpose(rho, _bob_slots(mu)), bv.xor(mu, sigma)
+                        dense = _dense_fidelities(
+                            partial_transpose(rho, _bob_slots(mu)), bv.xor(mu, sigma), families
                         )
                         worst = max(worst, float(np.max(np.abs(fast - dense))))
     return CheckResult("transform-dense-oracle", worst <= 1e-10, f"max deviation = {worst:.3e}")
@@ -203,6 +218,7 @@ def check_extremal_formula(seed: int = 0, per_combo: int = 200) -> CheckResult:
     worst = 0.0
     necessary = True
     block = 0
+    families: dict = {}
     for d in (2, 3):
         for sigma in all_vectors(2):
             gen = Rng(seed).at(3_000 + block).generator()
@@ -210,8 +226,8 @@ def check_extremal_formula(seed: int = 0, per_combo: int = 200) -> CheckResult:
             for _ in range(per_combo):
                 overlaps = gen.uniform(0.0, 1.0, size=2)
                 fast = extremal_fidelities(sigma, overlaps, d)
-                dense = extract_fidelities(
-                    extremal_product_state(d, sigma, overlaps), sigma
+                dense = _dense_fidelities(
+                    extremal_product_state(d, sigma, overlaps), sigma, families
                 )
                 worst = max(worst, float(np.max(np.abs(fast - dense))))
                 desc = StateDescriptor(d, sigma, fast)
@@ -258,6 +274,7 @@ def check_reductions(seed: int = 0, per_combo: int = 50) -> CheckResult:
     d, k = 2, 2
     worst = 0.0
     block = 0
+    families: dict = {}
     for sigma in all_vectors(k):
         gen = Rng(seed).at(7_000 + block).generator()
         block += 1
@@ -266,7 +283,9 @@ def check_reductions(seed: int = 0, per_combo: int = 50) -> CheckResult:
             rho = synthesize(desc)
             for i in (1, 2):
                 reduced = reduce_pair(desc, i)
-                dense = extract_fidelities(partial_trace(rho, {i, k + i}), reduced.sigma)
+                dense = _dense_fidelities(
+                    partial_trace(rho, {i, k + i}), reduced.sigma, families
+                )
                 worst = max(worst, float(np.max(np.abs(reduced.fidelities - dense))))
             mixed = identity(d, 2).mat / d**2
             for slots in ({1, 4}, {2, 3}, {1, 2}):

@@ -39,7 +39,7 @@ from .operators import (
     projector_onto,
     tensor_product,
 )
-from .projectors import invariant_projector, projector_trace
+from .projectors import moment_expansion, projector_trace
 
 FIDELITY_NEG_ATOL = 1e-12
 FIDELITY_SUM_ATOL = 1e-10
@@ -52,9 +52,10 @@ class StateDescriptor:
     """A point of the invariant-state simplex: (d, sigma, fidelities).
 
     fidelities has length 2^K for K = len(sigma), is indexed by the bit
-    encoding of :mod:`.bits`, and must be nonnegative (within 1e-12) and
-    sum to 1 (within 1e-10).  The described state is the corresponding
-    mixture of normalized family projectors; see :func:`synthesize`.
+    encoding of :mod:`.bits`, and must be finite, nonnegative (within
+    1e-12) and sum to 1 (within 1e-10).  The described state is the
+    corresponding mixture of normalized family projectors; see
+    :func:`synthesize`.
     """
 
     d: int
@@ -70,9 +71,12 @@ class StateDescriptor:
             raise ValueError(
                 f"need 2**K = {2 ** len(self.sigma)} fidelities, got {f.size}"
             )
-        if float(f.min()) < -FIDELITY_NEG_ATOL:
+        if not np.all(np.isfinite(f)):
+            raise ValueError(f"fidelities must be finite, got {f}")
+        # written so that a NaN fails each comparison
+        if not float(f.min()) >= -FIDELITY_NEG_ATOL:
             raise ValueError(f"fidelities must be nonnegative, got min {f.min():.3e}")
-        if abs(float(f.sum()) - 1.0) > FIDELITY_SUM_ATOL:
+        if not abs(float(f.sum()) - 1.0) <= FIDELITY_SUM_ATOL:
             raise ValueError(f"fidelities must sum to 1, got {f.sum():.12g}")
         f.setflags(write=False)
         object.__setattr__(self, "fidelities", f)
@@ -95,14 +99,14 @@ def extract_fidelities(rho: Operator, sigma: Iterable[int]) -> np.ndarray:
     """Raw overlaps Tr(rho P) with each family projector, no validation.
 
     Unlike :func:`fidelities_of` this never rejects negative entries, so
-    it can be used on partial transposes of states.
+    it can be used on partial transposes of states.  The overlaps are the
+    per-pair change of basis applied to the moments Tr(rho X_S); see
+    :func:`.projectors.moment_expansion`.
     """
     sigma = _check_state_shape(rho, sigma)
-    out = np.empty(2 ** len(sigma))
-    for idx, alpha in enumerate(all_vectors(len(sigma))):
-        proj = invariant_projector(rho.d, sigma, alpha)
-        out[idx] = np.einsum("ij,ji->", rho.mat, proj.mat).real
-    return out
+    coeffs, patterns = moment_expansion(rho.d, sigma)
+    moments = rho.mat.reshape(-1)[patterns].sum(axis=1)
+    return coeffs @ moments.real
 
 
 def fidelities_of(rho: Operator, sigma: Iterable[int]) -> StateDescriptor:
@@ -120,12 +124,19 @@ def fidelities_of(rho: Operator, sigma: Iterable[int]) -> StateDescriptor:
 
 
 def synthesize(desc: StateDescriptor) -> Operator:
-    """Dense state described by a simplex point: sum of f * P / Tr(P)."""
+    """Dense state described by a simplex point: sum of f * P / Tr(P).
+
+    Written as sum_S c_S X_S over the moment operators, one scatter of a
+    coefficient per X_S into a zeroed matrix.
+    """
+    coeffs, patterns = moment_expansion(desc.d, desc.sigma)
+    traces = [projector_trace(desc.d, desc.sigma, alpha) for alpha in all_vectors(desc.K)]
+    weights = (desc.fidelities / traces) @ coeffs
     side = desc.d ** (2 * desc.K)
     mat = np.zeros((side, side), dtype=np.complex128)
-    for idx, alpha in enumerate(all_vectors(desc.K)):
-        proj = invariant_projector(desc.d, desc.sigma, alpha)
-        mat += (desc.fidelities[idx] / projector_trace(desc.d, desc.sigma, alpha)) * proj.mat
+    flat = mat.reshape(-1)
+    for weight, pattern in zip(weights, patterns):
+        flat[pattern] += weight  # positions within one pattern are distinct
     return Operator(desc.d, 2 * desc.K, mat)
 
 
@@ -328,9 +339,11 @@ def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
     """
     failures = []
     for mu in all_vectors(desc.K):
-        failures.extend(check_ppt(desc, mu).failures)
+        verdict = check_ppt(desc, mu)
+        failures.extend(verdict.failures)
+    # all_vectors ends with the all-ones pattern, the biseparability test
     return SeparabilityVerdict(
-        "ppt-all", tuple(failures), biseparable=check_biseparable(desc)
+        "ppt-all", tuple(failures), biseparable=SeparabilityVerdict("bisep", verdict.failures)
     )
 
 

@@ -116,6 +116,22 @@ def test_twirl_missing_file(tmp_path, capsys):
 # --- check ------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "field, expected",
+    [
+        ('"d":2,"K":1,"sigma":[0],"fidelities":[NaN,1.0]', "finite"),
+        ('"d":2.5,"K":1,"sigma":[0],"fidelities":[0.5,0.5]', "d must be an integer"),
+        ('"d":2,"K":1,"sigma":5,"fidelities":[0.5,0.5]', "sigma must be a list"),
+    ],
+)
+def test_check_malformed_descriptor_fails_closed(tmp_path, capsys, field, expected):
+    path = tmp_path / "bad.json"
+    path.write_text('{"version":1,' + field + "}")
+    code, out, err = run(capsys, "check", "--in", str(path), "--criterion", "ppt-all", "--strict")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and expected in err
+
+
 @pytest.fixture
 def disagreement_file(tmp_path):
     desc = iv.StateDescriptor(2, (0, 0), [0.4, 0.3, 0.3, 0.0])

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -91,6 +92,23 @@ def test_qopb_round_trip_bitwise():
     back = formats.qopb_decode(blob)
     assert (back.d, back.n) == (3, 2)
     assert np.array_equal(back.mat, op.mat)
+
+
+def test_qopb_layout_is_interleaved_f64_pairs():
+    """Bytes equal the reference (re, im) f64 interleaving; the decoded
+    matrix is an aligned, C-contiguous complex128 array."""
+    gen = np.random.default_rng(3)
+    m = gen.standard_normal((16, 16)) + 1j * gen.standard_normal((16, 16))
+    op = iv.Operator(2, 4, m)
+    interleaved = np.empty((16, 16, 2), dtype="<f8")
+    interleaved[:, :, 0] = m.real
+    interleaved[:, :, 1] = m.imag
+    reference = b"QOPB" + struct.pack("<BII", 1, 2, 4) + interleaved.tobytes()
+    blob = formats.qopb_encode(op)
+    assert isinstance(blob, bytes) and blob == reference
+    back = formats.qopb_decode(blob).mat
+    assert back.flags.aligned and back.flags.c_contiguous
+    assert back.dtype == np.complex128 and np.array_equal(back, m)
 
 
 def test_qopb_rejects_malformed_blobs():

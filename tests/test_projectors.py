@@ -171,11 +171,56 @@ def test_trace_formula_values():
     assert iv.projector_trace(3, (0, 1), (1, 0)) == 3 * 8.0
 
 
-def test_cache_clear_rebuilds_identical_operators():
-    from invariant_states import projectors
+def _dense_family(d, sigma):
+    return [iv.invariant_projector(d, sigma, a) for a in all_vectors(len(sigma))]
 
-    before = iv.invariant_projector(2, (0, 1), (1, 0))
-    projectors.clear_caches()
-    after = iv.invariant_projector(2, (0, 1), (1, 0))
-    assert after is not before
-    np.testing.assert_array_equal(after.mat, before.mat)
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_extract_fidelities_matches_dense_oracle(d, k):
+    """Moment route against Tr(rho P) on random non-invariant matrices,
+    Hermitian and not."""
+    gen = np.random.default_rng(100 * d + k)
+    side = d ** (2 * k)
+    for sigma in all_vectors(k):
+        family = _dense_family(d, sigma)
+        z = gen.standard_normal((side, side)) + 1j * gen.standard_normal((side, side))
+        for mat in (z, z + z.conj().T):
+            rho = iv.Operator(d, 2 * k, mat)
+            dense = [np.einsum("ij,ji->", rho.mat, p.mat).real for p in family]
+            np.testing.assert_allclose(iv.extract_fidelities(rho, sigma), dense, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_synthesize_matches_dense_oracle(d, k):
+    gen = np.random.default_rng(200 * d + k)
+    for sigma in all_vectors(k):
+        family = _dense_family(d, sigma)
+        f = gen.dirichlet(np.ones(2**k))
+        dense = sum(
+            f[i] / iv.projector_trace(d, sigma, alpha) * family[i].mat
+            for i, alpha in enumerate(all_vectors(k))
+        )
+        got = iv.synthesize(iv.StateDescriptor(d, sigma, f)).mat
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
+
+
+def test_structured_route_never_builds_projectors(monkeypatch):
+    from invariant_states import projectors, simplex
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense projector built")
+
+    monkeypatch.setattr(projectors, "invariant_projector", forbidden)
+    monkeypatch.setattr(simplex, "invariant_projector", forbidden, raising=False)
+    sigma = (0, 1, 0)
+    desc = iv.StateDescriptor(2, sigma, np.arange(1, 9) / 36)
+    rho = iv.synthesize(desc)
+    np.testing.assert_allclose(iv.extract_fidelities(rho, sigma), desc.fidelities, atol=1e-14)
+    np.testing.assert_allclose(iv.fidelities_of(rho, sigma).fidelities, desc.fidelities, atol=1e-14)
+
+
+def test_synthesize_scale_cap():
+    with pytest.raises(ValueError, match="scale exceeded"):
+        iv.synthesize(iv.StateDescriptor(3, (0,) * 4, np.full(16, 1 / 16)))

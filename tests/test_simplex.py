@@ -364,6 +364,12 @@ def test_check_ppt_all_reports_biseparability():
     assert iv.check_biseparable(desc).satisfied
     assert iv.check_biseparable(desc).criterion == "bisep"
 
+    # a violated all-ones pattern: the embedded sub-verdict is the bisep one
+    entangled = StateDescriptor(2, (0, 0), [0.4, 0.3, 0.3, 0.0])
+    embedded = iv.check_ppt_all(entangled).biseparable
+    assert not embedded.satisfied
+    assert embedded == iv.check_biseparable(entangled)
+
 
 def test_maximally_mixed_passes_everything():
     for d in (2, 3):
