@@ -17,7 +17,7 @@ sigma = (0,)
 rho = iv.projector_onto(d, iv.basis_ket(d, "01"))
 print("input: the product basis state |01><01| of one qubit pair\n")
 
-desc = iv.exact_twirl(rho, sigma)
+desc = iv.fidelities_of(rho, sigma)
 print("exact projection fidelities:", desc.fidelities)
 target = iv.synthesize(desc)
 print("projected state:\n", np.round(target.mat.real, 4))
@@ -42,7 +42,7 @@ print("invariant input passes through unchanged:",
       iv.frobenius_distance(est, fixed) < 1e-12)
 
 # the isotropic-family twirl conjugates the second slot
-iso = iv.exact_twirl(rho, (1,))
+iso = iv.fidelities_of(rho, (1,))
 print("\nisotropic-family projection of the same input:", iso.fidelities)
 est_iso = iv.mc_twirl(rho, (1,), 4000, Rng(1))
 print("Monte-Carlo agrees to",

@@ -6,7 +6,7 @@ simplices, exact and Monte-Carlo twirls, partial-transpose transfer
 matrices, separability criteria, and pair reductions.
 """
 
-from .bits import all_vectors, as_bits, bit_and, bits_str, from_index, parse_bits, to_index, weight, xor
+from .bits import all_vectors, as_bits, bits_str, parse_bits, xor
 from .operators import (
     Operator,
     Rng,
@@ -35,11 +35,9 @@ from .simplex import (
     StateDescriptor,
     TransferMatrix,
     biseparable_fidelities,
-    check_biseparable,
     check_polytope,
     check_ppt,
     check_ppt_all,
-    exact_twirl,
     extract_fidelities,
     extremal_fidelities,
     extremal_product_state,
@@ -67,21 +65,17 @@ __all__ = [
     "all_vectors",
     "as_bits",
     "basis_ket",
-    "bit_and",
     "bits_str",
     "biseparable_fidelities",
-    "check_biseparable",
     "check_polytope",
     "check_ppt",
     "check_ppt_all",
-    "exact_twirl",
     "extract_fidelities",
     "extremal_fidelities",
     "extremal_product_state",
     "fidelities_of",
     "flip",
     "frobenius_distance",
-    "from_index",
     "haar_unitary",
     "identity",
     "invariant_projector",
@@ -102,9 +96,7 @@ __all__ = [
     "reduce_pair",
     "synthesize",
     "tensor_product",
-    "to_index",
     "transform_fidelities",
-    "weight",
     "werner_projector",
     "werner_pt_matrix",
     "xor",

@@ -37,24 +37,9 @@ def bits_str(bits: Iterable[int]) -> str:
     return "".join(str(int(b)) for b in bits)
 
 
-def weight(bits: Iterable[int]) -> int:
-    """Hamming weight."""
-    return sum(bits)
-
-
-def to_index(bits: Iterable[int]) -> int:
-    """Integer encoding, first bit most significant."""
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | int(b)
-    return idx
-
-
-def from_index(index: int, k: int) -> Bits:
-    """Inverse of :func:`to_index` for vectors of length k."""
-    if not 0 <= index < 2**k:
-        raise ValueError(f"index {index} out of range for {k} bits")
-    return tuple((index >> (k - 1 - j)) & 1 for j in range(k))
+def label(index: int, k: int) -> str:
+    """Bitstring of length k whose integer encoding is index."""
+    return format(index, f"0{k}b")
 
 
 def xor(a: Iterable[int], b: Iterable[int]) -> Bits:
@@ -63,14 +48,6 @@ def xor(a: Iterable[int], b: Iterable[int]) -> Bits:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     return tuple(x ^ y for x, y in zip(a, b))
-
-
-def bit_and(a: Iterable[int], b: Iterable[int]) -> Bits:
-    """Componentwise product."""
-    a, b = as_bits(a), as_bits(b)
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return tuple(x & y for x, y in zip(a, b))
 
 
 def all_vectors(k: int) -> Iterator[Bits]:

@@ -19,12 +19,12 @@ from .bits import parse_bits
 from .operators import Rng, frobenius_distance
 from .selfcheck import run_checks
 from .simplex import (
+    SeparabilityVerdict,
     StateDescriptor,
-    check_biseparable,
     check_polytope,
     check_ppt,
     check_ppt_all,
-    exact_twirl,
+    fidelities_of,
     mc_twirl,
     reduce_mixed_pair,
     reduce_pair,
@@ -67,7 +67,7 @@ def _cmd_build(args) -> int:
 def _cmd_twirl(args) -> int:
     rho = formats.qopb_decode(Path(args.inp).read_bytes())
     sigma = parse_bits(args.sigma)
-    desc = exact_twirl(rho, sigma)
+    desc = fidelities_of(rho, sigma)
     if args.mc is None:
         _write_text(args.out, formats.dumps_descriptor(desc))
         return 0
@@ -89,7 +89,8 @@ def _cmd_check(args) -> int:
     elif name == "ppt-all":
         verdict = check_ppt_all(desc)
     elif name == "bisep":
-        verdict = check_biseparable(desc)
+        # the all-ones PPT sub-verdict, as embedded in ppt-all verdicts
+        verdict = SeparabilityVerdict("bisep", check_ppt(desc, (1,) * desc.K).failures)
     elif name.startswith("ppt:"):
         verdict = check_ppt(desc, parse_bits(name[4:]))
     else:

@@ -99,7 +99,7 @@ def parse_descriptor(text: str) -> StateDescriptor:
     missing = {"version", "d", "K", "sigma", "fidelities"} - set(data)
     if missing:
         raise ValueError(f"descriptor JSON missing keys: {sorted(missing)}")
-    if data["version"] != DESCRIPTOR_VERSION:
+    if type(data["version"]) is not int or data["version"] != DESCRIPTOR_VERSION:
         raise ValueError(f"unsupported descriptor version {data['version']!r}")
     for key in ("d", "K"):
         if type(data[key]) is not int:
@@ -110,10 +110,14 @@ def parse_descriptor(text: str) -> StateDescriptor:
     sigma = as_bits(sigma)
     if len(sigma) != data["K"]:
         raise ValueError(f"K = {data['K']} does not match sigma length {len(sigma)}")
+    fidelities = data["fidelities"]
+    # json yields int, float or bool for scalars; bool is rejected like nesting
+    if not isinstance(fidelities, list) or any(type(x) not in (int, float) for x in fidelities):
+        raise ValueError("descriptor fidelities must be a flat list of numbers")
     try:
-        fidelities = np.asarray(data["fidelities"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"descriptor fidelities must be a list of numbers: {exc}") from exc
+        fidelities = np.array(fidelities, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"descriptor fidelities must be finite: {exc}") from exc
     return StateDescriptor(data["d"], sigma, fidelities)
 
 
@@ -142,35 +146,7 @@ def dumps_verdict(verdict: SeparabilityVerdict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# operators
-
-
-def operator_to_dict(op: Operator) -> dict:
-    return {
-        "d": op.d,
-        "n": op.n,
-        "re": [[float(x) for x in row] for row in op.mat.real],
-        "im": [[float(x) for x in row] for row in op.mat.imag],
-    }
-
-
-def dumps_operator(op: Operator) -> str:
-    return canonical_json(operator_to_dict(op)) + "\n"
-
-
-def parse_operator(text: str) -> Operator:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid operator JSON: {exc}") from exc
-    missing = {"d", "n", "re", "im"} - set(data)
-    if missing:
-        raise ValueError(f"operator JSON missing keys: {sorted(missing)}")
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data["im"], dtype=float)
-    if re.shape != im.shape:
-        raise ValueError(f"re/im shapes differ: {re.shape} vs {im.shape}")
-    return Operator(int(data["d"]), int(data["n"]), re + 1j * im)
+# QOPB
 
 
 def qopb_encode(op: Operator) -> bytes:

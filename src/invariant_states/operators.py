@@ -68,9 +68,6 @@ class Operator:
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
 
-    def dag(self) -> "Operator":
-        return Operator(self.d, self.n, self.mat.conj().T)
-
     def is_hermitian(self, atol: float = 1e-12) -> bool:
         return float(np.max(np.abs(self.mat - self.mat.conj().T))) <= atol
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bits as bv
-from .bits import all_vectors
+from .bits import all_vectors, xor
 from .operators import (
     Operator,
     Rng,
@@ -41,9 +40,9 @@ from .simplex import (
     check_ppt,
     check_ppt_all,
     biseparable_fidelities,
-    exact_twirl,
     extremal_fidelities,
     extremal_product_state,
+    fidelities_of,
     isotropic_pt_matrix,
     maximally_mixed_pair,
     mc_twirl,
@@ -206,7 +205,7 @@ def check_transform_dense(seed: int = 0, per_combo: int = 50) -> CheckResult:
                     for mu in all_vectors(k):
                         fast = transform_fidelities(desc, mu)
                         dense = _dense_fidelities(
-                            partial_transpose(rho, _bob_slots(mu)), bv.xor(mu, sigma), families
+                            partial_transpose(rho, _bob_slots(mu)), xor(mu, sigma), families
                         )
                         worst = max(worst, float(np.max(np.abs(fast - dense))))
     return CheckResult("transform-dense-oracle", worst <= 1e-10, f"max deviation = {worst:.3e}")
@@ -310,7 +309,7 @@ def check_mc_convergence(seed: int = 0) -> CheckResult:
     d = 2
     sigma = (0,)
     rho = projector_onto(d, basis_ket(d, "01"))
-    target = synthesize(exact_twirl(rho, sigma))
+    target = synthesize(fidelities_of(rho, sigma))
 
     dist_5000 = frobenius_distance(mc_twirl(rho, sigma, 5000, Rng(seed)), target)
 

@@ -6,13 +6,15 @@ from invariant_states import bits
 def test_roundtrip_index():
     for k in (1, 2, 3):
         for idx in range(2**k):
-            assert bits.to_index(bits.from_index(idx, k)) == idx
+            assert int(bits.label(idx, k), 2) == idx
+            assert bits.bits_str(bits.parse_bits(bits.label(idx, k))) == bits.label(idx, k)
 
 
 def test_first_bit_most_significant():
-    assert bits.to_index((1, 0)) == 2
-    assert bits.to_index((0, 1)) == 1
-    assert bits.from_index(2, 2) == (1, 0)
+    assert bits.label(2, 2) == "10"
+    assert bits.label(1, 2) == "01"
+    assert bits.label(1, 3) == "001"
+    assert [bits.bits_str(v) for v in bits.all_vectors(3)] == [bits.label(i, 3) for i in range(8)]
 
 
 def test_all_vectors_order():
@@ -21,7 +23,6 @@ def test_all_vectors_order():
 
 def test_xor_and_product():
     assert bits.xor((1, 0, 1), (1, 1, 0)) == (0, 1, 1)
-    assert bits.bit_and((1, 0, 1), (1, 1, 0)) == (1, 0, 0)
     with pytest.raises(ValueError):
         bits.xor((1, 0), (1,))
 
@@ -40,4 +41,3 @@ def test_validation():
         bits.as_bits(())
     with pytest.raises(ValueError):
         bits.as_bits((0, 2))
-    assert bits.weight((1, 0, 1)) == 2

@@ -122,6 +122,13 @@ def test_twirl_missing_file(tmp_path, capsys):
         ('"d":2,"K":1,"sigma":[0],"fidelities":[NaN,1.0]', "finite"),
         ('"d":2.5,"K":1,"sigma":[0],"fidelities":[0.5,0.5]', "d must be an integer"),
         ('"d":2,"K":1,"sigma":5,"fidelities":[0.5,0.5]', "sigma must be a list"),
+        # a repeated key overrides the leading "version":1
+        ('"d":2,"K":1,"sigma":[0],"fidelities":[0.5,0.5],"version":true', "version"),
+        ('"d":2,"K":1,"sigma":[0],"fidelities":[0.5,0.5],"version":1.0', "version"),
+        ('"d":2,"K":1,"sigma":[0],"fidelities":[[0.5],[0.5]]', "flat list of numbers"),
+        ('"d":2,"K":1,"sigma":[0],"fidelities":[true,false]', "flat list of numbers"),
+        pytest.param('"d":2,"K":1,"sigma":[0],"fidelities":[1' + "0" * 400 + ',0]', "finite",
+                     id="integer-fidelity-beyond-float-range"),
     ],
 )
 def test_check_malformed_descriptor_fails_closed(tmp_path, capsys, field, expected):
@@ -162,10 +169,17 @@ def test_check_bisep_vs_ppt_all(tmp_path, capsys):
     desc = iv.StateDescriptor(2, (0, 0), [0.75, 0.0, 0.0, 0.25])
     path = tmp_path / "b.json"
     path.write_text(formats.dumps_descriptor(desc))
-    code, out, _ = run(capsys, "check", "--in", str(path), "--criterion", "bisep")
-    assert code == 0 and json.loads(out)["outcome"] == "satisfied"
-    code, out, _ = run(capsys, "check", "--in", str(path), "--criterion", "ppt-all")
-    assert code == 0 and json.loads(out)["outcome"] == "violated"
+    code, bisep, _ = run(capsys, "check", "--in", str(path), "--criterion", "bisep")
+    assert code == 0 and json.loads(bisep)["outcome"] == "satisfied"
+    code, full, _ = run(capsys, "check", "--in", str(path), "--criterion", "ppt-all")
+    assert code == 0 and json.loads(full)["outcome"] == "violated"
+    # bisep prints the all-ones sub-verdict of ppt-all, violated or not
+    assert bisep == formats.canonical_json(json.loads(full)["biseparable"]) + "\n"
+    path.write_text(formats.dumps_descriptor(iv.StateDescriptor(2, (0, 0), [0.4, 0.3, 0.3, 0.0])))
+    _, bisep, _ = run(capsys, "check", "--in", str(path), "--criterion", "bisep")
+    _, full, _ = run(capsys, "check", "--in", str(path), "--criterion", "ppt-all")
+    assert json.loads(bisep)["outcome"] == "violated"
+    assert bisep == formats.canonical_json(json.loads(full)["biseparable"]) + "\n"
 
 
 def test_check_every_criterion_on_separable_vertex(tmp_path, capsys):
@@ -258,3 +272,36 @@ def test_build_twirl_check_pipeline_stable(tmp_path, capsys):
     back = formats.parse_descriptor(twirled)
     np.testing.assert_allclose(back.fidelities, [0.5, 0.2, 0.2, 0.1], atol=1e-12)
     assert formats.dumps_descriptor(back) == twirled
+
+
+def _per_axis_transform(fid, sigma, d, mu):
+    """Transformed fidelities applied one pair axis at a time, no Kronecker product."""
+    blocks = (iv.werner_pt_matrix(d).mat, iv.isotropic_pt_matrix(d).mat)
+    t = np.asarray(fid, dtype=float).reshape((2,) * len(sigma))
+    for axis, (m, s) in enumerate(zip(mu, sigma)):
+        if m:
+            t = np.moveaxis(np.tensordot(t, blocks[s], axes=([axis], [0])), -1, axis)
+    return t.reshape(-1)
+
+
+def test_check_large_d_and_k_passes_row_sum_check(tmp_path, capsys):
+    # at d=9, K=6 the Kronecker product of pair blocks has row sums off by
+    # more than 1e-12 from rounding alone
+    k, sigma = 6, (1, 0, 1, 1, 1, 1)
+    fid = np.full(2**k, 2.0**-k)
+    path = tmp_path / "big.json"
+    path.write_text(formats.dumps_descriptor(iv.StateDescriptor(9, sigma, fid)))
+    code, out, err = run(capsys, "check", "--in", str(path), "--criterion", "ppt-all")
+    assert code == 0 and err == ""
+    failures = json.loads(out)["failures"]
+    expected = []
+    for mu in iv.all_vectors(k):
+        t = _per_axis_transform(fid, sigma, 9, mu)
+        expected.extend((f"mu={iv.bits_str(mu)},alpha={iv.bits_str(a)}", t[i])
+                        for i, a in enumerate(iv.all_vectors(k)) if t[i] < -1e-12)
+    assert expected and [f["constraint"] for f in failures] == [name for name, _ in expected]
+    np.testing.assert_allclose([f["value"] for f in failures], [v for _, v in expected],
+                               rtol=0, atol=1e-13)
+    for criterion in ("ppt:111111", "bisep"):
+        code, _, err = run(capsys, "check", "--in", str(path), "--criterion", criterion)
+        assert code == 0 and err == ""

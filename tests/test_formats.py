@@ -74,15 +74,6 @@ def test_verdict_json_schema():
     assert poly["necessary_only"] is True and poly["outcome"] == "satisfied"
 
 
-def test_operator_json_round_trip():
-    op = iv.partial_transpose(iv.max_entangled_projector(2), {2})
-    back = formats.parse_operator(formats.dumps_operator(op))
-    assert back.d == op.d and back.n == op.n
-    np.testing.assert_array_equal(back.mat, op.mat)
-    with pytest.raises(ValueError):
-        formats.parse_operator('{"d":2,"n":1}')
-
-
 def test_qopb_round_trip_bitwise():
     gen = np.random.default_rng(2)
     m = gen.standard_normal((9, 9)) + 1j * gen.standard_normal((9, 9))

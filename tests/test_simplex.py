@@ -124,28 +124,28 @@ def test_synthesized_states_are_states_and_invariant():
 
 def test_exact_twirl_fixes_invariant_states():
     desc = random_descriptor(3, 2, (0, 1), seed=9)
-    again = iv.exact_twirl(iv.synthesize(desc), (0, 1))
+    again = iv.fidelities_of(iv.synthesize(desc), (0, 1))
     np.testing.assert_allclose(again.fidelities, desc.fidelities, atol=1e-12)
 
 
 def test_exact_twirl_product_basis_state():
     rho = iv.projector_onto(2, iv.basis_ket(2, "01"))
-    q = iv.exact_twirl(rho, (0,)).fidelities
+    q = iv.fidelities_of(rho, (0,)).fidelities
     np.testing.assert_allclose(q, [0.5, 0.5], atol=1e-14)
 
 
 def test_exact_twirl_idempotent():
     for seed in range(3):
         rho = random_state(2, 4, seed)
-        once = iv.exact_twirl(rho, (0, 1))
-        twice = iv.exact_twirl(iv.synthesize(once), (0, 1))
+        once = iv.fidelities_of(rho, (0, 1))
+        twice = iv.fidelities_of(iv.synthesize(once), (0, 1))
         np.testing.assert_allclose(twice.fidelities, once.fidelities, atol=1e-12)
 
 
 def test_exact_twirl_matches_extremal_formula():
     rho = iv.extremal_product_state(3, (1, 0), [0.3, 0.8])
     fast = iv.extremal_fidelities((1, 0), [0.3, 0.8], 3)
-    np.testing.assert_allclose(iv.exact_twirl(rho, (1, 0)).fidelities, fast, atol=1e-12)
+    np.testing.assert_allclose(iv.fidelities_of(rho, (1, 0)).fidelities, fast, atol=1e-12)
 
 
 def test_mc_twirl_fixes_invariant_state():
@@ -169,7 +169,7 @@ def test_mc_twirl_deterministic():
 
 def test_mc_twirl_converges():
     rho = iv.projector_onto(2, iv.basis_ket(2, "01"))
-    target = iv.synthesize(iv.exact_twirl(rho, (0,)))
+    target = iv.synthesize(iv.fidelities_of(rho, (0,)))
     dist = iv.frobenius_distance(iv.mc_twirl(rho, (0,), 5000, Rng(0)), target)
     assert dist <= 0.05
 
@@ -253,11 +253,22 @@ def test_pt_matrix_rows_sum_to_one():
             for mu in all_vectors(2):
                 rows = iv.pt_matrix(mu, nu, d).mat.sum(axis=1)
                 np.testing.assert_allclose(rows, np.ones(4), atol=1e-12)
+    # large d and K: the Kronecker product's row sums drift from 1 by more
+    # than 1e-12 through rounding alone, which construction must accept
+    for d, k in ((9, 6), (11, 7)):
+        rows = iv.pt_matrix((1,) * k, (1, 0) + (1,) * (k - 2), d).mat.sum(axis=1)
+        np.testing.assert_allclose(rows, 1.0, rtol=0, atol=1e-10)
 
 
 def test_transfer_matrix_rejects_bad_rows():
     with pytest.raises(ValueError):
         iv.TransferMatrix(np.array([[0.5, 0.4], [1.0, 0.0]]), (1,), (0,), 2)
+    # the tolerance scales with the row's absolute sum, so O(1) entries
+    # still leave no room for a 1e-9 error
+    with pytest.raises(ValueError, match="rows must sum to 1"):
+        iv.TransferMatrix(np.array([[2.0, -1.0 + 1e-9], [0.5, 0.5]]), (1,), (0,), 2)
+    with pytest.raises(ValueError):
+        iv.TransferMatrix(np.array([[np.nan, 1.0], [0.5, 0.5]]), (1,), (0,), 2)
 
 
 # --- fidelity transforms ----------------------------------------------------
@@ -361,14 +372,15 @@ def test_check_ppt_all_reports_biseparability():
     failing = {f.constraint for f in verdict.failures}
     assert failing == {"mu=01,alpha=11", "mu=10,alpha=11"}
 
-    assert iv.check_biseparable(desc).satisfied
-    assert iv.check_biseparable(desc).criterion == "bisep"
+    assert verdict.biseparable.criterion == "bisep"
+    assert verdict.biseparable.failures == iv.check_ppt(desc, (1, 1)).failures == ()
 
     # a violated all-ones pattern: the embedded sub-verdict is the bisep one
     entangled = StateDescriptor(2, (0, 0), [0.4, 0.3, 0.3, 0.0])
     embedded = iv.check_ppt_all(entangled).biseparable
     assert not embedded.satisfied
-    assert embedded == iv.check_biseparable(entangled)
+    assert embedded.criterion == "bisep"
+    assert embedded.failures == iv.check_ppt(entangled, (1, 1)).failures
 
 
 def test_maximally_mixed_passes_everything():
@@ -482,12 +494,12 @@ def test_biseparable_fidelities_match_dense_twirl():
             pa = iv.Operator(d, 2, np.outer(va, va.conj()))
             pb = iv.Operator(d, 2, np.outer(vb, vb.conj()))
             q = iv.biseparable_fidelities(pa, pb)
-            dense = iv.exact_twirl(iv.tensor_product(pa, pb), (0, 0)).fidelities
+            dense = iv.fidelities_of(iv.tensor_product(pa, pb), (0, 0)).fidelities
             np.testing.assert_allclose(q, dense, atol=1e-10)
             # hull inequalities for states separable across the cut
             assert q[1] <= q[0] + 1e-12 and q[2] <= q[0] + 1e-12 and q[3] <= q[0] + 1e-12
             assert q[1] + q[2] <= 0.5 + 1e-12
-            assert iv.check_biseparable(StateDescriptor(d, (0, 0), q)).satisfied
+            assert iv.check_ppt(StateDescriptor(d, (0, 0), q), (1, 1)).satisfied
 
 
 def test_biseparable_fidelities_rank2_projector():
