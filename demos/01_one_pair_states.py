@@ -31,8 +31,8 @@ pt = iv.partial_transpose(iv.flip(d), {2})
 print("\npartial transpose of exchange = d * (max entangled projector):",
       np.allclose(pt.mat, d * iv.max_entangled_projector(d).mat))
 
-x = iv.werner_pt_matrix(d).mat
-y = iv.isotropic_pt_matrix(d).mat
+x = iv.pt_matrix((1,), (0,), d)
+y = iv.pt_matrix((1,), (1,), d)
 print("\nfidelity transfer matrices (rows sum to 1, one entry negative):")
 print("Werner side:\n", x)
 print("isotropic side:\n", y)

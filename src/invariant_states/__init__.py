@@ -25,7 +25,6 @@ from .projectors import (
     invariant_projector,
     isotropic_projector,
     max_entangled_projector,
-    pair_projector,
     projector_trace,
     werner_projector,
 )
@@ -33,7 +32,6 @@ from .simplex import (
     ConstraintFailure,
     SeparabilityVerdict,
     StateDescriptor,
-    TransferMatrix,
     biseparable_fidelities,
     check_polytope,
     check_ppt,
@@ -42,7 +40,6 @@ from .simplex import (
     extremal_fidelities,
     extremal_product_state,
     fidelities_of,
-    isotropic_pt_matrix,
     maximally_mixed_pair,
     mc_twirl,
     pt_matrix,
@@ -50,7 +47,6 @@ from .simplex import (
     reduce_pair,
     synthesize,
     transform_fidelities,
-    werner_pt_matrix,
 )
 
 __version__ = "0.1.0"
@@ -59,7 +55,6 @@ __all__ = [
     "Operator",
     "Rng",
     "StateDescriptor",
-    "TransferMatrix",
     "SeparabilityVerdict",
     "ConstraintFailure",
     "all_vectors",
@@ -80,12 +75,10 @@ __all__ = [
     "identity",
     "invariant_projector",
     "isotropic_projector",
-    "isotropic_pt_matrix",
     "max_entangled_projector",
     "maximally_mixed_pair",
     "mc_twirl",
     "min_eigenvalue",
-    "pair_projector",
     "parse_bits",
     "partial_trace",
     "partial_transpose",
@@ -98,6 +91,5 @@ __all__ = [
     "tensor_product",
     "transform_fidelities",
     "werner_projector",
-    "werner_pt_matrix",
     "xor",
 ]

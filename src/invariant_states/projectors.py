@@ -10,8 +10,9 @@ For one qudit pair there are two natural resolutions of the identity:
 For K pairs arranged as slots (i, K+i) of a 2K-slot space, choosing one
 resolution per pair (a bit vector sigma) and one member per pair (a bit
 vector alpha) yields 2^K families of 2^K mutually orthogonal projectors,
-each family summing to the identity.  Their traces factor into per-pair
-closed forms.
+each family summing to the identity.  Every K-pair closed form (traces,
+moment coefficients, partial-transposition maps) is the Kronecker product
+of the one-pair forms in :func:`pair_forms`, first pair most significant.
 
 Each family member also factors as a product over pairs of a_i I + b_i X_i,
 with X_i = F_i for a Werner-split pair and X_i = d E_i for an isotropic
@@ -26,6 +27,7 @@ matrices by Kronecker products and serves as the independent oracle.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from typing import Iterable
 
@@ -80,13 +82,37 @@ def isotropic_projector(d: int, alpha: int) -> Operator:
     return ent if alpha == 1 else identity(int(d), 2) - ent
 
 
-def pair_projector(d: int, sigma: int, alpha: int) -> Operator:
-    """Family member for one pair: Werner split if sigma = 0, isotropic if 1."""
-    if sigma not in (0, 1):
-        raise ValueError(f"sigma must be 0 or 1, got {sigma}")
-    if sigma == 0:
-        return werner_projector(d, alpha)
-    return isotropic_projector(d, alpha)
+def pair_forms(d: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed forms of one pair in family s: Werner split if s = 0, isotropic if 1.
+
+    Returns ``(moments, traces, transpose)``, each indexed by the member
+    alpha of the pair's family:
+
+    * ``moments``: 2 x 2 block whose row alpha holds (a, b) with
+      P_alpha = a I + b X, where X = F for s = 0 and X = d E for s = 1;
+    * ``traces``: Tr P_alpha;
+    * ``transpose``: 2 x 2 map of fidelities under transposition of the
+      pair's second member; row alpha expands the transposed normalized
+      P_alpha in family 1 - s.  Its rows sum to 1, and the blocks of the
+      two families are mutual inverses.
+
+    Entries are computed in floats, so every d within the float range
+    gives a value (at worst inf) rather than an OverflowError.
+    """
+    if not d >= 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = float(d)
+    if s == 0:
+        return (
+            np.array([[0.5, 0.5], [0.5, -0.5]]),
+            np.array([d * (d + 1.0) / 2, d * (d - 1.0) / 2]),
+            np.array([[d - 1.0, 1.0], [d + 1.0, -1.0]]) / d,
+        )
+    return (
+        np.array([[1.0, -1.0 / d], [0.0, 1.0 / d]]),
+        np.array([(d - 1.0) * (d + 1.0), 1.0]),
+        np.array([[1.0, 1.0], [1.0 + d, 1.0 - d]]) / 2,
+    )
 
 
 def _check_side(d: int, k: int) -> int:
@@ -111,7 +137,8 @@ def invariant_projector(d: int, sigma: Iterable[int], alpha: Iterable[int]) -> O
         raise ValueError(f"length mismatch: sigma has {len(sigma)}, alpha has {len(alpha)}")
     d, k = int(d), len(sigma)
     side = _check_side(d, k)
-    mat = reduce(np.kron, [pair_projector(d, s, a).mat for s, a in zip(sigma, alpha)])
+    pairs = [(isotropic_projector if s else werner_projector)(d, a) for s, a in zip(sigma, alpha)]
+    mat = reduce(np.kron, [p.mat for p in pairs])
     if k > 1:
         # the kron above lives on slot order (1, K+1, 2, K+2, ...); the
         # canonical layout puts all first members before all second ones
@@ -139,21 +166,18 @@ def moment_expansion(d: int, sigma: Iterable[int]) -> tuple[np.ndarray, np.ndarr
     k = len(sigma)
     side = _check_side(d, k)
     first, second = np.divmod(np.arange(d * d), d)
-    # per pair, block row alpha holds (a, b) with P_alpha = a I + b X, and
-    # offsets hold the flat positions of the entries of I and X on slots
+    # per pair, the flat positions of the entries of I and X on slots
     # (i, K+i) in a row-major side x side matrix
-    blocks, offsets = [], []
+    offsets = []
     for i, s in enumerate(sigma):
         wa, wb = d ** (2 * k - 1 - i), d ** (k - 1 - i)  # place values of the two slots
         row = first * wa + second * wb
         if s == 0:
-            blocks.append(np.array([[0.5, 0.5], [0.5, -0.5]]))
             x = row * side + second * wa + first * wb  # F = sum |ab><ba|
         else:
-            blocks.append(np.array([[1.0, -1.0 / d], [0.0, 1.0 / d]]))
             x = (first * side + second) * (wa + wb)  # d E = sum |aa><bb|
         offsets.append((row * (side + 1), x))
-    coeffs = reduce(np.kron, blocks)
+    coeffs = reduce(np.kron, [pair_forms(d, s)[0] for s in sigma])
     patterns = np.stack(
         [
             reduce(np.add.outer, [offsets[i][bit] for i, bit in enumerate(subset)]).reshape(-1)
@@ -164,7 +188,8 @@ def moment_expansion(d: int, sigma: Iterable[int]) -> tuple[np.ndarray, np.ndarr
 
 
 def projector_trace(d: int, sigma: Iterable[int], alpha: Iterable[int]) -> float:
-    """Closed-form trace of :func:`invariant_projector`.
+    """Closed-form trace of :func:`invariant_projector`: the product over
+    pairs of the traces in :func:`pair_forms`.
 
     Per pair: d(d + (-1)^alpha)/2 for a Werner-split factor, and 1 or
     d^2 - 1 for the entangled projector or its complement.
@@ -172,12 +197,4 @@ def projector_trace(d: int, sigma: Iterable[int], alpha: Iterable[int]) -> float
     sigma, alpha = as_bits(sigma), as_bits(alpha)
     if len(sigma) != len(alpha):
         raise ValueError(f"length mismatch: sigma has {len(sigma)}, alpha has {len(alpha)}")
-    total = 1.0
-    for s, a in zip(sigma, alpha):
-        if s == 0:
-            total *= d * (d + (-1) ** a) / 2
-        elif a == 1:
-            total *= 1.0
-        else:
-            total *= d * d - 1
-    return total
+    return float(math.prod(pair_forms(d, s)[1][a] for s, a in zip(sigma, alpha)))

@@ -43,14 +43,13 @@ from .simplex import (
     extremal_fidelities,
     extremal_product_state,
     fidelities_of,
-    isotropic_pt_matrix,
     maximally_mixed_pair,
     mc_twirl,
+    pt_matrix,
     reduce_pair,
     reduce_mixed_pair,
     synthesize,
     transform_fidelities,
-    werner_pt_matrix,
 )
 
 
@@ -85,8 +84,8 @@ def check_transfer_inverse() -> CheckResult:
     """The two 2 x 2 transfer blocks are mutual inverses for d = 2..6."""
     worst = 0.0
     for d in range(2, 7):
-        x = werner_pt_matrix(d).mat
-        y = isotropic_pt_matrix(d).mat
+        x = pt_matrix((1,), (0,), d)
+        y = pt_matrix((1,), (1,), d)
         worst = max(worst, float(np.max(np.abs(x @ y - np.eye(2)))))
         worst = max(worst, float(np.max(np.abs(y @ x - np.eye(2)))))
     return CheckResult("transfer-inverse", worst <= 1e-12, f"max |XY - I| = {worst:.3e}")

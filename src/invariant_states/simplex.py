@@ -21,6 +21,8 @@ transposition pattern transposes the second member of pair i (slot K+i).
 
 from __future__ import annotations
 
+import operator
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Optional
@@ -38,12 +40,11 @@ from .operators import (
     projector_onto,
     tensor_product,
 )
-from .projectors import moment_expansion, projector_trace
+from .projectors import moment_expansion, pair_forms
 
 FIDELITY_NEG_ATOL = 1e-12
 FIDELITY_SUM_ATOL = 1e-10
 PPT_ATOL = 1e-12
-ROW_SUM_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,17 @@ class StateDescriptor:
     fidelities: np.ndarray
 
     def __post_init__(self):
+        try:
+            d = operator.index(self.d)
+        except TypeError:
+            raise ValueError(f"local dimension must be an integer, got {self.d!r}") from None
+        if d < 2:
+            raise ValueError(f"local dimension must be >= 2, got {d}")
+        if d > sys.float_info.max:
+            raise ValueError(f"local dimension beyond the float range: {d.bit_length()} bits")
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "sigma", as_bits(self.sigma))
         f = np.asarray(self.fidelities, dtype=float).reshape(-1)
-        if self.d < 2:
-            raise ValueError(f"local dimension must be >= 2, got {self.d}")
         if f.size != 2 ** len(self.sigma):
             raise ValueError(
                 f"need 2**K = {2 ** len(self.sigma)} fidelities, got {f.size}"
@@ -131,7 +139,7 @@ def synthesize(desc: StateDescriptor) -> Operator:
     coefficient per X_S into a zeroed matrix.
     """
     coeffs, patterns = moment_expansion(desc.d, desc.sigma)
-    traces = [projector_trace(desc.d, desc.sigma, alpha) for alpha in all_vectors(desc.K)]
+    traces = reduce(np.kron, [pair_forms(desc.d, s)[1] for s in desc.sigma])
     weights = (desc.fidelities / traces) @ coeffs
     side = desc.d ** (2 * desc.K)
     mat = np.zeros((side, side), dtype=np.complex128)
@@ -170,76 +178,23 @@ def mc_twirl(rho: Operator, sigma: Iterable[int], samples: int, rng: Rng) -> Ope
 # fidelity transfer under partial transposition
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+def pt_matrix(mu: Iterable[int], nu: Iterable[int], d: int) -> np.ndarray:
     """Linear action of a pair-wise partial transposition on fidelities.
 
-    ``mat`` is 2^K x 2^K and real; row alpha holds the expansion of the
-    transposed normalized projector alpha in the target family.  Every row
-    sums to 1, but entries may be negative, which is what makes the PPT
-    test nontrivial.  ``mu`` is the transposition pattern, ``nu`` the
-    family it acts on; the target family is ``xor(mu, nu)``.
-    """
-
-    mat: np.ndarray
-    mu: Bits
-    nu: Bits
-    d: int
-
-    def __post_init__(self):
-        m = np.asarray(self.mat, dtype=float)
-        k = len(self.mu)
-        if m.shape != (2**k, 2**k):
-            raise ValueError(f"expected shape {(2**k, 2**k)}, got {m.shape}")
-        # the rounding error of a row sum scales with the row's absolute sum,
-        # which grows with d and K in pt_matrix's Kronecker products
-        dev = np.abs(m.sum(axis=1) - 1.0)
-        if not np.all(dev <= ROW_SUM_ATOL * np.abs(m).sum(axis=1)):
-            raise ValueError(f"rows must sum to 1, worst deviation {dev.max():.3e}")
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-
-
-def werner_pt_matrix(d: int) -> TransferMatrix:
-    """Fidelity map of one pair transposition applied in the Werner family."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    mat = np.array([[d - 1.0, 1.0], [d + 1.0, -1.0]]) / d
-    return TransferMatrix(mat, (1,), (0,), d)
-
-
-def isotropic_pt_matrix(d: int) -> TransferMatrix:
-    """Fidelity map of one pair transposition applied in the isotropic family.
-
-    Inverse of :func:`werner_pt_matrix`, since transposing twice is the
-    identity.
-    """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    mat = np.array([[1.0, 1.0], [1.0 + d, 1.0 - d]]) / 2
-    return TransferMatrix(mat, (1,), (1,), d)
-
-
-def pt_matrix(mu: Iterable[int], nu: Iterable[int], d: int) -> TransferMatrix:
-    """K-pair transfer matrix: Kronecker product of per-pair blocks.
-
-    Pair i contributes the identity if mu_i = 0, the Werner-family block
-    if (mu_i, nu_i) = (1, 0) and the isotropic-family block if (1, 1).
-    Blocks multiply in pair order, first pair most significant, matching
-    the fidelity indexing.
+    Returns the read-only real 2^K x 2^K matrix whose row alpha expands the
+    mu-transposed normalized projector alpha of family nu in the target
+    family xor(mu, nu).  Every row sums to 1, but entries may be negative,
+    which is what makes the PPT test nontrivial.  It is the Kronecker
+    product over pairs, first pair most significant, of the identity
+    where mu_i = 0 and of the transposition block of family nu_i in
+    :func:`.projectors.pair_forms` where mu_i = 1.
     """
     mu, nu = as_bits(mu), as_bits(nu)
     if len(mu) != len(nu):
         raise ValueError(f"length mismatch: mu has {len(mu)}, nu has {len(nu)}")
-    factors = []
-    for m_bit, n_bit in zip(mu, nu):
-        if m_bit == 0:
-            factors.append(np.eye(2))
-        elif n_bit == 0:
-            factors.append(werner_pt_matrix(d).mat)
-        else:
-            factors.append(isotropic_pt_matrix(d).mat)
-    return TransferMatrix(reduce(np.kron, factors), mu, nu, d)
+    mat = reduce(np.kron, [pair_forms(d, n)[2] if m else np.eye(2) for m, n in zip(mu, nu)])
+    mat.setflags(write=False)
+    return mat
 
 
 def transform_fidelities(desc: StateDescriptor, mu: Iterable[int]) -> np.ndarray:
@@ -247,12 +202,18 @@ def transform_fidelities(desc: StateDescriptor, mu: Iterable[int]) -> np.ndarray
 
     The result lives in the family xor(mu, desc.sigma).  Entries always
     sum to 1 but may be negative; a negative entry certifies that the
-    transposed operator is not positive semidefinite.
+    transposed operator is not positive semidefinite.  For a d so large
+    that the transfer overflows, it raises ValueError instead of returning
+    non-finite entries.
     """
     mu = as_bits(mu)
     if len(mu) != desc.K:
         raise ValueError(f"mu has length {len(mu)}, expected {desc.K}")
-    return desc.fidelities @ pt_matrix(mu, desc.sigma, desc.d).mat
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = desc.fidelities @ pt_matrix(mu, desc.sigma, desc.d)
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"transfer of mu={bits_str(mu)} overflows at d = {float(desc.d):.3g}")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -370,28 +331,26 @@ def extremal_fidelities(sigma: Iterable[int], overlaps, d: int) -> np.ndarray:
     """Fidelities of a transposed fully product state with given overlaps.
 
     overlaps[i] is the squared inner product a_i between the two pure
-    states of pair i.  Per pair the factor is 1 + (-1)^alpha_i * a_i for a
-    Werner-split pair and 1 - (alpha_i + (-1)^alpha_i * a_i / d) for an
-    isotropic one, with an overall 1 / 2^(K - |sigma|).  The output is a
-    valid fidelity vector and, being a projection of a separable state,
-    satisfies every separability criterion in this module.
+    states of pair i.  The vector is the Kronecker product over pairs of
+    (1 + a_i, 1 - a_i) / 2 for a Werner-split pair and (1 - a_i / d,
+    a_i / d) for an isotropic one.  The output is a valid fidelity vector
+    and, being a projection of a separable state, satisfies every
+    separability criterion in this module.
     """
     sigma = as_bits(sigma)
     a = _check_overlaps(overlaps)
     if a.size != len(sigma):
         raise ValueError(f"need {len(sigma)} overlaps, got {a.size}")
-    k = len(sigma)
-    prefactor = 0.5 ** (k - sum(sigma))
-    out = np.empty(2**k)
-    for idx, alpha in enumerate(all_vectors(k)):
-        term = prefactor
-        for s_bit, a_bit, a_i in zip(sigma, alpha, a):
-            if s_bit == 0:
-                term *= 1.0 + (-1.0) ** a_bit * a_i
-            else:
-                term *= 1.0 - (a_bit + (-1.0) ** a_bit * a_i / d)
-        out[idx] = term
-    return out
+    d = float(d)
+    # each Werner factor carries a 1/2, which scales exactly; a_i / d is
+    # written 1 - (1 - a_i / d), the rounding that tests/test_pair_forms.py pins
+    factors = [
+        np.array([1.0 + a_i, 1.0 - a_i]) * 0.5
+        if s == 0
+        else np.array([1.0 - a_i / d, 1.0 - (1.0 - a_i / d)])
+        for s, a_i in zip(sigma, a)
+    ]
+    return reduce(np.kron, factors)
 
 
 def extremal_product_state(d: int, sigma: Iterable[int], overlaps) -> Operator:

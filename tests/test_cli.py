@@ -129,6 +129,8 @@ def test_twirl_missing_file(tmp_path, capsys):
         ('"d":2,"K":1,"sigma":[0],"fidelities":[true,false]', "flat list of numbers"),
         pytest.param('"d":2,"K":1,"sigma":[0],"fidelities":[1' + "0" * 400 + ',0]', "finite",
                      id="integer-fidelity-beyond-float-range"),
+        pytest.param('"d":1' + "0" * 400 + ',"K":1,"sigma":[0],"fidelities":[0.5,0.5]',
+                     "float range", id="d-beyond-float-range"),
     ],
 )
 def test_check_malformed_descriptor_fails_closed(tmp_path, capsys, field, expected):
@@ -137,6 +139,33 @@ def test_check_malformed_descriptor_fails_closed(tmp_path, capsys, field, expect
     code, out, err = run(capsys, "check", "--in", str(path), "--criterion", "ppt-all", "--strict")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and expected in err
+
+
+@pytest.mark.parametrize("criterion", ["ppt-all", "bisep", "polytope"])
+def test_check_huge_d_fails_closed(tmp_path, capsys, criterion):
+    """A d beyond the float range is rejected; at d = 10**160 the two-pair
+    isotropic transfer overflows and exits 2, while the polytope bounds
+    stay finite."""
+    path = tmp_path / "huge.json"
+    path.write_text('{"version":1,"d":1' + "0" * 400 + ',"K":1,"sigma":[0],"fidelities":[0.5,0.5]}')
+    code, out, err = run(capsys, "check", "--in", str(path), "--criterion", criterion)
+    assert code == 2 and out == "" and err.count("\n") == 1 and "float range" in err
+    desc = iv.StateDescriptor(10**160, (1, 1), np.full(4, 0.25))
+    path.write_text(formats.dumps_descriptor(desc))
+    code, out, err = run(capsys, "check", "--in", str(path), "--criterion", criterion, "--strict")
+    if criterion == "polytope":
+        failures = json.loads(out)["failures"]
+        assert code == 1 and err == "" and failures
+        assert all(np.isfinite([f["value"], f["bound"]]).all() for f in failures)
+    else:
+        assert code == 2 and out == ""
+        assert err == "error: transfer of mu=11 overflows at d = 1e+160\n"
+
+
+def test_build_rejects_d_beyond_float_range(capsys):
+    code, out, err = run(capsys, "build", "--d", "1" + "0" * 400, "--K", "1", "--sigma", "0",
+                         "--fid", "0.5,0.5")
+    assert code == 2 and out == "" and "float range" in err
 
 
 @pytest.fixture
@@ -276,7 +305,7 @@ def test_build_twirl_check_pipeline_stable(tmp_path, capsys):
 
 def _per_axis_transform(fid, sigma, d, mu):
     """Transformed fidelities applied one pair axis at a time, no Kronecker product."""
-    blocks = (iv.werner_pt_matrix(d).mat, iv.isotropic_pt_matrix(d).mat)
+    blocks = (iv.pt_matrix((1,), (0,), d), iv.pt_matrix((1,), (1,), d))
     t = np.asarray(fid, dtype=float).reshape((2,) * len(sigma))
     for axis, (m, s) in enumerate(zip(mu, sigma)):
         if m:

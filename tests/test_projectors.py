@@ -61,24 +61,16 @@ def test_isotropic_projectors():
         np.testing.assert_allclose((p0 + p1).mat, np.eye(d * d), atol=1e-15)
 
 
-def test_pair_projector_dispatch():
-    for d in (2, 3):
-        for a in (0, 1):
-            np.testing.assert_array_equal(
-                iv.pair_projector(d, 0, a).mat, iv.werner_projector(d, a).mat
-            )
-            np.testing.assert_array_equal(
-                iv.pair_projector(d, 1, a).mat, iv.isotropic_projector(d, a).mat
-            )
-    assert abs(iv.pair_projector(2, 1, 1).trace() - 1.0) < 1e-15
-
-
 def test_invariant_projector_single_pair():
     for d in (2, 3):
         for a in (0, 1):
             np.testing.assert_array_equal(
                 iv.invariant_projector(d, (0,), (a,)).mat, iv.werner_projector(d, a).mat
             )
+            np.testing.assert_array_equal(
+                iv.invariant_projector(d, (1,), (a,)).mat, iv.isotropic_projector(d, a).mat
+            )
+    assert abs(iv.invariant_projector(2, (1,), (1,)).trace() - 1.0) < 1e-15
 
 
 def test_invariant_projector_argument_checks():

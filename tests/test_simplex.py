@@ -39,6 +39,12 @@ def test_descriptor_validation():
         StateDescriptor(2, (0, 0), [0.5, 0.5])
     with pytest.raises(ValueError):
         StateDescriptor(1, (0,), [0.5, 0.5])
+    # d must be an integer within the float range; numpy integers count
+    for d in (2.5, np.float64(2.0), "2", 10**400):
+        with pytest.raises(ValueError, match="local dimension"):
+            StateDescriptor(d, (0,), [0.5, 0.5])
+    d = StateDescriptor(np.int64(3), (0,), [0.5, 0.5]).d
+    assert d == 3 and type(d) is int
 
 
 # --- fidelity extraction and synthesis -------------------------------------
@@ -184,17 +190,17 @@ def test_mc_twirl_validation():
 
 
 def test_single_pair_matrices_d2():
-    x = iv.werner_pt_matrix(2).mat
+    x = iv.pt_matrix((1,), (0,), 2)
     np.testing.assert_allclose(x, [[0.5, 0.5], [1.5, -0.5]], atol=1e-15)
-    y = iv.isotropic_pt_matrix(2).mat
+    y = iv.pt_matrix((1,), (1,), 2)
     np.testing.assert_allclose(y, x, atol=1e-15)  # coincide at d=2
     np.testing.assert_allclose(x @ x, np.eye(2), atol=1e-15)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_single_pair_matrices_inverse_and_rows(d):
-    x = iv.werner_pt_matrix(d).mat
-    y = iv.isotropic_pt_matrix(d).mat
+    x = iv.pt_matrix((1,), (0,), d)
+    y = iv.pt_matrix((1,), (1,), d)
     np.testing.assert_allclose(x @ y, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(y @ x, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(x.sum(axis=1), [1.0, 1.0], atol=1e-12)
@@ -205,8 +211,8 @@ def test_single_pair_matrices_inverse_and_rows(d):
 def test_single_pair_dense_transfer_identities(d):
     """Transposing a normalized family projector expands in the other
     family with the transfer-matrix rows as coefficients."""
-    x = iv.werner_pt_matrix(d).mat
-    y = iv.isotropic_pt_matrix(d).mat
+    x = iv.pt_matrix((1,), (0,), d)
+    y = iv.pt_matrix((1,), (1,), d)
     q = [iv.werner_projector(d, b) / iv.projector_trace(d, (0,), (b,)) for b in (0, 1)]
     p = [iv.isotropic_projector(d, b) / iv.projector_trace(d, (1,), (b,)) for b in (0, 1)]
     for a in (0, 1):
@@ -221,16 +227,17 @@ def test_single_pair_dense_transfer_identities(d):
 def test_pt_matrix_identity_pattern():
     for nu in all_vectors(2):
         z = iv.pt_matrix((0, 0), nu, 3)
-        np.testing.assert_array_equal(z.mat, np.eye(4))
+        np.testing.assert_array_equal(z, np.eye(4))
+        assert z.dtype == np.float64 and not z.flags.writeable
 
 
 def test_pt_matrix_kron_structure():
     z = iv.pt_matrix((1, 1), (0, 0), 2)
-    x = iv.werner_pt_matrix(2).mat
-    np.testing.assert_allclose(z.mat, np.kron(x, x), atol=1e-15)
+    x = iv.pt_matrix((1,), (0,), 2)
+    np.testing.assert_allclose(z, np.kron(x, x), atol=1e-15)
     z = iv.pt_matrix((1, 1), (0, 1), 3)
     np.testing.assert_allclose(
-        z.mat, np.kron(iv.werner_pt_matrix(3).mat, iv.isotropic_pt_matrix(3).mat), atol=1e-15
+        z, np.kron(iv.pt_matrix((1,), (0,), 3), iv.pt_matrix((1,), (1,), 3)), atol=1e-15
     )
 
 
@@ -241,9 +248,9 @@ def test_pt_matrix_composition_law(d, k):
     for nu in all_vectors(k):
         for mu in all_vectors(k):
             for mu2 in all_vectors(k):
-                first = iv.pt_matrix(mu, nu, d).mat
-                second = iv.pt_matrix(mu2, iv.xor(mu, nu), d).mat
-                combined = iv.pt_matrix(iv.xor(mu, mu2), nu, d).mat
+                first = iv.pt_matrix(mu, nu, d)
+                second = iv.pt_matrix(mu2, iv.xor(mu, nu), d)
+                combined = iv.pt_matrix(iv.xor(mu, mu2), nu, d)
                 np.testing.assert_allclose(first @ second, combined, atol=1e-12)
 
 
@@ -251,24 +258,13 @@ def test_pt_matrix_rows_sum_to_one():
     for d in (2, 3):
         for nu in all_vectors(2):
             for mu in all_vectors(2):
-                rows = iv.pt_matrix(mu, nu, d).mat.sum(axis=1)
+                rows = iv.pt_matrix(mu, nu, d).sum(axis=1)
                 np.testing.assert_allclose(rows, np.ones(4), atol=1e-12)
     # large d and K: the Kronecker product's row sums drift from 1 by more
-    # than 1e-12 through rounding alone, which construction must accept
+    # than 1e-12 through rounding alone
     for d, k in ((9, 6), (11, 7)):
-        rows = iv.pt_matrix((1,) * k, (1, 0) + (1,) * (k - 2), d).mat.sum(axis=1)
+        rows = iv.pt_matrix((1,) * k, (1, 0) + (1,) * (k - 2), d).sum(axis=1)
         np.testing.assert_allclose(rows, 1.0, rtol=0, atol=1e-10)
-
-
-def test_transfer_matrix_rejects_bad_rows():
-    with pytest.raises(ValueError):
-        iv.TransferMatrix(np.array([[0.5, 0.4], [1.0, 0.0]]), (1,), (0,), 2)
-    # the tolerance scales with the row's absolute sum, so O(1) entries
-    # still leave no room for a 1e-9 error
-    with pytest.raises(ValueError, match="rows must sum to 1"):
-        iv.TransferMatrix(np.array([[2.0, -1.0 + 1e-9], [0.5, 0.5]]), (1,), (0,), 2)
-    with pytest.raises(ValueError):
-        iv.TransferMatrix(np.array([[np.nan, 1.0], [0.5, 0.5]]), (1,), (0,), 2)
 
 
 # --- fidelity transforms ----------------------------------------------------
@@ -308,8 +304,8 @@ def test_transform_matches_dense_transpose(d, k):
 def test_transform_involution():
     desc = random_descriptor(3, 2, (0, 1), seed=12)
     for mu in all_vectors(2):
-        z1 = iv.pt_matrix(mu, desc.sigma, desc.d).mat
-        z2 = iv.pt_matrix(mu, iv.xor(mu, desc.sigma), desc.d).mat
+        z1 = iv.pt_matrix(mu, desc.sigma, desc.d)
+        z2 = iv.pt_matrix(mu, iv.xor(mu, desc.sigma), desc.d)
         twice = desc.fidelities @ z1 @ z2
         np.testing.assert_allclose(twice, desc.fidelities, atol=1e-12)
 
