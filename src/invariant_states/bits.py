@@ -11,19 +11,23 @@ where the convention lives.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 Bits = tuple[int, ...]
 
 
-def as_bits(bits: Iterable[int]) -> Bits:
-    """Normalize a bit sequence to a tuple of 0/1 ints, validating entries."""
-    out = tuple(int(b) for b in bits)
-    if len(out) < 1:
-        raise ValueError("bit vector must have length >= 1")
-    if any(b not in (0, 1) for b in out):
-        raise ValueError(f"bit vector entries must be 0 or 1, got {tuple(bits)!r}")
-    return out
+def as_bits(bits: Iterable[int], k: Optional[int] = None, name: str = "bit vector") -> Bits:
+    """Validate a nonempty bit sequence (every entry exactly 0 or 1, so 0.5
+    is rejected rather than rounded, and exactly k entries if k is given)
+    and return it as a tuple of ints; error messages name it ``name``."""
+    raw = tuple(bits)
+    if not all(b == 0 or b == 1 for b in raw):
+        raise ValueError(f"{name} entries must be 0 or 1, got {raw!r}")
+    if not raw:
+        raise ValueError(f"{name} must have length >= 1")
+    if k is not None and len(raw) != k:
+        raise ValueError(f"{name} has {len(raw)} bits, expected {k}")
+    return tuple(1 if b else 0 for b in raw)
 
 
 def parse_bits(text: str) -> Bits:
@@ -34,7 +38,7 @@ def parse_bits(text: str) -> Bits:
 
 
 def bits_str(bits: Iterable[int]) -> str:
-    return "".join(str(int(b)) for b in bits)
+    return "".join(map(str, as_bits(bits)))
 
 
 def label(index: int, k: int) -> str:
@@ -44,10 +48,8 @@ def label(index: int, k: int) -> str:
 
 def xor(a: Iterable[int], b: Iterable[int]) -> Bits:
     """Componentwise addition mod 2."""
-    a, b = as_bits(a), as_bits(b)
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return tuple(x ^ y for x, y in zip(a, b))
+    a = as_bits(a)
+    return tuple(x ^ y for x, y in zip(a, as_bits(b, len(a))))
 
 
 def all_vectors(k: int) -> Iterator[Bits]:

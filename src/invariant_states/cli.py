@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .bits import parse_bits
+from .bits import as_bits, parse_bits
 from .operators import Rng, frobenius_distance
 from .selfcheck import run_checks
 from .simplex import (
@@ -44,17 +44,13 @@ def _read_descriptor(path: str) -> StateDescriptor:
 
 
 def _cmd_build(args) -> int:
-    sigma = parse_bits(args.sigma)
-    if len(sigma) != args.K:
-        raise ValueError(f"--sigma has {len(sigma)} bits but --K is {args.K}")
+    sigma = as_bits(parse_bits(args.sigma), args.K, "--sigma")
     if args.fid is not None:
         fid = np.array([float(x) for x in args.fid.split(",")])
     else:
-        vertex = parse_bits(args.vertex)
-        if len(vertex) != args.K:
-            raise ValueError(f"--vertex has {len(vertex)} bits but --K is {args.K}")
+        as_bits(parse_bits(args.vertex), args.K, "--vertex")
         fid = np.zeros(2**args.K)
-        fid[int("".join(map(str, vertex)), 2)] = 1.0
+        fid[int(args.vertex, 2)] = 1.0
     desc = StateDescriptor(args.d, sigma, fid)
     _write_text(args.out, formats.dumps_descriptor(desc))
     if args.dense:

@@ -19,7 +19,7 @@ import struct
 import numpy as np
 
 from .bits import as_bits
-from .operators import Operator
+from .operators import MAX_SIDE, Operator
 from .simplex import SeparabilityVerdict, StateDescriptor
 
 QOPB_MAGIC = b"QOPB"
@@ -28,65 +28,34 @@ QOPB_VERSION = 1
 DESCRIPTOR_VERSION = 1
 
 
-def _canonical(value, parts: list[str]):
-    if value is None:
-        parts.append("null")
-    elif isinstance(value, bool):
-        parts.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        parts.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        x = float(value)
-        if not math.isfinite(x):
-            raise ValueError(f"non-finite float {x!r} is not representable in JSON")
-        parts.append(format(x, ".17g"))
-    elif isinstance(value, str):
-        parts.append(json.dumps(value, ensure_ascii=False))
-    elif isinstance(value, dict):
-        parts.append("{")
-        for k, key in enumerate(sorted(value)):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            if k:
-                parts.append(",")
-            parts.append(json.dumps(key, ensure_ascii=False))
-            parts.append(":")
-            _canonical(value[key], parts)
-        parts.append("}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        parts.append("[")
-        for k, item in enumerate(value):
-            if k:
-                parts.append(",")
-            _canonical(item, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__} to canonical JSON")
-
-
 def canonical_json(value) -> str:
-    """Serialize to deterministic JSON (sorted keys, 17-digit floats)."""
-    parts: list[str] = []
-    _canonical(value, parts)
-    return "".join(parts)
+    """Serialize dicts with string keys, lists, tuples and JSON scalars to
+    deterministic JSON (sorted keys, 17-digit floats, no NaN or inf)."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite float {value!r} is not representable in JSON")
+        return format(value, ".17g")
+    if isinstance(value, dict):
+        items = (f"{json.dumps(k, ensure_ascii=False)}:{canonical_json(value[k])}" for k in sorted(value))
+        return "{" + ",".join(items) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(canonical_json, value)) + "]"
+    return json.dumps(value, ensure_ascii=False)
 
 
 # ---------------------------------------------------------------------------
 # state descriptors
 
 
-def descriptor_to_dict(desc: StateDescriptor) -> dict:
-    return {
+def dumps_descriptor(desc: StateDescriptor) -> str:
+    data = {
         "version": DESCRIPTOR_VERSION,
         "d": desc.d,
         "K": desc.K,
-        "sigma": list(desc.sigma),
-        "fidelities": [float(x) for x in desc.fidelities],
+        "sigma": desc.sigma,
+        "fidelities": desc.fidelities.tolist(),
     }
-
-
-def dumps_descriptor(desc: StateDescriptor) -> str:
-    return canonical_json(descriptor_to_dict(desc)) + "\n"
+    return canonical_json(data) + "\n"
 
 
 def parse_descriptor(text: str) -> StateDescriptor:
@@ -107,9 +76,7 @@ def parse_descriptor(text: str) -> StateDescriptor:
     sigma = data["sigma"]
     if not isinstance(sigma, list) or any(type(b) is not int for b in sigma):
         raise ValueError(f"descriptor sigma must be a list of 0/1 integers, got {sigma!r}")
-    sigma = as_bits(sigma)
-    if len(sigma) != data["K"]:
-        raise ValueError(f"K = {data['K']} does not match sigma length {len(sigma)}")
+    sigma = as_bits(sigma, data["K"], "descriptor sigma")
     fidelities = data["fidelities"]
     # json yields int, float or bool for scalars; bool is rejected like nesting
     if not isinstance(fidelities, list) or any(type(x) not in (int, float) for x in fidelities):
@@ -163,8 +130,10 @@ def qopb_decode(data: bytes) -> Operator:
     if data[4] != QOPB_VERSION:
         raise ValueError(f"unsupported QOPB version {data[4]}")
     d, n = struct.unpack_from("<II", data, 5)
-    if d < 2 or n < 1:
-        raise ValueError(f"invalid QOPB header: d={d}, n={n}")
+    # with d >= 2 any n beyond the bit length of MAX_SIDE is too large, so
+    # bounding n first keeps d**n small for every header
+    if d < 2 or not 1 <= n <= MAX_SIDE.bit_length() or d**n > MAX_SIDE:
+        raise ValueError(f"invalid QOPB header: d={d}, n={n} (need d >= 2, n >= 1, d**n <= {MAX_SIDE})")
     side = d**n
     expected = 13 + 16 * side * side
     if len(data) != expected:

@@ -12,6 +12,8 @@ and cached without defensive copies.
 
 from __future__ import annotations
 
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,6 +22,19 @@ import numpy as np
 MAX_SIDE = 4096
 
 HERMITICITY_ATOL = 1e-10
+
+
+def dimension(d) -> int:
+    """A local dimension as a Python int: an integer (numpy integers count), >= 2, within the float range."""
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise ValueError(f"local dimension must be an integer, got {d!r}") from None
+    if d < 2:
+        raise ValueError(f"local dimension must be >= 2, got {d}")
+    if d > sys.float_info.max:
+        raise ValueError(f"local dimension beyond the float range: {d.bit_length()} bits")
+    return d
 
 
 def _frozen(mat: np.ndarray) -> np.ndarray:
@@ -43,8 +58,7 @@ class Operator:
     mat: np.ndarray
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"local dimension must be >= 2, got {self.d}")
+        object.__setattr__(self, "d", dimension(self.d))
         if self.n < 1:
             raise ValueError(f"subsystem count must be >= 1, got {self.n}")
         side = self.d**self.n
@@ -105,11 +119,13 @@ class Operator:
 
 
 def identity(d: int, n: int = 1) -> Operator:
+    d = dimension(d)
     return Operator(d, n, np.eye(d**n))
 
 
 def basis_ket(d: int, digits: str | Sequence[int]) -> np.ndarray:
     """Computational basis vector |i_1 ... i_n> as a length d**n array."""
+    d = dimension(d)
     if isinstance(digits, str):
         digits = [int(c) for c in digits]
     digits = list(digits)
@@ -260,6 +276,5 @@ def haar_unitary(d: int, rng: Rng) -> Operator:
     Deterministic in ``rng``: the same (seed, counter) yields the same
     matrix bit for bit.  Draw sequences with ``haar_unitary(d, rng.at(i))``.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = dimension(d)
     return Operator(d, 1, _haar_sample(rng.generator(), d))

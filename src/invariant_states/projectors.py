@@ -34,14 +34,12 @@ from typing import Iterable
 import numpy as np
 
 from .bits import all_vectors, as_bits
-from .operators import MAX_SIDE, Operator, identity
+from .operators import MAX_SIDE, Operator, dimension, identity
 
 
 def flip(d: int) -> Operator:
     """Exchange (swap) operator on a pair: F (x |i>|j>) = |j>|i>."""
-    d = int(d)
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = dimension(d)
     mat = np.zeros((d * d, d * d))
     for i in range(d):
         for j in range(d):
@@ -51,9 +49,7 @@ def flip(d: int) -> Operator:
 
 def max_entangled_projector(d: int) -> Operator:
     """Rank-1 projector onto the canonical maximally entangled pair state."""
-    d = int(d)
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = dimension(d)
     mat = np.zeros((d * d, d * d))
     for i in range(d):
         for j in range(d):
@@ -71,15 +67,15 @@ def werner_projector(d: int, alpha: int) -> Operator:
     if alpha not in (0, 1):
         raise ValueError(f"alpha must be 0 or 1, got {alpha}")
     sign = 1.0 if alpha == 0 else -1.0
-    return (identity(int(d), 2) + sign * flip(int(d))) * 0.5
+    return (identity(d, 2) + sign * flip(d)) * 0.5
 
 
 def isotropic_projector(d: int, alpha: int) -> Operator:
     """Maximally entangled projector (alpha = 1) or its complement (alpha = 0)."""
     if alpha not in (0, 1):
         raise ValueError(f"alpha must be 0 or 1, got {alpha}")
-    ent = max_entangled_projector(int(d))
-    return ent if alpha == 1 else identity(int(d), 2) - ent
+    ent = max_entangled_projector(d)
+    return ent if alpha == 1 else identity(d, 2) - ent
 
 
 def pair_forms(d: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -99,9 +95,7 @@ def pair_forms(d: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Entries are computed in floats, so every d within the float range
     gives a value (at worst inf) rather than an OverflowError.
     """
-    if not d >= 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    d = float(d)
+    d = float(dimension(d))
     if s == 0:
         return (
             np.array([[0.5, 0.5], [0.5, -0.5]]),
@@ -132,10 +126,9 @@ def invariant_projector(d: int, sigma: Iterable[int], alpha: Iterable[int]) -> O
     identity.  Built by Kronecker products and a slot permutation, this is
     the brute-force reference for :func:`moment_expansion`.
     """
-    sigma, alpha = as_bits(sigma), as_bits(alpha)
-    if len(sigma) != len(alpha):
-        raise ValueError(f"length mismatch: sigma has {len(sigma)}, alpha has {len(alpha)}")
-    d, k = int(d), len(sigma)
+    sigma = as_bits(sigma, name="sigma")
+    alpha = as_bits(alpha, len(sigma), "alpha")
+    d, k = dimension(d), len(sigma)
     side = _check_side(d, k)
     pairs = [(isotropic_projector if s else werner_projector)(d, a) for s, a in zip(sigma, alpha)]
     mat = reduce(np.kron, [p.mat for p in pairs])
@@ -160,9 +153,7 @@ def moment_expansion(d: int, sigma: Iterable[int]) -> tuple[np.ndarray, np.ndarr
     X_S is real symmetric, so Tr(rho X_S) sums the entries of rho at the
     positions in row S.
     """
-    d, sigma = int(d), as_bits(sigma)
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d, sigma = dimension(d), as_bits(sigma, name="sigma")
     k = len(sigma)
     side = _check_side(d, k)
     first, second = np.divmod(np.arange(d * d), d)
@@ -194,7 +185,6 @@ def projector_trace(d: int, sigma: Iterable[int], alpha: Iterable[int]) -> float
     Per pair: d(d + (-1)^alpha)/2 for a Werner-split factor, and 1 or
     d^2 - 1 for the entangled projector or its complement.
     """
-    sigma, alpha = as_bits(sigma), as_bits(alpha)
-    if len(sigma) != len(alpha):
-        raise ValueError(f"length mismatch: sigma has {len(sigma)}, alpha has {len(alpha)}")
+    sigma = as_bits(sigma, name="sigma")
+    alpha = as_bits(alpha, len(sigma), "alpha")
     return float(math.prod(pair_forms(d, s)[1][a] for s, a in zip(sigma, alpha)))

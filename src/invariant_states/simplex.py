@@ -22,7 +22,6 @@ transposition pattern transposes the second member of pair i (slot K+i).
 from __future__ import annotations
 
 import operator
-import sys
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Optional
@@ -31,10 +30,12 @@ import numpy as np
 
 from .bits import Bits, all_vectors, as_bits, bits_str, label
 from .operators import (
+    HERMITICITY_ATOL,
     Operator,
     Rng,
     _haar_sample,
     basis_ket,
+    dimension,
     partial_trace,
     partial_transpose,
     projector_onto,
@@ -63,28 +64,20 @@ class StateDescriptor:
     fidelities: np.ndarray
 
     def __post_init__(self):
-        try:
-            d = operator.index(self.d)
-        except TypeError:
-            raise ValueError(f"local dimension must be an integer, got {self.d!r}") from None
-        if d < 2:
-            raise ValueError(f"local dimension must be >= 2, got {d}")
-        if d > sys.float_info.max:
-            raise ValueError(f"local dimension beyond the float range: {d.bit_length()} bits")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "sigma", as_bits(self.sigma))
+        object.__setattr__(self, "d", dimension(self.d))
+        object.__setattr__(self, "sigma", as_bits(self.sigma, name="sigma"))
         f = np.asarray(self.fidelities, dtype=float).reshape(-1)
         if f.size != 2 ** len(self.sigma):
-            raise ValueError(
-                f"need 2**K = {2 ** len(self.sigma)} fidelities, got {f.size}"
-            )
+            raise ValueError(f"need 2**K = {2 ** len(self.sigma)} fidelities, got {f.size}")
         if not np.all(np.isfinite(f)):
             raise ValueError(f"fidelities must be finite, got {f}")
         # written so that a NaN fails each comparison
         if not float(f.min()) >= -FIDELITY_NEG_ATOL:
             raise ValueError(f"fidelities must be nonnegative, got min {f.min():.3e}")
-        if not abs(float(f.sum()) - 1.0) <= FIDELITY_SUM_ATOL:
-            raise ValueError(f"fidelities must sum to 1, got {f.sum():.12g}")
+        with np.errstate(over="ignore"):  # finite entries may sum to inf, which fails
+            total = float(f.sum())
+        if not abs(total - 1.0) <= FIDELITY_SUM_ATOL:
+            raise ValueError(f"fidelities must sum to 1, got {total:.12g}")
         f.setflags(write=False)
         object.__setattr__(self, "fidelities", f)
 
@@ -94,11 +87,9 @@ class StateDescriptor:
 
 
 def _check_state_shape(rho: Operator, sigma) -> Bits:
-    sigma = as_bits(sigma)
+    sigma = as_bits(sigma, name="sigma")
     if rho.n != 2 * len(sigma):
-        raise ValueError(
-            f"state acts on {rho.n} subsystems but sigma has {len(sigma)} pairs"
-        )
+        raise ValueError(f"state acts on {rho.n} subsystems but sigma has {len(sigma)} pairs")
     return sigma
 
 
@@ -110,10 +101,14 @@ def extract_fidelities(rho: Operator, sigma: Iterable[int]) -> np.ndarray:
     per-pair change of basis applied to the moments Tr(rho X_S); see
     :func:`.projectors.moment_expansion`.
     """
-    sigma = _check_state_shape(rho, sigma)
-    coeffs, patterns = moment_expansion(rho.d, sigma)
-    moments = rho.mat.reshape(-1)[patterns].sum(axis=1)
+    coeffs, moments = _moments(rho, _check_state_shape(rho, sigma))
     return coeffs @ moments.real
+
+
+def _moments(rho: Operator, sigma: Bits) -> tuple[np.ndarray, np.ndarray]:
+    # the change of basis and the complex moments Tr(rho X_S), one gather each
+    coeffs, patterns = moment_expansion(rho.d, sigma)
+    return coeffs, rho.mat.reshape(-1)[patterns].sum(axis=1)
 
 
 def fidelities_of(rho: Operator, sigma: Iterable[int]) -> StateDescriptor:
@@ -124,12 +119,20 @@ def fidelities_of(rho: Operator, sigma: Iterable[int]) -> StateDescriptor:
     projectors, so it is fully determined by the overlaps Tr(rho P): no
     integration is performed.  Twirling an already invariant state returns
     its own descriptor, so synthesizing the result reproduces rho.
+
+    The moments Tr(rho X_S) must be real within 1e-10, as for a Hermitian
+    rho, or ValueError is raised.  The part of rho outside the invariant
+    algebra is not read, so neither its Hermiticity nor positivity is checked.
     """
     sigma = _check_state_shape(rho, sigma)
     tr = rho.trace()
     if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"state must have unit trace, got {tr:.12g}")
-    return StateDescriptor(rho.d, sigma, extract_fidelities(rho, sigma))
+    coeffs, moments = _moments(rho, sigma)
+    worst = float(np.max(np.abs(moments.imag)))
+    if not worst <= HERMITICITY_ATOL:
+        raise ValueError(f"state is not Hermitian: a moment Tr(rho X_S) has imaginary part {worst:.3e}")
+    return StateDescriptor(rho.d, sigma, coeffs @ moments.real)
 
 
 def synthesize(desc: StateDescriptor) -> Operator:
@@ -189,9 +192,9 @@ def pt_matrix(mu: Iterable[int], nu: Iterable[int], d: int) -> np.ndarray:
     where mu_i = 0 and of the transposition block of family nu_i in
     :func:`.projectors.pair_forms` where mu_i = 1.
     """
-    mu, nu = as_bits(mu), as_bits(nu)
-    if len(mu) != len(nu):
-        raise ValueError(f"length mismatch: mu has {len(mu)}, nu has {len(nu)}")
+    mu = as_bits(mu, name="mu")
+    nu = as_bits(nu, len(mu), "nu")
+    d = dimension(d)
     mat = reduce(np.kron, [pair_forms(d, n)[2] if m else np.eye(2) for m, n in zip(mu, nu)])
     mat.setflags(write=False)
     return mat
@@ -206,9 +209,7 @@ def transform_fidelities(desc: StateDescriptor, mu: Iterable[int]) -> np.ndarray
     that the transfer overflows, it raises ValueError instead of returning
     non-finite entries.
     """
-    mu = as_bits(mu)
-    if len(mu) != desc.K:
-        raise ValueError(f"mu has length {len(mu)}, expected {desc.K}")
+    mu = as_bits(mu, desc.K, "mu")
     with np.errstate(over="ignore", invalid="ignore"):
         t = desc.fidelities @ pt_matrix(mu, desc.sigma, desc.d)
     if not np.all(np.isfinite(t)):
@@ -256,7 +257,7 @@ def check_ppt(desc: StateDescriptor, mu: Iterable[int]) -> SeparabilityVerdict:
     The transposed state is positive semidefinite exactly when every
     transformed fidelity is nonnegative; entries below -1e-12 fail.
     """
-    mu = as_bits(mu)
+    mu = as_bits(mu, desc.K, "mu")
     t = transform_fidelities(desc, mu)
     name = bits_str(mu)
     failures = tuple(
@@ -318,11 +319,12 @@ def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:
 # extremal product states
 
 
-def _check_overlaps(overlaps) -> np.ndarray:
+def _check_overlaps(overlaps, k: int) -> np.ndarray:
     a = np.asarray(overlaps, dtype=float).reshape(-1)
-    if a.size < 1:
-        raise ValueError("need at least one overlap")
-    if float(a.min()) < 0.0 or float(a.max()) > 1.0:
+    if a.size != k:
+        raise ValueError(f"need {k} overlaps, got {a.size}")
+    # written so that a NaN fails the comparison
+    if not np.all((a >= 0.0) & (a <= 1.0)):
         raise ValueError(f"overlaps must lie in [0, 1], got {a}")
     return a
 
@@ -337,11 +339,9 @@ def extremal_fidelities(sigma: Iterable[int], overlaps, d: int) -> np.ndarray:
     and, being a projection of a separable state, satisfies every
     separability criterion in this module.
     """
-    sigma = as_bits(sigma)
-    a = _check_overlaps(overlaps)
-    if a.size != len(sigma):
-        raise ValueError(f"need {len(sigma)} overlaps, got {a.size}")
-    d = float(d)
+    sigma = as_bits(sigma, name="sigma")
+    a = _check_overlaps(overlaps, len(sigma))
+    d = float(dimension(d))
     # each Werner factor carries a 1/2, which scales exactly; a_i / d is
     # written 1 - (1 - a_i / d), the rounding that tests/test_pair_forms.py pins
     factors = [
@@ -361,18 +361,11 @@ def extremal_product_state(d: int, sigma: Iterable[int], overlaps) -> Operator:
     then applied to the second members.  Intended as the brute-force
     counterpart for checking the closed form.
     """
-    sigma = as_bits(sigma)
-    a = _check_overlaps(overlaps)
-    if a.size != len(sigma):
-        raise ValueError(f"need {len(sigma)} overlaps, got {a.size}")
+    sigma = as_bits(sigma, name="sigma")
+    a = _check_overlaps(overlaps, len(sigma))
     k = len(sigma)
     first = [basis_ket(d, [0]) for _ in range(k)]
-    second = []
-    for a_i in a:
-        vec = np.zeros(d, dtype=np.complex128)
-        vec[0] = np.sqrt(a_i)
-        vec[1] = np.sqrt(1.0 - a_i)
-        second.append(vec)
+    second = [basis_ket(d, [0]) * np.sqrt(a_i) + basis_ket(d, [1]) * np.sqrt(1.0 - a_i) for a_i in a]
     factors = [projector_onto(d, v) for v in first + second]
     rho = reduce(tensor_product, factors)
     transposed = [k + i for i in range(1, k + 1) if sigma[i - 1] == 1]
@@ -419,12 +412,21 @@ def biseparable_fidelities(proj_a: Operator, proj_b: Operator) -> np.ndarray:
 # reductions
 
 
+def _pair_index(desc: StateDescriptor, i) -> int:
+    try:
+        i = operator.index(i)
+    except TypeError:
+        raise ValueError(f"pair index must be an integer, got {i!r}") from None
+    if not 1 <= i <= desc.K:
+        raise ValueError(f"pair index {i} out of range 1..{desc.K}")
+    return i
+
+
 def reduce_pair(desc: StateDescriptor, i: int) -> StateDescriptor:
     """Trace out both members of pair i; fidelities marginalize over bit i."""
     if desc.K < 2:
         raise ValueError("reduction needs at least two pairs")
-    if not 1 <= i <= desc.K:
-        raise ValueError(f"pair index {i} out of range 1..{desc.K}")
+    i = _pair_index(desc, i)
     marginal = desc.fidelities.reshape((2,) * desc.K).sum(axis=i - 1).reshape(-1)
     sigma = desc.sigma[: i - 1] + desc.sigma[i:]
     return StateDescriptor(desc.d, sigma, marginal)
@@ -432,6 +434,7 @@ def reduce_pair(desc: StateDescriptor, i: int) -> StateDescriptor:
 
 def maximally_mixed_pair(d: int) -> StateDescriptor:
     """Descriptor of I / d^2 on one pair (Werner-family coordinates)."""
+    d = dimension(d)
     return StateDescriptor(d, (0,), np.array([(d + 1) / (2 * d), (d - 1) / (2 * d)]))
 
 
@@ -445,11 +448,9 @@ def reduce_mixed_pair(desc: StateDescriptor, i: int, j: int) -> StateDescriptor:
     exactly maximally mixed; that descriptor is returned (in Werner-family
     coordinates, though for I / d^2 every family agrees).
     """
+    i, j = _pair_index(desc, i), _pair_index(desc, j)
     if i == j:
         raise ValueError("pair indices must differ; use reduce_pair for a matched pair")
-    for idx in (i, j):
-        if not 1 <= idx <= desc.K:
-            raise ValueError(f"pair index {idx} out of range 1..{desc.K}")
     if desc.K == 2:
         return maximally_mixed_pair(desc.d)
     return reduce_pair(reduce_pair(desc, max(i, j)), min(i, j))

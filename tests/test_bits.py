@@ -41,3 +41,10 @@ def test_validation():
         bits.as_bits(())
     with pytest.raises(ValueError):
         bits.as_bits((0, 2))
+    # entries are never truncated, and a length is checked by name
+    for bad in ((0.5,), (1, 1.7), ("1",), (float("nan"),)):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            bits.as_bits(bad)
+    assert bits.as_bits((1.0, True, 0)) == (1, 1, 0)
+    with pytest.raises(ValueError, match="--sigma has 1 bits, expected 2"):
+        bits.as_bits((1,), 2, "--sigma")

@@ -108,6 +108,15 @@ def test_twirl_shape_mismatch(basis_state_file, capsys):
     assert code == 2 and "pairs" in err
 
 
+def test_twirl_rejects_non_hermitian_moments(tmp_path, capsys):
+    skew = np.eye(4, dtype=complex) / 4
+    skew[1, 2] = 5j
+    path = tmp_path / "skew.qopb"
+    path.write_bytes(formats.qopb_encode(iv.Operator(2, 2, skew)))
+    code, out, err = run(capsys, "twirl", "--in", str(path), "--sigma", "0")
+    assert code == 2 and out == "" and err.count("\n") == 1 and "not Hermitian" in err
+
+
 def test_twirl_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "twirl", "--in", str(tmp_path / "none.qopb"), "--sigma", "0")
     assert code == 2

@@ -113,3 +113,7 @@ def test_qopb_rejects_malformed_blobs():
         formats.qopb_decode(blob[:-8])
     with pytest.raises(ValueError):
         formats.qopb_decode(b"QOPB")
+    # a header whose d**n would be a huge integer is rejected before forming it
+    for d, n in ((3, 2**32 - 1), (2**32 - 1, 2**32 - 1), (2, 13), (65, 2)):
+        with pytest.raises(ValueError, match="invalid QOPB header"):
+            formats.qopb_decode(b"QOPB\x01" + struct.pack("<II", d, n))

@@ -45,6 +45,42 @@ def test_descriptor_validation():
             StateDescriptor(d, (0,), [0.5, 0.5])
     d = StateDescriptor(np.int64(3), (0,), [0.5, 0.5]).d
     assert d == 3 and type(d) is int
+    # finite entries whose sum overflows fail without a RuntimeWarning
+    with pytest.raises(ValueError, match="sum to 1"):
+        StateDescriptor(2, (0,), [1e308, 1e308])
+
+
+PAIRS = StateDescriptor(2, (0, 1), np.full(4, 0.25))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: iv.as_bits([0.5, 1.7]),
+        lambda: StateDescriptor(2, [0.5], [0.5, 0.5]),
+        lambda: iv.check_ppt(StateDescriptor(2, [0], [0.5, 0.5]), [1.9]),
+        lambda: iv.flip(2.5),
+        lambda: iv.invariant_projector(2.9, (0,), (1,)),
+        lambda: iv.projectors.moment_expansion(3.7, (1,)),
+        lambda: iv.pt_matrix((1,), (1,), 2.5),
+        lambda: iv.pt_matrix((0,), (1,), 2.5),
+        lambda: iv.projector_trace(2.5, (0,), (0,)),
+        lambda: iv.extremal_fidelities((1,), [0.5], 1),
+        lambda: iv.extremal_fidelities((1,), [0.5], 2.5),
+        lambda: iv.extremal_fidelities((1,), [0.5], 0),
+        lambda: iv.extremal_fidelities((1,), [float("nan")], 2),
+        lambda: iv.Operator(np.float64(2.0), 2, np.eye(4)),
+        lambda: iv.identity(2.5),
+        lambda: iv.maximally_mixed_pair(0),
+        lambda: iv.reduce_pair(PAIRS, 2.0),
+        lambda: iv.reduce_mixed_pair(PAIRS, 1, 2.0),
+        lambda: iv.bits_str([0.5]),
+    ],
+)
+def test_fractional_or_out_of_range_arguments_fail_closed(call):
+    # RuntimeWarnings are errors in this suite, so none may be emitted either
+    with pytest.raises(ValueError):
+        call()
 
 
 # --- fidelity extraction and synthesis -------------------------------------
@@ -86,6 +122,13 @@ def test_fidelities_of_validation():
         iv.fidelities_of(iv.identity(2, 2), (0,))  # trace 4, not a state
     with pytest.raises(ValueError):
         iv.fidelities_of(iv.identity(2, 2) / 4, (0, 0))  # wrong pair count
+    skew = np.eye(4, dtype=complex) / 4
+    skew[1, 2] = 5j  # inside the support of the swap F, outside that of E
+    with pytest.raises(ValueError, match="not Hermitian"):
+        iv.fidelities_of(iv.Operator(2, 2, skew.copy()), (0,))
+    np.testing.assert_allclose(iv.fidelities_of(iv.Operator(2, 2, skew.copy()), (1,)).fidelities, [0.75, 0.25])
+    skew[2, 1] = -5j  # Hermitian again: the moments are real
+    np.testing.assert_allclose(iv.fidelities_of(iv.Operator(2, 2, skew.copy()), (0,)).fidelities, [0.75, 0.25])
 
 
 def test_synthesize_vertex():
