@@ -19,7 +19,7 @@ import struct
 import numpy as np
 
 from .bits import as_bits
-from .operators import MAX_SIDE, Operator
+from .operators import Operator, _side
 from .simplex import SeparabilityVerdict, StateDescriptor
 
 QOPB_MAGIC = b"QOPB"
@@ -130,15 +130,15 @@ def qopb_decode(data: bytes) -> Operator:
     if data[4] != QOPB_VERSION:
         raise ValueError(f"unsupported QOPB version {data[4]}")
     d, n = struct.unpack_from("<II", data, 5)
-    # with d >= 2 any n beyond the bit length of MAX_SIDE is too large, so
-    # bounding n first keeps d**n small for every header
-    if d < 2 or not 1 <= n <= MAX_SIDE.bit_length() or d**n > MAX_SIDE:
-        raise ValueError(f"invalid QOPB header: d={d}, n={n} (need d >= 2, n >= 1, d**n <= {MAX_SIDE})")
-    side = d**n
+    try:
+        side = _side(d, n)
+    except ValueError as exc:
+        raise ValueError(f"invalid QOPB header: {exc}") from None
     expected = 13 + 16 * side * side
     if len(data) != expected:
         raise ValueError(f"QOPB payload has {len(data)} bytes, expected {expected}")
     # the payload starts at offset 13, so the view is unaligned; the single
     # copy made by astype is aligned and native-endian
-    payload = np.frombuffer(data, dtype="<c16", offset=13).reshape(side, side)
-    return Operator(d, n, payload.astype(np.complex128))
+    mat = np.frombuffer(data, dtype="<c16", offset=13).reshape(side, side).astype(np.complex128)
+    mat.setflags(write=False)  # handed to Operator without a copy
+    return Operator(d, n, mat)

@@ -5,13 +5,14 @@ sparse-aware and supported sizes are deliberately small (matrix side up
 to 4096).  Subsystems are numbered 1..n, matching the usual reading of a
 basis label |i_1 i_2 ... i_n> from left to right.
 
-All values are immutable after construction: matrices are frozen with the
-numpy writeable flag, so operators can be shared freely between threads
-and cached without defensive copies.
+All values are immutable after construction: an Operator holds a
+read-only matrix that no caller can write (see :func:`_readonly`), so
+operators can be shared freely between threads.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import sys
 from dataclasses import dataclass
@@ -24,12 +25,18 @@ MAX_SIDE = 4096
 HERMITICITY_ATOL = 1e-10
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int, never truncated: numpy integers count,
+    floats and strings are rejected; error messages name it ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def dimension(d) -> int:
     """A local dimension as a Python int: an integer (numpy integers count), >= 2, within the float range."""
-    try:
-        d = operator.index(d)
-    except TypeError:
-        raise ValueError(f"local dimension must be an integer, got {d!r}") from None
+    d = _integer(d, "local dimension")
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
     if d > sys.float_info.max:
@@ -37,8 +44,30 @@ def dimension(d) -> int:
     return d
 
 
-def _frozen(mat: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(mat, dtype=np.complex128)
+def _side(d, n) -> int:
+    """Matrix side d**n of n >= 1 qudits, at most MAX_SIDE.
+
+    With d >= 2 any n beyond the bit length of MAX_SIDE is too large, so
+    bounding n first keeps d**n small for every input.
+    """
+    d, n = dimension(d), _integer(n, "subsystem count")
+    if n < 1:
+        raise ValueError(f"subsystem count must be >= 1, got {n}")
+    if n > MAX_SIDE.bit_length() or d**n > MAX_SIDE:
+        raise ValueError(f"scale exceeded: matrix side d**n for d={d}, n={n} is above the supported {MAX_SIDE}")
+    return d**n
+
+
+def _readonly(values, dtype) -> np.ndarray:
+    """``values`` as a read-only C-contiguous ``dtype`` array that no caller
+    can write: the input itself if it is already such an array owning its
+    data, otherwise a copy.  Complex input to a real dtype is rejected."""
+    a = np.asarray(values)
+    if np.iscomplexobj(a) and not np.issubdtype(dtype, np.complexfloating):
+        raise ValueError(f"expected real values, got {a.dtype} entries")
+    if a.dtype == dtype and a.flags.c_contiguous and a.flags.owndata and not a.flags.writeable:
+        return a
+    out = np.array(a, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 
@@ -59,21 +88,12 @@ class Operator:
 
     def __post_init__(self):
         object.__setattr__(self, "d", dimension(self.d))
-        if self.n < 1:
-            raise ValueError(f"subsystem count must be >= 1, got {self.n}")
-        side = self.d**self.n
-        if side > MAX_SIDE:
-            raise ValueError(
-                f"scale exceeded: matrix side {side} is larger than the "
-                f"supported maximum {MAX_SIDE}"
-            )
-        m = np.asarray(self.mat)
+        object.__setattr__(self, "n", _integer(self.n, "subsystem count"))
+        side = _side(self.d, self.n)
+        m = _readonly(self.mat, np.complex128)
         if m.shape != (side, side):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match d**n = {side} for "
-                f"d={self.d}, n={self.n}"
-            )
-        object.__setattr__(self, "mat", _frozen(m))
+            raise ValueError(f"matrix shape {m.shape} does not match d**n = {side} for d={self.d}, n={self.n}")
+        object.__setattr__(self, "mat", m)
 
     @property
     def side(self) -> int:
@@ -81,9 +101,6 @@ class Operator:
 
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
-
-    def is_hermitian(self, atol: float = 1e-12) -> bool:
-        return float(np.max(np.abs(self.mat - self.mat.conj().T))) <= atol
 
     def __add__(self, other: "Operator") -> "Operator":
         self._check_same_space(other)
@@ -101,9 +118,6 @@ class Operator:
     def __truediv__(self, scalar) -> "Operator":
         return Operator(self.d, self.n, self.mat / complex(scalar))
 
-    def __neg__(self) -> "Operator":
-        return Operator(self.d, self.n, -self.mat)
-
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check_same_space(other)
         return Operator(self.d, self.n, self.mat @ other.mat)
@@ -119,8 +133,7 @@ class Operator:
 
 
 def identity(d: int, n: int = 1) -> Operator:
-    d = dimension(d)
-    return Operator(d, n, np.eye(d**n))
+    return Operator(d, n, np.eye(_side(d, n)))
 
 
 def basis_ket(d: int, digits: str | Sequence[int]) -> np.ndarray:
@@ -128,22 +141,21 @@ def basis_ket(d: int, digits: str | Sequence[int]) -> np.ndarray:
     d = dimension(d)
     if isinstance(digits, str):
         digits = [int(c) for c in digits]
-    digits = list(digits)
-    if not digits or any(not 0 <= i < d for i in digits):
+    digits = [_integer(i, "digit") for i in digits]
+    side = _side(d, len(digits))
+    if any(not 0 <= i < d for i in digits):
         raise ValueError(f"digits must lie in [0, {d}), got {digits}")
-    index = 0
-    for i in digits:
-        index = index * d + i
-    ket = np.zeros(d ** len(digits), dtype=np.complex128)
-    ket[index] = 1.0
+    ket = np.zeros(side, dtype=np.complex128)
+    ket[np.ravel_multi_index(digits, (d,) * len(digits))] = 1.0
     return ket
 
 
 def projector_onto(d: int, vector: np.ndarray) -> Operator:
     """Rank-1 projector |v><v| onto a (normalized) vector of length d**n."""
+    d = dimension(d)
     v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-    n = round(np.log(v.size) / np.log(d))
-    if d**n != v.size:
+    n = max(1, round(math.log(v.size or 1, d)))
+    if _side(d, n) != v.size:
         raise ValueError(f"vector length {v.size} is not a power of d={d}")
     norm = np.linalg.norm(v)
     if norm == 0:
@@ -156,11 +168,12 @@ def tensor_product(a: Operator, b: Operator) -> Operator:
     """Kronecker product with a's subsystems leading."""
     if a.d != b.d:
         raise ValueError(f"local dimension mismatch: {a.d} vs {b.d}")
+    _side(a.d, a.n + b.n)  # before np.kron allocates the product
     return Operator(a.d, a.n + b.n, np.kron(a.mat, b.mat))
 
 
 def _check_subsystems(subsystems: Iterable[int], n: int, allow_empty=False) -> tuple[int, ...]:
-    subs = [int(s) for s in subsystems]
+    subs = [_integer(s, "subsystem index") for s in subsystems]
     out = tuple(sorted(set(subs)))
     if len(out) != len(subs):
         raise ValueError(f"duplicate subsystem index in {subs}")
@@ -181,21 +194,11 @@ def partial_trace(a: Operator, subsystems: Iterable[int]) -> Operator:
     keep = [s for s in range(1, a.n + 1) if s not in subs]
     if not keep:
         raise ValueError("cannot trace out every subsystem; use .trace()")
-    tensor = a.mat.reshape((a.d,) * (2 * a.n))
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row = list(letters[: a.n])
-    col, out_row, out_col = [], [], []
-    extra = a.n
-    for s in range(1, a.n + 1):
-        if s in subs:
-            col.append(row[s - 1])
-        else:
-            col.append(letters[extra])
-            out_row.append(row[s - 1])
-            out_col.append(letters[extra])
-            extra += 1
-    subscripts = "".join(row) + "".join(col) + "->" + "".join(out_row) + "".join(out_col)
-    reduced = np.einsum(subscripts, tensor)
+    # row axis s - 1 pairs with column axis n + s - 1; a traced subsystem
+    # gives both the same label, so einsum sums its diagonal
+    cols = [s - 1 if s in subs else a.n + s - 1 for s in range(1, a.n + 1)]
+    out = [s - 1 for s in keep] + [a.n + s - 1 for s in keep]
+    reduced = np.einsum(a.mat.reshape((a.d,) * (2 * a.n)), list(range(a.n)) + cols, out)
     side = a.d ** len(keep)
     return Operator(a.d, len(keep), reduced.reshape(side, side))
 
@@ -247,15 +250,21 @@ class Rng:
     seed: int
     counter: int = 0
 
+    def __post_init__(self):
+        # Philox takes a 128-bit key, and each counter value below owns a
+        # 2**128-sample block of its 256-bit counter
+        for name in ("seed", "counter"):
+            value = _integer(getattr(self, name), name)
+            if not 0 <= value < 2**128:
+                raise ValueError(f"{name} must lie in [0, 2**128), got {value}")
+            object.__setattr__(self, name, value)
+
     def at(self, offset: int) -> "Rng":
         """The stream ``offset`` counter steps ahead of this one."""
-        return Rng(self.seed, self.counter + int(offset))
+        return Rng(self.seed, self.counter + _integer(offset, "offset"))
 
     def generator(self) -> np.random.Generator:
-        # each counter value owns a disjoint 2**128-sample block
-        return np.random.Generator(
-            np.random.Philox(key=self.seed, counter=self.counter << 128)
-        )
+        return np.random.Generator(np.random.Philox(key=self.seed, counter=self.counter << 128))
 
 
 def _haar_sample(gen: np.random.Generator, d: int) -> np.ndarray:

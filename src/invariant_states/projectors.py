@@ -34,7 +34,7 @@ from typing import Iterable
 import numpy as np
 
 from .bits import all_vectors, as_bits
-from .operators import MAX_SIDE, Operator, dimension, identity
+from .operators import Operator, _side, dimension, identity
 
 
 def flip(d: int) -> Operator:
@@ -109,15 +109,6 @@ def pair_forms(d: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _check_side(d: int, k: int) -> int:
-    side = d ** (2 * k)
-    if side > MAX_SIDE:
-        raise ValueError(
-            f"scale exceeded: d={d}, K={k} needs matrix side {side} > {MAX_SIDE}"
-        )
-    return side
-
-
 def invariant_projector(d: int, sigma: Iterable[int], alpha: Iterable[int]) -> Operator:
     """K-pair family projector on the 2K-slot space, as a dense matrix.
 
@@ -129,7 +120,7 @@ def invariant_projector(d: int, sigma: Iterable[int], alpha: Iterable[int]) -> O
     sigma = as_bits(sigma, name="sigma")
     alpha = as_bits(alpha, len(sigma), "alpha")
     d, k = dimension(d), len(sigma)
-    side = _check_side(d, k)
+    side = _side(d, 2 * k)
     pairs = [(isotropic_projector if s else werner_projector)(d, a) for s, a in zip(sigma, alpha)]
     mat = reduce(np.kron, [p.mat for p in pairs])
     if k > 1:
@@ -155,7 +146,7 @@ def moment_expansion(d: int, sigma: Iterable[int]) -> tuple[np.ndarray, np.ndarr
     """
     d, sigma = dimension(d), as_bits(sigma, name="sigma")
     k = len(sigma)
-    side = _check_side(d, k)
+    side = _side(d, 2 * k)
     first, second = np.divmod(np.arange(d * d), d)
     # per pair, the flat positions of the entries of I and X on slots
     # (i, K+i) in a row-major side x side matrix

@@ -21,7 +21,6 @@ transposition pattern transposes the second member of pair i (slot K+i).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Optional
@@ -34,6 +33,8 @@ from .operators import (
     Operator,
     Rng,
     _haar_sample,
+    _integer,
+    _readonly,
     basis_ket,
     dimension,
     partial_trace,
@@ -66,7 +67,7 @@ class StateDescriptor:
     def __post_init__(self):
         object.__setattr__(self, "d", dimension(self.d))
         object.__setattr__(self, "sigma", as_bits(self.sigma, name="sigma"))
-        f = np.asarray(self.fidelities, dtype=float).reshape(-1)
+        f = _readonly(np.ravel(self.fidelities), float)
         if f.size != 2 ** len(self.sigma):
             raise ValueError(f"need 2**K = {2 ** len(self.sigma)} fidelities, got {f.size}")
         if not np.all(np.isfinite(f)):
@@ -78,7 +79,6 @@ class StateDescriptor:
             total = float(f.sum())
         if not abs(total - 1.0) <= FIDELITY_SUM_ATOL:
             raise ValueError(f"fidelities must sum to 1, got {total:.12g}")
-        f.setflags(write=False)
         object.__setattr__(self, "fidelities", f)
 
     @property
@@ -149,6 +149,7 @@ def synthesize(desc: StateDescriptor) -> Operator:
     flat = mat.reshape(-1)
     for weight, pattern in zip(weights, patterns):
         flat[pattern] += weight  # positions within one pattern are distinct
+    mat.setflags(write=False)  # handed to Operator without a copy
     return Operator(desc.d, 2 * desc.K, mat)
 
 
@@ -162,7 +163,7 @@ def mc_twirl(rho: Operator, sigma: Iterable[int], samples: int, rng: Rng) -> Ope
     do not depend on how the sample range might be partitioned.
     """
     sigma = _check_state_shape(rho, sigma)
-    samples = int(samples)
+    samples = _integer(samples, "sample count")
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
     k = len(sigma)
@@ -320,7 +321,7 @@ def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:
 
 
 def _check_overlaps(overlaps, k: int) -> np.ndarray:
-    a = np.asarray(overlaps, dtype=float).reshape(-1)
+    a = _readonly(np.ravel(overlaps), float)
     if a.size != k:
         raise ValueError(f"need {k} overlaps, got {a.size}")
     # written so that a NaN fails the comparison
@@ -413,10 +414,7 @@ def biseparable_fidelities(proj_a: Operator, proj_b: Operator) -> np.ndarray:
 
 
 def _pair_index(desc: StateDescriptor, i) -> int:
-    try:
-        i = operator.index(i)
-    except TypeError:
-        raise ValueError(f"pair index must be an integer, got {i!r}") from None
+    i = _integer(i, "pair index")
     if not 1 <= i <= desc.K:
         raise ValueError(f"pair index {i} out of range 1..{desc.K}")
     return i

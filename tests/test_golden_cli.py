@@ -26,7 +26,7 @@ from invariant_states.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
-DENSE_CHAINS = [(2, 1, "1"), (3, 1, "0"), (2, 2, "01"), (2, 3, "101")]
+DENSE_CHAINS = [(2, 1, "1"), (3, 1, "0"), (2, 2, "01"), (2, 3, "101"), (3, 3, "011"), (4, 3, "110")]
 
 
 def _kron(factors):

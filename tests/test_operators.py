@@ -32,12 +32,45 @@ def test_operator_validation():
         Operator(2, 2, np.eye(3))
     with pytest.raises(ValueError):
         Operator(2, 13, np.eye(4))  # side 8192 exceeds the supported scale
+    op = Operator(np.int64(2), np.int64(2), np.eye(4))
+    assert (type(op.d), type(op.n), op.side) == (int, int, 4)
 
 
 def test_operator_matrix_is_frozen():
     op = iv.identity(2, 1)
     with pytest.raises(ValueError):
         op.mat[0, 0] = 5.0
+
+
+def test_operator_copies_arrays_it_does_not_own():
+    m = np.eye(4, dtype=complex)
+    op = Operator(2, 2, m)
+    assert m.flags.writeable and not op.mat.flags.writeable
+    m[0, 0] = 2.0
+    assert op.mat[0, 0] == 1.0
+    # a read-only view of a writeable array is copied too
+    view = m.view()
+    view.setflags(write=False)
+    op = Operator(2, 2, view)
+    m[0, 0] = 3.0
+    assert op.mat[0, 0] == 2.0 and not op.mat.flags.writeable
+    # a read-only array that owns its data is held as it is
+    frozen = np.eye(4, dtype=complex)
+    frozen.setflags(write=False)
+    assert Operator(2, 2, frozen).mat is frozen
+
+
+def test_scale_is_bounded_before_any_allocation():
+    calls = [
+        lambda: Operator(3, 2**20, np.eye(1)),
+        lambda: iv.identity(3, 2**20),
+        lambda: iv.projector_onto(2, np.ones(2**13)),  # a 1 GiB outer product
+        lambda: iv.tensor_product(iv.identity(2, 6), iv.identity(2, 7)),  # a 1 GiB kron
+        lambda: iv.basis_ket(2, [0] * 13),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="scale exceeded"):
+            call()
 
 
 # --- tensor product -------------------------------------------------------
@@ -96,6 +129,36 @@ def test_partial_trace_preserves_trace():
         assert abs(reduced.trace() - op.trace()) < 1e-12
 
 
+def _letters_partial_trace(a, subs):
+    # the earlier einsum over a letters alphabet, kept as the reference
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    row = list(letters[: a.n])
+    col, out_row, out_col = [], [], []
+    extra = a.n
+    for s in range(1, a.n + 1):
+        if s in subs:
+            col.append(row[s - 1])
+        else:
+            col.append(letters[extra])
+            out_row.append(row[s - 1])
+            out_col.append(letters[extra])
+            extra += 1
+    subscripts = "".join(row) + "".join(col) + "->" + "".join(out_row) + "".join(out_col)
+    return np.einsum(subscripts, a.mat.reshape((a.d,) * (2 * a.n)))
+
+
+def test_partial_trace_matches_letters_einsum():
+    gen = np.random.default_rng(7)
+    for d, n in ((2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (2, 4)):
+        side = d**n
+        op = Operator(d, n, gen.standard_normal((side, side)) + 1j * gen.standard_normal((side, side)))
+        for mask in range(1, 2**n - 1):
+            subs = {s for s in range(1, n + 1) if mask >> (s - 1) & 1}
+            keep = n - len(subs)
+            expected = _letters_partial_trace(op, subs).reshape(d**keep, d**keep)
+            np.testing.assert_array_equal(iv.partial_trace(op, subs).mat, expected)
+
+
 def test_partial_trace_errors():
     op = iv.identity(2, 2)
     with pytest.raises(ValueError):
@@ -134,7 +197,7 @@ def test_partial_transpose_preserves_trace_and_hermiticity():
     rho = random_hermitian(3, 2, 4)
     pt = iv.partial_transpose(rho, {1})
     assert pt.trace() == rho.trace()
-    assert pt.is_hermitian(atol=0.0)
+    np.testing.assert_array_equal(pt.mat, pt.mat.conj().T)
 
 
 def test_partial_transpose_empty_set_is_identity():
@@ -209,6 +272,14 @@ def test_haar_determinism_and_counter_independence():
     c = iv.haar_unitary(3, Rng(12, 6))
     assert not np.array_equal(a.mat, c.mat)
     assert np.array_equal(iv.haar_unitary(3, Rng(12).at(5)).mat, a.mat)
+
+
+def test_rng_seed_and_counter_are_philox_range_integers():
+    rng = Rng(np.int64(3), np.uint8(4)).at(np.int32(2))
+    assert (rng.seed, rng.counter) == (3, 6) and type(rng.counter) is int
+    Rng(2**128 - 1, 2**128 - 1).generator()
+    with pytest.raises(ValueError, match="counter must lie in"):
+        Rng(0, 1).at(-2)
 
 
 def test_haar_first_moment():

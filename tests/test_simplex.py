@@ -1,3 +1,4 @@
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -75,12 +76,36 @@ PAIRS = StateDescriptor(2, (0, 1), np.full(4, 0.25))
         lambda: iv.reduce_pair(PAIRS, 2.0),
         lambda: iv.reduce_mixed_pair(PAIRS, 1, 2.0),
         lambda: iv.bits_str([0.5]),
+        lambda: iv.partial_trace(iv.identity(2, 4) / 16, [1.5]),
+        lambda: iv.partial_transpose(iv.identity(2, 2), [2.7]),
+        lambda: iv.mc_twirl(iv.identity(2, 2) / 4, (0,), 2.5, Rng(0)),
+        lambda: Rng(0).at(2.5),
+        lambda: Rng(1.5),
+        lambda: Rng(-1),
+        lambda: Rng(0, 2**128),
+        lambda: iv.Operator(2, 2.0, np.eye(4)),
+        lambda: iv.basis_ket(2, [0.5]),
+        lambda: StateDescriptor(2, (0,), [0.5 + 5j, 0.5 - 5j]),
+        lambda: iv.extremal_fidelities((0,), [0.5 + 3j], 2),
+        lambda: iv.projector_onto(0, np.ones(4)),
+        lambda: iv.projector_onto(1, np.ones(4)),
+        lambda: iv.projector_onto(True, np.ones(4)),
     ],
 )
 def test_fractional_or_out_of_range_arguments_fail_closed(call):
-    # RuntimeWarnings are errors in this suite, so none may be emitted either
-    with pytest.raises(ValueError):
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning fails the test as well
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_descriptor_copies_the_callers_fidelities():
+    f = np.array([0.5, 0.5])
+    desc = StateDescriptor(2, (0,), f)
+    assert f.flags.writeable and not desc.fidelities.flags.writeable
+    f[0] = -3.0
+    np.testing.assert_array_equal(desc.fidelities, [0.5, 0.5])
+    assert iv.check_ppt(desc, (1,)) == iv.check_ppt(StateDescriptor(2, (0,), [0.5, 0.5]), (1,))
 
 
 # --- fidelity extraction and synthesis -------------------------------------
