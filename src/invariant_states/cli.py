@@ -21,6 +21,8 @@ from .selfcheck import run_checks
 from .simplex import (
     SeparabilityVerdict,
     StateDescriptor,
+    _fidelities,
+    _scatter,
     check_polytope,
     check_ppt,
     check_ppt_all,
@@ -52,23 +54,29 @@ def _cmd_build(args) -> int:
         fid = np.zeros(2**args.K)
         fid[int(args.vertex, 2)] = 1.0
     desc = StateDescriptor(args.d, sigma, fid)
-    _write_text(args.out, formats.dumps_descriptor(desc))
     if args.dense:
         if args.out is None:
             raise ValueError("--dense requires --out to derive the matrix path")
-        Path(args.out).with_suffix(".qopb").write_bytes(formats.qopb_encode(synthesize(desc)))
+        matrix = Path(args.out).with_suffix(".qopb")
+        if matrix == Path(args.out):
+            raise ValueError(f"--dense writes the matrix to {matrix}, so --out must not end in .qopb")
+    _write_text(args.out, formats.dumps_descriptor(desc))
+    if args.dense:
+        formats.qopb_write_entries(matrix, desc.d, 2 * desc.K, *_scatter(desc))
     return 0
 
 
 def _cmd_twirl(args) -> int:
-    rho = formats.qopb_decode(Path(args.inp).read_bytes())
-    sigma = parse_bits(args.sigma)
-    desc = fidelities_of(rho, sigma)
     if args.mc is None:
+        with formats.qopb_entries(args.inp) as (d, n, take):
+            desc = _fidelities(take, d, n, parse_bits(args.sigma))
         _write_text(args.out, formats.dumps_descriptor(desc))
         return 0
     if args.out is None:
         raise ValueError("--mc requires --out for the averaged matrix")
+    rho = formats.qopb_decode(Path(args.inp).read_bytes())
+    sigma = parse_bits(args.sigma)
+    desc = fidelities_of(rho, sigma)
     estimate = mc_twirl(rho, sigma, args.mc, Rng(args.seed))
     Path(args.out).write_bytes(formats.qopb_encode(estimate))
     distance = frobenius_distance(estimate, synthesize(desc))
@@ -141,7 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--fid", help="comma-separated fidelities of length 2^K")
     g.add_argument("--vertex", help="bit label of a simplex vertex, e.g. 11")
     p.add_argument("--out", help="descriptor path (default: stdout)")
-    p.add_argument("--dense", action="store_true", help="also write <out>.qopb with the matrix")
+    p.add_argument(
+        "--dense",
+        action="store_true",
+        help="also write the matrix to <out> with suffix .qopb, entry by entry without "
+        "holding it (needs an --out that does not end in .qopb)",
+    )
     p.set_defaults(handler=_cmd_build)
 
     p = sub.add_parser("twirl", help="project a dense state onto an invariant family")

@@ -86,10 +86,10 @@ class StateDescriptor:
         return len(self.sigma)
 
 
-def _check_state_shape(rho: Operator, sigma) -> Bits:
+def _check_state_shape(n: int, sigma) -> Bits:
     sigma = as_bits(sigma, name="sigma")
-    if rho.n != 2 * len(sigma):
-        raise ValueError(f"state acts on {rho.n} subsystems but sigma has {len(sigma)} pairs")
+    if n != 2 * len(sigma):
+        raise ValueError(f"state acts on {n} subsystems but sigma has {len(sigma)} pairs")
     return sigma
 
 
@@ -101,14 +101,33 @@ def extract_fidelities(rho: Operator, sigma: Iterable[int]) -> np.ndarray:
     per-pair change of basis applied to the moments Tr(rho X_S); see
     :func:`.projectors.moment_expansion`.
     """
-    coeffs, moments = _moments(rho, _check_state_shape(rho, sigma))
+    coeffs, _, moments = _moments(rho.mat.reshape(-1).take, rho.d, _check_state_shape(rho.n, sigma))
     return coeffs @ moments.real
 
 
-def _moments(rho: Operator, sigma: Bits) -> tuple[np.ndarray, np.ndarray]:
-    # the change of basis and the complex moments Tr(rho X_S), one gather each
-    coeffs, patterns = moment_expansion(rho.d, sigma)
-    return coeffs, rho.mat.reshape(-1)[patterns].sum(axis=1)
+def _moments(take, d: int, sigma: Bits) -> tuple[np.ndarray, complex, np.ndarray]:
+    # the change of basis, the trace and the complex moments Tr(rho X_S),
+    # from one gather; take(positions) returns the entries of rho at flat
+    # row-major positions, in the shape of positions
+    coeffs, patterns = moment_expansion(d, sigma)
+    entries = take(patterns)
+    # X_S for the empty S is the identity, so row 0 holds the diagonal;
+    # summed in index order, as np.trace sums it
+    trace = complex(entries[0, np.argsort(patterns[0])].sum())
+    return coeffs, trace, entries.sum(axis=1)
+
+
+def _fidelities(take, d: int, n: int, sigma) -> StateDescriptor:
+    # fidelities_of for the state on n qudits whose entries take reads
+    # (see _moments), so that a caller can read them from a file
+    sigma = _check_state_shape(n, sigma)
+    coeffs, tr, moments = _moments(take, d, sigma)
+    if abs(tr - 1.0) > 1e-10:
+        raise ValueError(f"state must have unit trace, got {tr:.12g}")
+    worst = float(np.max(np.abs(moments.imag)))
+    if not worst <= HERMITICITY_ATOL:
+        raise ValueError(f"state is not Hermitian: a moment Tr(rho X_S) has imaginary part {worst:.3e}")
+    return StateDescriptor(d, sigma, coeffs @ moments.real)
 
 
 def fidelities_of(rho: Operator, sigma: Iterable[int]) -> StateDescriptor:
@@ -124,15 +143,22 @@ def fidelities_of(rho: Operator, sigma: Iterable[int]) -> StateDescriptor:
     rho, or ValueError is raised.  The part of rho outside the invariant
     algebra is not read, so neither its Hermiticity nor positivity is checked.
     """
-    sigma = _check_state_shape(rho, sigma)
-    tr = rho.trace()
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"state must have unit trace, got {tr:.12g}")
-    coeffs, moments = _moments(rho, sigma)
-    worst = float(np.max(np.abs(moments.imag)))
-    if not worst <= HERMITICITY_ATOL:
-        raise ValueError(f"state is not Hermitian: a moment Tr(rho X_S) has imaginary part {worst:.3e}")
-    return StateDescriptor(rho.d, sigma, coeffs @ moments.real)
+    return _fidelities(rho.mat.reshape(-1).take, rho.d, rho.n, sigma)
+
+
+def _scatter(desc: StateDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    # the entries of synthesize(desc) that can be nonzero: sorted flat
+    # row-major positions and their real values; every other entry is 0.
+    # Each value sums the weights of the X_S covering it in pattern order
+    # from +0.0, so every caller gets the same bits.
+    coeffs, patterns = moment_expansion(desc.d, desc.sigma)
+    traces = reduce(np.kron, [pair_forms(desc.d, s)[1] for s in desc.sigma])
+    weights = (desc.fidelities / traces) @ coeffs
+    positions, slots = np.unique(patterns, return_inverse=True)
+    values = np.zeros(positions.size)
+    for weight, row in zip(weights, slots.reshape(patterns.shape)):
+        values[row] += weight  # slots within one pattern are distinct
+    return positions, values
 
 
 def synthesize(desc: StateDescriptor) -> Operator:
@@ -141,14 +167,10 @@ def synthesize(desc: StateDescriptor) -> Operator:
     Written as sum_S c_S X_S over the moment operators, one scatter of a
     coefficient per X_S into a zeroed matrix.
     """
-    coeffs, patterns = moment_expansion(desc.d, desc.sigma)
-    traces = reduce(np.kron, [pair_forms(desc.d, s)[1] for s in desc.sigma])
-    weights = (desc.fidelities / traces) @ coeffs
+    positions, values = _scatter(desc)
     side = desc.d ** (2 * desc.K)
     mat = np.zeros((side, side), dtype=np.complex128)
-    flat = mat.reshape(-1)
-    for weight, pattern in zip(weights, patterns):
-        flat[pattern] += weight  # positions within one pattern are distinct
+    mat.reshape(-1)[positions] = values
     mat.setflags(write=False)  # handed to Operator without a copy
     return Operator(desc.d, 2 * desc.K, mat)
 
@@ -162,7 +184,7 @@ def mc_twirl(rho: Operator, sigma: Iterable[int], samples: int, rng: Rng) -> Ope
     in ``rng``; sample s consumes the sub-stream ``rng.at(s)``, so results
     do not depend on how the sample range might be partitioned.
     """
-    sigma = _check_state_shape(rho, sigma)
+    sigma = _check_state_shape(rho.n, sigma)
     samples = _integer(samples, "sample count")
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -54,6 +55,17 @@ def test_build_dense_writes_matrix(tmp_path, capsys):
     op = formats.qopb_decode((tmp_path / "q.qopb").read_bytes())
     desc = formats.parse_descriptor(out.read_text())
     assert iv.frobenius_distance(op, iv.synthesize(desc)) <= 1e-12
+
+
+@pytest.mark.parametrize("out", [None, "q.qopb"], ids=["no-out", "out-is-matrix-path"])
+def test_build_dense_rejects_output_paths_before_writing(tmp_path, capsys, monkeypatch, out):
+    """Without --out there is no matrix path, and --out x.qopb would be
+    overwritten by the matrix: both exit 2 with nothing printed or written."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["build", "--d", "2", "--K", "1", "--sigma", "0", "--fid", "0.5,0.5", "--dense"]
+    code, out_text, err = run(capsys, *argv, *(["--out", out] if out else []))
+    assert code == 2 and out_text == "" and list(tmp_path.iterdir()) == []
+    assert err.startswith("error: --dense ") and err.count("\n") == 1
 
 
 def test_usage_error_exits_2(capsys):
@@ -120,6 +132,60 @@ def test_twirl_rejects_non_hermitian_moments(tmp_path, capsys):
 def test_twirl_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "twirl", "--in", str(tmp_path / "none.qopb"), "--sigma", "0")
     assert code == 2
+
+
+def test_twirl_mc_without_out_is_rejected_before_reading(tmp_path, capsys):
+    missing = tmp_path / "none.qopb"
+    code, out, err = run(capsys, "twirl", "--in", str(missing), "--sigma", "0", "--mc", "5")
+    assert code == 2 and out == "" and list(tmp_path.iterdir()) == []
+    assert err == "error: --mc requires --out for the averaged matrix\n"
+
+
+def _reference_twirl_error(blob: bytes, sigma: str) -> str:
+    """The message of the in-memory route: decode the whole blob, then twirl."""
+    with pytest.raises(ValueError) as exc:
+        iv.fidelities_of(formats.qopb_decode(blob), iv.parse_bits(sigma))
+    return f"error: {exc.value}\n"
+
+
+def _qopb(mat) -> bytes:
+    return formats.qopb_encode(iv.Operator(2, 2, mat))
+
+
+_MIXED = _qopb(np.eye(4) / 4)
+_SKEW = np.eye(4, dtype=complex) / 4
+_SKEW[1, 2] = 5j
+
+
+@pytest.mark.parametrize(
+    "blob, sigma, expected",
+    [
+        pytest.param(b"NOPE" + _MIXED[4:], "0", "bad magic", id="bad-magic"),
+        pytest.param(b"QOPB", "0", "bad magic", id="short-header"),
+        pytest.param(b"QOPB\x09" + _MIXED[5:], "0", "unsupported QOPB version 9", id="bad-version"),
+        pytest.param(b"QOPB\x01" + struct.pack("<II", 3, 2**32 - 1), "0", "invalid QOPB header",
+                     id="oversized-header"),
+        pytest.param(_MIXED[:-8], "0", "payload has", id="truncated-payload"),
+        pytest.param(_MIXED + b"\0" * 16, "0", "payload has", id="over-long-payload"),
+        pytest.param(_qopb(np.eye(4) / 2), "0", "unit trace", id="non-unit-trace"),
+        pytest.param(_qopb(_SKEW), "0", "not Hermitian", id="non-hermitian-moment"),
+        pytest.param(_MIXED, "01", "pairs", id="sigma-n-mismatch"),
+        pytest.param(_MIXED, "0x", "0s and 1s", id="bad-sigma-string"),
+    ],
+)
+def test_twirl_malformed_input_fails_closed(tmp_path, capsys, blob, sigma, expected):
+    """The file route reports what decoding the whole blob reports, in the same order."""
+    path = tmp_path / "bad.qopb"
+    path.write_bytes(blob)
+    code, out, err = run(capsys, "twirl", "--in", str(path), "--sigma", sigma)
+    assert code == 2 and out == "" and expected in err
+    assert err == _reference_twirl_error(blob, sigma)
+
+
+def test_twirl_directory_input_fails_closed(tmp_path, capsys):
+    code, out, err = run(capsys, "twirl", "--in", str(tmp_path), "--sigma", "0")
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
 # --- check ------------------------------------------------------------------
