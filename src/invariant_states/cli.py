@@ -60,9 +60,14 @@ def _cmd_build(args) -> int:
         matrix = Path(args.out).with_suffix(".qopb")
         if matrix == Path(args.out):
             raise ValueError(f"--dense writes the matrix to {matrix}, so --out must not end in .qopb")
-    _write_text(args.out, formats.dumps_descriptor(desc))
-    if args.dense:
+        # the matrix first, so that a failed build leaves no file behind
         formats.qopb_write_entries(matrix, desc.d, 2 * desc.K, *_scatter(desc))
+    try:
+        _write_text(args.out, formats.dumps_descriptor(desc))
+    except OSError:
+        if args.dense:
+            matrix.unlink()
+        raise
     return 0
 
 

@@ -8,15 +8,13 @@ bytes after a parse, which keeps pipeline outputs diffable.
 QOPB layout: magic ``QOPB``, version byte 0x01, little-endian u32 local
 dimension, u32 subsystem count, then d^(2n) little-endian f64 pairs
 (re, im) in row-major order.  :func:`qopb_encode` and :func:`qopb_decode`
-convert whole matrices; :func:`qopb_write_entries` and
-:func:`qopb_entries` write and read selected entries of a file, so the
-CLI's ``build --dense`` and exact ``twirl`` never hold the matrix.  The
-two readers check the header and the length through one function.
+convert whole matrices.  :func:`qopb_write_entries` and :func:`qopb_entries`
+make one positioned write or read per selected entry of a file, so the
+CLI's ``build --dense`` and exact ``twirl`` never hold the matrix.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -32,7 +30,7 @@ from .simplex import SeparabilityVerdict, StateDescriptor
 QOPB_MAGIC = b"QOPB"
 QOPB_VERSION = 1
 _HEADER = struct.Struct("<4sBII")  # magic, version, local dimension, subsystem count
-_READ_BLOCK = 1 << 16  # entries per read of qopb_entries: a 1 MiB buffer
+_ENTRY = np.dtype("<c16")  # one matrix entry: a little-endian f64 pair (re, im)
 
 DESCRIPTOR_VERSION = 1
 
@@ -137,16 +135,19 @@ def _check_header(head: bytes, size: int) -> tuple[int, int, int]:
         side = _side(d, n)
     except ValueError as exc:
         raise ValueError(f"invalid QOPB header: {exc}") from None
-    expected = _HEADER.size + 16 * side * side
+    expected = _offset(side * side)
     if size != expected:
         raise ValueError(f"QOPB payload has {size} bytes, expected {expected}")
     return d, n, side
 
 
+def _offset(position: int) -> int:
+    """Byte offset of the entry at flat row-major ``position`` in a QOPB blob."""
+    return _HEADER.size + _ENTRY.itemsize * position
+
+
 def qopb_encode(op: Operator) -> bytes:
-    # a little-endian complex128 array already stores each entry as an
-    # (re, im) f64 pair in row-major order, which is the QOPB payload
-    payload = np.ascontiguousarray(op.mat, dtype="<c16")
+    payload = np.ascontiguousarray(op.mat, dtype=_ENTRY)
     header = _HEADER.pack(QOPB_MAGIC, QOPB_VERSION, op.d, op.n)
     return b"".join((header, memoryview(payload).cast("B")))
 
@@ -155,7 +156,7 @@ def qopb_decode(data: bytes) -> Operator:
     d, n, side = _check_header(data, len(data))
     # the payload starts at offset 13, so the view is unaligned; the single
     # copy made by astype is aligned and native-endian
-    mat = np.frombuffer(data, dtype="<c16", offset=_HEADER.size).reshape(side, side).astype(np.complex128)
+    mat = np.frombuffer(data, dtype=_ENTRY, offset=_offset(0)).reshape(side, side).astype(np.complex128)
     mat.setflags(write=False)  # handed to Operator without a copy
     return Operator(d, n, mat)
 
@@ -166,24 +167,26 @@ def qopb_write_entries(path, d: int, n: int, positions: np.ndarray, values: np.n
 
     The file is extended to its full size by truncation, so the zero
     entries read as all-zero bytes and stay holes on file systems that
-    support them; each given entry is one positioned write.
+    support them.  A write that fails removes the file.
     """
     side = _side(d, n)
-    entries = np.zeros((positions.size, 2), dtype="<f8")  # (re, im) pairs
-    entries[:, 0] = values
-    payload = memoryview(entries).cast("B")
+    entries = np.asarray(values, dtype=_ENTRY).reshape(-1, 1)
     with open(path, "wb") as f:
-        fd = f.fileno()
-        _pwrite(fd, _HEADER.pack(QOPB_MAGIC, QOPB_VERSION, d, n), 0)
-        os.ftruncate(fd, _HEADER.size + 16 * side * side)
-        # the entries of a moment expansion are hardly ever adjacent, so
-        # runs of them are not worth coalescing into one write
-        for i, position in enumerate(positions.tolist()):
-            _pwrite(fd, payload[16 * i : 16 * i + 16], _HEADER.size + 16 * position)
+        try:
+            fd = f.fileno()
+            _pwrite(fd, _HEADER.pack(QOPB_MAGIC, QOPB_VERSION, d, n), 0)
+            os.ftruncate(fd, _offset(side * side))
+            # the entries of a moment expansion are hardly ever adjacent, so
+            # runs of them are not worth coalescing into one write
+            for position, entry in zip(positions.tolist(), entries):
+                _pwrite(fd, entry, _offset(position))
+        except OSError:
+            os.unlink(path)
+            raise
 
 
 def _pwrite(fd: int, data, offset: int) -> None:
-    view = memoryview(data)
+    view = memoryview(data).cast("B")
     while view:
         done = os.pwrite(fd, view, offset)
         view, offset = view[done:], offset + done
@@ -195,30 +198,20 @@ def qopb_entries(path):
 
     Checks the header and the file length as :func:`qopb_decode` does, then
     yields ``(d, n, take)``: ``take(positions)`` returns the complex entries
-    at flat row-major positions, in the shape of ``positions``.  It reads
-    only the blocks of _READ_BLOCK entries that hold a position, into one
-    reused buffer, so the matrix is never held in memory.
+    at flat row-major positions, in the shape of ``positions``, with one
+    positioned read per distinct position, so the matrix is never held.
     """
     with open(path, "rb") as f:
-        d, n, side = _check_header(f.read(_HEADER.size), os.fstat(f.fileno()).st_size)
-        yield d, n, functools.partial(_read_entries, f, side * side)
+        fd = f.fileno()
+        d, n, _ = _check_header(f.read(_HEADER.size), os.fstat(fd).st_size)
 
+        def take(positions: np.ndarray) -> np.ndarray:
+            # moment patterns share many positions, so each is read once
+            unique, inverse = np.unique(positions, return_inverse=True)
+            entries = np.empty(unique.shape, dtype=_ENTRY)
+            for position, entry in zip(unique.tolist(), entries.reshape(-1, 1)):
+                if os.preadv(fd, [entry], _offset(position)) != _ENTRY.itemsize:
+                    raise ValueError("QOPB file shrank while it was read")
+            return entries.astype(np.complex128)[inverse].reshape(positions.shape)
 
-def _read_entries(f, total: int, positions: np.ndarray) -> np.ndarray:
-    flat = positions.reshape(-1)
-    order = np.argsort(flat)
-    ordered = flat[order]
-    blocks = ordered // _READ_BLOCK
-    # indices into ordered where a new block starts
-    starts = np.flatnonzero(np.diff(blocks, prepend=-1)).tolist()
-    raw = bytearray(16 * _READ_BLOCK)
-    block = np.frombuffer(raw, dtype="<c16")
-    out = np.empty(flat.size, dtype=np.complex128)
-    for lo, hi in zip(starts, starts[1:] + [flat.size]):
-        first = int(blocks[lo]) * _READ_BLOCK
-        size = 16 * min(_READ_BLOCK, total - first)
-        f.seek(_HEADER.size + 16 * first)
-        if f.readinto(memoryview(raw)[:size]) != size:
-            raise ValueError("QOPB file shrank while it was read")
-        out[order[lo:hi]] = block[ordered[lo:hi] - first]
-    return out.reshape(positions.shape)
+        yield d, n, take

@@ -68,6 +68,19 @@ def test_build_dense_rejects_output_paths_before_writing(tmp_path, capsys, monke
     assert err.startswith("error: --dense ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("blocked", ["x.qopb", "x.json"], ids=["matrix-path-is-dir", "out-is-dir"])
+def test_build_dense_failed_write_leaves_no_file(tmp_path, capsys, monkeypatch, blocked):
+    """Whichever of the two writes fails, the build exits 2 with one error
+    line and leaves neither the descriptor nor the matrix behind."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / blocked).mkdir()
+    code, out, err = run(capsys, "build", "--d", "2", "--K", "1", "--sigma", "0", "--fid", "0.5,0.5",
+                         "--out", "x.json", "--dense")
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 21] Is a directory: '{blocked}'\n"
+    assert [p.name for p in tmp_path.iterdir()] == [blocked] and not any((tmp_path / blocked).iterdir())
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["build", "--d", "2"])

@@ -68,18 +68,30 @@ def test_build_dense_matches_in_memory_route(tmp_path, case):
         assert matrix.read_bytes() == formats.qopb_encode(iv.synthesize(desc))
 
 
+# the CLI, printing its rchar (bytes read, from /proc/self/io) when it
+# exits, or -1 where that file does not exist
+_CLI_REPORTING_RCHAR = """
+import atexit, os, runpy
+def report():
+    io = "/proc/self/io"
+    print(dict(line.split(": ") for line in open(io).read().splitlines())["rchar"] if os.path.exists(io) else -1)
+atexit.register(report)
+runpy.run_module("invariant_states", run_name="__main__")
+"""
+
 _PEAK_RSS = """
 import json, os, subprocess, sys
-for argv in json.loads(sys.argv[1]):
-    child = subprocess.Popen([sys.executable, "-m", "invariant_states", *argv])
+for argv in json.loads(sys.argv[2]):
+    child = subprocess.Popen([sys.executable, "-c", sys.argv[1], *argv], stdout=subprocess.PIPE, text=True)
+    rchar = child.stdout.read()
     _, status, usage = os.wait4(child.pid, 0)
-    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, rchar.strip())
 """
 
 
 def test_ceiling_build_and_twirl_hold_no_dense_matrix(tmp_path):
     """At d=4, K=3 one dense copy of the state is 256 MiB; each streamed
-    child peaks far below it.
+    child peaks far below it and reads far less than the 256 MiB file.
 
     The children are started from a fresh interpreter: a child started
     straight from this process would report this process's own peak RSS,
@@ -93,15 +105,37 @@ def test_ceiling_build_and_twirl_hold_no_dense_matrix(tmp_path):
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(iv.__file__).parents[1]), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    report = subprocess.run([sys.executable, "-c", _PEAK_RSS, json.dumps(commands)], env=env, capture_output=True,
-                            text=True, check=True, timeout=120)
+    report = subprocess.run([sys.executable, "-c", _PEAK_RSS, _CLI_REPORTING_RCHAR, json.dumps(commands)], env=env,
+                            capture_output=True, text=True, check=True, timeout=120)
     lines = report.stdout.splitlines()
     assert len(lines) == len(commands)
     for line in lines:
-        code, peak_kib = map(int, line.split())
+        code, peak_kib, rchar = map(int, line.split())
         assert code == 0 and peak_kib < 128 * 1024
+        assert rchar < 64 * 1024 * 1024 or not Path("/proc/self/io").exists()
     twirled = formats.parse_descriptor((tmp_path / "t.json").read_text())
     np.testing.assert_allclose(twirled.fidelities, [(j + 1) / 36 for j in range(8)], atol=1e-12)
+
+
+def test_take_reports_a_file_that_shrank(tmp_path):
+    path = tmp_path / "s.qopb"
+    path.write_bytes(formats.qopb_encode(iv.synthesize(iv.StateDescriptor(2, (0,), [0.5, 0.5]))))
+    with formats.qopb_entries(path) as (_, _, take):
+        os.truncate(path, 13 + 16 * 8)
+        with pytest.raises(ValueError, match="^QOPB file shrank while it was read$"):
+            take(np.arange(16))
+
+
+def test_failed_entry_write_removes_the_file(tmp_path, monkeypatch):
+    def disk_full(fd, data, offset):
+        raise OSError(28, "No space left on device")
+
+    path = tmp_path / "s.qopb"
+    path.write_bytes(b"older contents")
+    monkeypatch.setattr(os, "pwrite", disk_full)
+    with pytest.raises(OSError, match="No space left on device"):
+        formats.qopb_write_entries(path, 2, 2, np.array([0, 5]), np.array([0.5, 0.5]))
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("d, k", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (4, 2), (2, 5)])
