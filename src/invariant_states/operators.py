@@ -267,16 +267,18 @@ class Rng:
         return np.random.Generator(np.random.Philox(key=self.seed, counter=self.counter << 128))
 
 
-def _haar_sample(gen: np.random.Generator, d: int) -> np.ndarray:
-    """One Haar-distributed d x d unitary drawn from an open generator.
+def _haar_sample(normals: np.ndarray) -> np.ndarray:
+    """Haar-distributed d x d unitaries from standard normals of shape
+    (..., 2, d, d), one unitary per leading index.
 
-    Ginibre matrix, QR decomposition, then the R-diagonal phase correction
-    that makes the distribution exactly Haar rather than merely unitary.
+    Ginibre matrix (real part, then imaginary part), QR decomposition, then
+    the R-diagonal phase correction that makes the distribution exactly
+    Haar rather than merely unitary (Mezzadri, arXiv:math-ph/0609050).
     """
-    z = (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / np.sqrt(2.0)
+    z = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def haar_unitary(d: int, rng: Rng) -> Operator:
@@ -285,5 +287,5 @@ def haar_unitary(d: int, rng: Rng) -> Operator:
     Deterministic in ``rng``: the same (seed, counter) yields the same
     matrix bit for bit.  Draw sequences with ``haar_unitary(d, rng.at(i))``.
     """
-    d = dimension(d)
-    return Operator(d, 1, _haar_sample(rng.generator(), d))
+    d = _side(d, 1)  # before the normals are drawn
+    return Operator(d, 1, _haar_sample(rng.generator().standard_normal((2, d, d))))

@@ -265,6 +265,13 @@ def test_haar_unitarity():
         assert np.max(np.abs(u.mat.conj().T @ u.mat - np.eye(d))) <= 1e-12
 
 
+def test_haar_unitary_checks_the_scale_before_drawing():
+    # d = 10**6 used to ask numpy for 7.28 TiB of normals and raise MemoryError
+    for d in (4097, 10**6):
+        with pytest.raises(ValueError, match="scale exceeded"):
+            iv.haar_unitary(d, Rng(0))
+
+
 def test_haar_determinism_and_counter_independence():
     a = iv.haar_unitary(3, Rng(12, 5))
     b = iv.haar_unitary(3, Rng(12, 5))

@@ -117,6 +117,30 @@ def test_ceiling_build_and_twirl_hold_no_dense_matrix(tmp_path):
     np.testing.assert_allclose(twirled.fidelities, [(j + 1) / 36 for j in range(8)], atol=1e-12)
 
 
+def test_ceiling_mc_twirl_holds_four_dense_matrices(tmp_path):
+    """At d=4, K=3 ``twirl --mc 1`` holds the state, the sum and the two
+    working arrays of one sample (256 MiB each), but no Kronecker unitary
+    and no synthesized target (1,581 MiB before)."""
+    fid = ",".join(repr((j + 1) / 36) for j in range(8))
+    state = tmp_path / "s.json"
+    commands = [
+        ["build", "--d", "4", "--K", "3", "--sigma", "110", "--fid", fid, "--out", str(state), "--dense"],
+        ["twirl", "--in", str(state.with_suffix(".qopb")), "--sigma", "110", "--mc", "1", "--out",
+         str(tmp_path / "e.qopb")],
+    ]
+    cli = "import runpy; runpy.run_module('invariant_states', run_name='__main__')"
+    env = dict(os.environ, PYTHONPATH=str(Path(iv.__file__).parents[1]), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    report = subprocess.run([sys.executable, "-c", _PEAK_RSS, cli, json.dumps(commands)], env=env,
+                            capture_output=True, text=True, check=True, timeout=300)
+    build, twirl = report.stdout.splitlines()
+    assert build.split()[0] == "0"
+    code, peak_kib, printed = twirl.split(maxsplit=2)
+    assert code == "0" and int(peak_kib) < 1200 * 1024
+    # the built state is invariant, so every sample leaves it unchanged
+    assert json.loads(printed)["frobenius_distance"] < 1e-12
+
+
 def test_take_reports_a_file_that_shrank(tmp_path):
     path = tmp_path / "s.qopb"
     path.write_bytes(formats.qopb_encode(iv.synthesize(iv.StateDescriptor(2, (0,), [0.5, 0.5]))))
