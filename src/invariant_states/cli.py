@@ -82,7 +82,7 @@ def _cmd_twirl(args) -> int:
     sigma = parse_bits(args.sigma)
     desc = fidelities_of(rho, sigma)
     estimate = mc_twirl(rho, sigma, args.mc, Rng(args.seed))
-    Path(args.out).write_bytes(formats.qopb_encode(estimate))
+    formats.qopb_write(args.out, estimate)
     # the distance to synthesize(desc), whose nonzero entries _scatter lists,
     # on one copy of the estimate
     positions, values = _scatter(desc)

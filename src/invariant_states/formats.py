@@ -8,7 +8,8 @@ bytes after a parse, which keeps pipeline outputs diffable.
 QOPB layout: magic ``QOPB``, version byte 0x01, little-endian u32 local
 dimension, u32 subsystem count, then d^(2n) little-endian f64 pairs
 (re, im) in row-major order.  :func:`qopb_encode` and :func:`qopb_decode`
-convert whole matrices.  :func:`qopb_write_entries` and :func:`qopb_entries`
+convert whole matrices, and :func:`qopb_write` writes one to a file
+without a second copy.  :func:`qopb_write_entries` and :func:`qopb_entries`
 make one positioned write or read per selected entry of a file, so the
 CLI's ``build --dense`` and exact ``twirl`` never hold the matrix.
 """
@@ -20,6 +21,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -37,13 +39,19 @@ DESCRIPTOR_VERSION = 1
 
 def canonical_json(value) -> str:
     """Serialize dicts with string keys, lists, tuples and JSON scalars to
-    deterministic JSON (sorted keys, 17-digit floats, no NaN or inf)."""
+    deterministic JSON (sorted keys, 17-digit floats, no NaN or inf).
+
+    Strings are written by ``json.encoder.encode_basestring``, the encoder
+    that ``json.dumps(..., ensure_ascii=False)`` calls for them, without a
+    ``json.dumps`` call per string."""
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"non-finite float {value!r} is not representable in JSON")
         return format(value, ".17g")
+    if isinstance(value, str):
+        return encode_basestring(value)
     if isinstance(value, dict):
-        items = (f"{json.dumps(k, ensure_ascii=False)}:{canonical_json(value[k])}" for k in sorted(value))
+        items = (f"{canonical_json(k)}:{canonical_json(value[k])}" for k in sorted(value))
         return "{" + ",".join(items) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(map(canonical_json, value)) + "]"
@@ -99,24 +107,36 @@ def parse_descriptor(text: str) -> StateDescriptor:
 # verdicts
 
 
-def verdict_to_dict(verdict: SeparabilityVerdict) -> dict:
-    out = {
-        "criterion": verdict.criterion,
-        "outcome": verdict.outcome,
-        "failures": [
-            {"constraint": f.constraint, "value": f.value, "bound": f.bound}
-            for f in verdict.failures
-        ],
-    }
-    if verdict.necessary_only:
-        out["necessary_only"] = True
-    if verdict.biseparable is not None:
-        out["biseparable"] = verdict_to_dict(verdict.biseparable)
-    return out
-
-
 def dumps_verdict(verdict: SeparabilityVerdict) -> str:
-    return canonical_json(verdict_to_dict(verdict)) + "\n"
+    """Canonical JSON of a verdict: ``biseparable`` (if any), ``criterion``,
+    ``failures`` (each ``bound``, ``constraint``, ``value``),
+    ``necessary_only`` (if set) and ``outcome``, in that sorted key order.
+
+    Written directly, leaf by leaf through :func:`canonical_json`, as
+    pieces joined once at the end, with no dict per failure; the bytes are
+    those of :func:`canonical_json` on the equivalent nested dict."""
+    pieces: list[str] = []
+    _verdict_pieces(verdict, pieces)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _verdict_pieces(verdict: SeparabilityVerdict, pieces: list[str]) -> None:
+    pieces.append("{")
+    if verdict.biseparable is not None:
+        pieces.append('"biseparable":')
+        _verdict_pieces(verdict.biseparable, pieces)
+        pieces.append(",")
+    pieces.append(f'"criterion":{canonical_json(verdict.criterion)},"failures":[')
+    for i, f in enumerate(verdict.failures):
+        pieces.append(
+            f'{"," if i else ""}{{"bound":{canonical_json(f.bound)},'
+            f'"constraint":{canonical_json(f.constraint)},"value":{canonical_json(f.value)}}}'
+        )
+    pieces.append("]")
+    if verdict.necessary_only:
+        pieces.append(',"necessary_only":true')
+    pieces.append(f',"outcome":{canonical_json(verdict.outcome)}}}')
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +172,16 @@ def qopb_encode(op: Operator) -> bytes:
     return b"".join((header, memoryview(payload).cast("B")))
 
 
+def qopb_write(path, op: Operator) -> None:
+    """Write the bytes of :func:`qopb_encode` to a QOPB file at ``path``,
+    the header and then the matrix's own buffer, without joining them
+    into a second copy.  A write that fails removes the file."""
+    payload = np.ascontiguousarray(op.mat, dtype=_ENTRY)
+    with _created(path) as fd:
+        _pwrite(fd, _HEADER.pack(QOPB_MAGIC, QOPB_VERSION, op.d, op.n), 0)
+        _pwrite(fd, payload, _offset(0))
+
+
 def qopb_decode(data: bytes) -> Operator:
     d, n, side = _check_header(data, len(data))
     # the payload starts at offset 13, so the view is unaligned; the single
@@ -171,15 +201,22 @@ def qopb_write_entries(path, d: int, n: int, positions: np.ndarray, values: np.n
     """
     side = _side(d, n)
     entries = np.asarray(values, dtype=_ENTRY).reshape(-1, 1)
+    with _created(path) as fd:
+        _pwrite(fd, _HEADER.pack(QOPB_MAGIC, QOPB_VERSION, d, n), 0)
+        os.ftruncate(fd, _offset(side * side))
+        # the entries of a moment expansion are hardly ever adjacent, so
+        # runs of them are not worth coalescing into one write
+        for position, entry in zip(positions.tolist(), entries):
+            _pwrite(fd, entry, _offset(position))
+
+
+@contextmanager
+def _created(path):
+    # the descriptor of a new (or emptied) file at path, which is removed
+    # if the block raises OSError
     with open(path, "wb") as f:
         try:
-            fd = f.fileno()
-            _pwrite(fd, _HEADER.pack(QOPB_MAGIC, QOPB_VERSION, d, n), 0)
-            os.ftruncate(fd, _offset(side * side))
-            # the entries of a moment expansion are hardly ever adjacent, so
-            # runs of them are not worth coalescing into one write
-            for position, entry in zip(positions.tolist(), entries):
-                _pwrite(fd, entry, _offset(position))
+            yield f.fileno()
         except OSError:
             os.unlink(path)
             raise

@@ -172,3 +172,45 @@ def test_gathered_trace_is_bitwise_np_trace(d, k):
     for sigma in ((0,) * k, (1,) * k):
         _, trace, _ = _moments(rho.mat.reshape(-1).take, d, sigma)
         assert trace == complex(np.trace(mat))
+
+
+@pytest.mark.parametrize("d, k, sigma", [(2, 1, (1,)), (2, 2, (0, 1)), (3, 2, (1, 0))])
+def test_mc_twirl_file_is_qopb_encode_of_the_estimate(tmp_path, d, k, sigma):
+    """``twirl --mc`` writes the header and then the estimate's buffer: the
+    file holds exactly the bytes of qopb_encode(mc_twirl(...))."""
+    side = d ** (2 * k)
+    gen = np.random.default_rng(side)
+    g = gen.standard_normal((side, side)) + 1j * gen.standard_normal((side, side))
+    rho = iv.Operator(d, 2 * k, g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    path, out = tmp_path / "rho.qopb", tmp_path / "e.qopb"
+    path.write_bytes(formats.qopb_encode(rho))
+    code, _ = _cli("twirl", "--in", path, "--sigma", iv.bits_str(sigma), "--mc", 3, "--seed", 5, "--out", out)
+    assert code == 0
+    assert out.read_bytes() == formats.qopb_encode(iv.mc_twirl(rho, sigma, 3, iv.Rng(5)))
+
+
+def test_failed_matrix_write_removes_the_file(tmp_path, monkeypatch):
+    """A disk that fills up after the header leaves no file behind, both
+    for :func:`formats.qopb_write` and for ``twirl --mc``."""
+    pwrite = os.pwrite
+
+    def full_after_header(fd, data, offset):
+        if offset > 0:
+            raise OSError(28, "No space left on device")
+        return pwrite(fd, data, offset)
+
+    rho = iv.synthesize(iv.StateDescriptor(2, (0,), [0.5, 0.5]))
+    path = tmp_path / "rho.qopb"
+    path.write_bytes(formats.qopb_encode(rho))
+    monkeypatch.setattr(os, "pwrite", full_after_header)
+    out = tmp_path / "e.qopb"
+    out.write_bytes(b"older contents")
+    with pytest.raises(OSError, match="No space left on device"):
+        formats.qopb_write(out, rho)
+    assert sorted(tmp_path.iterdir()) == [path]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, printed = _cli("twirl", "--in", path, "--sigma", "0", "--mc", 2, "--out", out)
+    assert (code, printed) == (2, "")
+    assert err.getvalue() == "error: [Errno 28] No space left on device\n"
+    assert sorted(tmp_path.iterdir()) == [path]
