@@ -15,21 +15,23 @@ import invariant_states as iv
 d = 3
 print(f"local dimension d = {d}\n")
 
-# the two resolutions of the identity on a pair
-f = iv.flip(d)
+# the two resolutions of the identity on a pair: member a of family s is
+# invariant_projector(d, (s,), (a,)), and the exchange operator F is the
+# difference of the symmetric and antisymmetric projectors
+f = iv.invariant_projector(d, (0,), (0,)) - iv.invariant_projector(d, (0,), (1,))
 print("exchange operator: trace =", f.trace().real, ", squares to identity:",
       np.allclose((f @ f).mat, np.eye(d * d)))
 for a in (0, 1):
-    q = iv.werner_projector(d, a)
-    p = iv.isotropic_projector(d, a)
+    q = iv.invariant_projector(d, (0,), (a,))
+    p = iv.invariant_projector(d, (1,), (a,))
     print(f"  component {a}:  Tr(symmetric split) = {q.trace().real:4.1f}   "
           f"Tr(entangled split) = {p.trace().real:4.1f}")
 
 # transposing one slot of the exchange operator produces the maximally
 # entangled projector, which is why the two families are linked
-pt = iv.partial_transpose(iv.flip(d), {2})
+pt = iv.partial_transpose(f, {2})
 print("\npartial transpose of exchange = d * (max entangled projector):",
-      np.allclose(pt.mat, d * iv.max_entangled_projector(d).mat))
+      np.allclose(pt.mat, d * iv.invariant_projector(d, (1,), (1,)).mat))
 
 x = iv.pt_matrix((1,), (0,), d)
 y = iv.pt_matrix((1,), (1,), d)

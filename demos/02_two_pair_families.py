@@ -11,7 +11,9 @@ fidelities.
 import numpy as np
 
 import invariant_states as iv
-from invariant_states import all_vectors, bits_str, formats
+from invariant_states import all_vectors, formats
+from invariant_states.bits import bits_str
+from invariant_states.simplex import extract_fidelities
 
 d = 2
 print(f"local dimension d = {d}, two pairs on slots (1,3) and (2,4)\n")
@@ -33,7 +35,7 @@ print(f"\ndense traces for sigma = {bits_str(sigma)}:", dense)
 # isotropic family is the product of two maximally entangled pairs
 vertex = iv.StateDescriptor(d, (1, 1), [0, 0, 0, 1.0])
 rho = iv.synthesize(vertex)
-ent = iv.max_entangled_projector(d)
+ent = iv.invariant_projector(d, (1,), (1,))
 print("\nvertex 11 of family 11 equals the embedded entangled product:",
       iv.frobenius_distance(rho, iv.invariant_projector(d, (1, 1), (1, 1))) < 1e-12)
 print("its single-pair marginals are the entangled projector itself:",
@@ -52,7 +54,7 @@ print(" ", formats.dumps_descriptor(desc).strip())
 reduced = iv.reduce_pair(desc, 2)
 print("drop pair 2 -> family", bits_str(reduced.sigma),
       "with fidelities", reduced.fidelities)
-dense = iv.extract_fidelities(iv.partial_trace(iv.synthesize(desc), {2, 4}), (0,))
+dense = extract_fidelities(iv.partial_trace(iv.synthesize(desc), {2, 4}), (0,))
 print("dense partial trace agrees:", np.allclose(reduced.fidelities, dense))
 
 # tracing two slots that are not a matched pair destroys all structure

@@ -16,7 +16,8 @@ failing full separability.
 import numpy as np
 
 import invariant_states as iv
-from invariant_states import StateDescriptor, bits_str, formats
+from invariant_states import StateDescriptor, formats
+from invariant_states.bits import bits_str
 
 d = 2
 print(f"two qubit pairs (d = {d})\n")
@@ -43,7 +44,7 @@ print("  so the polytope bounds alone cannot certify separability here")
 
 # --- biseparable but not fully separable ------------------------------------
 print("\nproduct of two maximally entangled pair projectors across the cut:")
-ent = iv.max_entangled_projector(d)
+ent = iv.invariant_projector(d, (1,), (1,))
 q = iv.biseparable_fidelities(ent, ent)
 print("twirled fidelities:", q)
 bisep_desc = StateDescriptor(d, (0, 0), q)

@@ -6,7 +6,7 @@ simplices, exact and Monte-Carlo twirls, partial-transpose transfer
 matrices, separability criteria, and pair reductions.
 """
 
-from .bits import all_vectors, as_bits, bits_str, parse_bits, xor
+from .bits import all_vectors, as_bits
 from .operators import (
     Operator,
     Rng,
@@ -20,14 +20,7 @@ from .operators import (
     projector_onto,
     tensor_product,
 )
-from .projectors import (
-    flip,
-    invariant_projector,
-    isotropic_projector,
-    max_entangled_projector,
-    projector_trace,
-    werner_projector,
-)
+from .projectors import invariant_projector, projector_trace
 from .simplex import (
     ConstraintFailure,
     SeparabilityVerdict,
@@ -36,11 +29,9 @@ from .simplex import (
     check_polytope,
     check_ppt,
     check_ppt_all,
-    extract_fidelities,
     extremal_fidelities,
     extremal_product_state,
     fidelities_of,
-    maximally_mixed_pair,
     mc_twirl,
     pt_matrix,
     reduce_mixed_pair,
@@ -60,26 +51,19 @@ __all__ = [
     "all_vectors",
     "as_bits",
     "basis_ket",
-    "bits_str",
     "biseparable_fidelities",
     "check_polytope",
     "check_ppt",
     "check_ppt_all",
-    "extract_fidelities",
     "extremal_fidelities",
     "extremal_product_state",
     "fidelities_of",
-    "flip",
     "frobenius_distance",
     "haar_unitary",
     "identity",
     "invariant_projector",
-    "isotropic_projector",
-    "max_entangled_projector",
-    "maximally_mixed_pair",
     "mc_twirl",
     "min_eigenvalue",
-    "parse_bits",
     "partial_trace",
     "partial_transpose",
     "projector_onto",
@@ -90,6 +74,4 @@ __all__ = [
     "synthesize",
     "tensor_product",
     "transform_fidelities",
-    "werner_projector",
-    "xor",
 ]

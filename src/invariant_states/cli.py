@@ -16,7 +16,7 @@ import numpy as np
 
 from . import formats
 from .bits import as_bits, parse_bits
-from .operators import Rng
+from .operators import Rng, _side
 from .selfcheck import run_checks
 from .simplex import (
     SeparabilityVerdict,
@@ -50,7 +50,7 @@ def _cmd_build(args) -> int:
         fid = np.array([float(x) for x in args.fid.split(",")])
     else:
         as_bits(parse_bits(args.vertex), args.K, "--vertex")
-        fid = np.zeros(2**args.K)
+        fid = np.zeros(_side(2, args.K))  # 2^K entries, under the scale rule
         fid[int(args.vertex, 2)] = 1.0
     desc = StateDescriptor(args.d, sigma, fid)
     if args.dense:

@@ -21,8 +21,9 @@ one.  Expanding the product writes it as a combination of the 2^K
 Kronecker product of 2 x 2 blocks (:func:`moment_expansion`).  Every X_S
 is a 0/1 matrix with exactly d^(2K) nonzero entries, so overlaps
 Tr(rho P) and mixtures of family members reduce to gathers and scatters
-on those entries; no dense projector is formed.  :func:`invariant_projector` builds the dense
-matrices by Kronecker products and serves as the independent oracle.
+on those entries; no dense projector is formed.  The independent dense
+oracle :func:`invariant_projector` fills F and E entry by entry and takes
+Kronecker products; at K = 1 it is the one-pair family member itself.
 """
 
 from __future__ import annotations
@@ -35,47 +36,6 @@ import numpy as np
 
 from .bits import all_vectors, as_bits
 from .operators import Operator, _side, dimension, identity
-
-
-def flip(d: int) -> Operator:
-    """Exchange (swap) operator on a pair: F (x |i>|j>) = |j>|i>."""
-    d = dimension(d)
-    mat = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            mat[i * d + j, j * d + i] = 1.0
-    return Operator(d, 2, mat)
-
-
-def max_entangled_projector(d: int) -> Operator:
-    """Rank-1 projector onto the canonical maximally entangled pair state."""
-    d = dimension(d)
-    mat = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            mat[i * d + i, j * d + j] = 1.0 / d
-    return Operator(d, 2, mat)
-
-
-def werner_projector(d: int, alpha: int) -> Operator:
-    """Projector onto the (-1)^alpha eigenspace of the exchange operator.
-
-    alpha = 0 is the symmetric subspace, alpha = 1 the antisymmetric one.
-    The two projectors are orthogonal, sum to the identity, and have
-    traces d(d+1)/2 and d(d-1)/2.
-    """
-    if alpha not in (0, 1):
-        raise ValueError(f"alpha must be 0 or 1, got {alpha}")
-    sign = 1.0 if alpha == 0 else -1.0
-    return (identity(d, 2) + sign * flip(d)) * 0.5
-
-
-def isotropic_projector(d: int, alpha: int) -> Operator:
-    """Maximally entangled projector (alpha = 1) or its complement (alpha = 0)."""
-    if alpha not in (0, 1):
-        raise ValueError(f"alpha must be 0 or 1, got {alpha}")
-    ent = max_entangled_projector(d)
-    return ent if alpha == 1 else identity(d, 2) - ent
 
 
 def pair_forms(d: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -109,6 +69,22 @@ def pair_forms(d: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
+def _pair_block(d: int, s: int, a: int) -> Operator:
+    # member a of one pair's family from F or E, filled entry by entry and so
+    # independent of pair_forms: (I + (1 - 2a) F) / 2 if s = 0, else E or I - E
+    x = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            if s:
+                x[i * d + i, j * d + j] = 1.0 / d  # E = |phi><phi|, phi = sum |ii> / sqrt(d)
+            else:
+                x[i * d + j, j * d + i] = 1.0  # F |ij> = |ji>
+    x = Operator(d, 2, x)
+    if s == 0:
+        return (identity(d, 2) + (1 - 2 * a) * x) * 0.5
+    return x if a else identity(d, 2) - x
+
+
 def invariant_projector(d: int, sigma: Iterable[int], alpha: Iterable[int]) -> Operator:
     """K-pair family projector on the 2K-slot space, as a dense matrix.
 
@@ -121,8 +97,7 @@ def invariant_projector(d: int, sigma: Iterable[int], alpha: Iterable[int]) -> O
     alpha = as_bits(alpha, len(sigma), "alpha")
     d, k = dimension(d), len(sigma)
     side = _side(d, 2 * k)
-    pairs = [(isotropic_projector if s else werner_projector)(d, a) for s, a in zip(sigma, alpha)]
-    mat = reduce(np.kron, [p.mat for p in pairs])
+    mat = reduce(np.kron, [_pair_block(d, s, a).mat for s, a in zip(sigma, alpha)])
     if k > 1:
         # the kron above lives on slot order (1, K+1, 2, K+2, ...); the
         # canonical layout puts all first members before all second ones

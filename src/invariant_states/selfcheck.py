@@ -28,12 +28,7 @@ from .operators import (
     projector_onto,
     basis_ket,
 )
-from .projectors import (
-    flip,
-    invariant_projector,
-    max_entangled_projector,
-    projector_trace,
-)
+from .projectors import invariant_projector, projector_trace
 from .simplex import (
     StateDescriptor,
     check_polytope,
@@ -96,8 +91,9 @@ def check_flip_partial_transpose() -> CheckResult:
     maximally entangled projector, d = 2..5."""
     worst = 0.0
     for d in range(2, 6):
-        lhs = partial_transpose(flip(d), {2})
-        rhs = d * max_entangled_projector(d)
+        flip = invariant_projector(d, (0,), (0,)) - invariant_projector(d, (0,), (1,))  # F, exactly
+        lhs = partial_transpose(flip, {2})
+        rhs = d * invariant_projector(d, (1,), (1,))
         worst = max(worst, float(np.max(np.abs(lhs.mat - rhs.mat))))
     return CheckResult("flip-partial-transpose", worst <= 1e-15, f"max deviation = {worst:.3e}")
 
@@ -158,7 +154,7 @@ def check_biseparable_construction() -> CheckResult:
     against the dense twirl of the product operator.
     """
     d = 2
-    ent = max_entangled_projector(d)
+    ent = invariant_projector(d, (1,), (1,))
     q = biseparable_fidelities(ent, ent)
     expected = np.array([0.75, 0.0, 0.0, 0.25])
     formula_dev = float(np.max(np.abs(q - expected)))

@@ -35,6 +35,7 @@ from .operators import (
     _haar_sample,
     _integer,
     _readonly,
+    _side,
     basis_ket,
     dimension,
     partial_trace,
@@ -55,9 +56,10 @@ class StateDescriptor:
 
     fidelities has length 2^K for K = len(sigma), is indexed by the bit
     encoding of :mod:`.bits`, and must be finite, nonnegative (within
-    1e-12) and sum to 1 (within 1e-10).  The described state is the
-    corresponding mixture of normalized family projectors; see
-    :func:`synthesize`.
+    1e-12) and sum to 1 (within 1e-10).  K is at most 12: transfer and
+    order matrices are 2^K-sided, under the matrix-side cap.  The
+    described state is the corresponding mixture of normalized family
+    projectors; see :func:`synthesize`.
     """
 
     d: int
@@ -67,6 +69,7 @@ class StateDescriptor:
     def __post_init__(self):
         object.__setattr__(self, "d", dimension(self.d))
         object.__setattr__(self, "sigma", as_bits(self.sigma, name="sigma"))
+        _side(2, len(self.sigma))
         f = _readonly(np.ravel(self.fidelities), float)
         if f.size != 2 ** len(self.sigma):
             raise ValueError(f"need 2**K = {2 ** len(self.sigma)} fidelities, got {f.size}")
@@ -269,6 +272,14 @@ def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(2 * n, 2 * n)
 
 
+def _finite(values: np.ndarray, name: str, d: int) -> np.ndarray:
+    # values of the transfer of pattern name, unless one overflowed; the
+    # caller silences the overflow warnings of computing them
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"transfer of mu={name} overflows at d = {float(d):.3g}")
+    return values
+
+
 def pt_matrix(mu: Iterable[int], nu: Iterable[int], d: int) -> np.ndarray:
     """Linear action of a pair-wise partial transposition on fidelities.
 
@@ -280,13 +291,16 @@ def pt_matrix(mu: Iterable[int], nu: Iterable[int], d: int) -> np.ndarray:
     where mu_i = 0 and of the transposition block of family nu_i in
     :func:`.projectors.pair_forms` where mu_i = 1.  The product is taken
     left to right with a 2 x 2 Kronecker kernel, so every entry is
-    bitwise that of ``reduce(np.kron, blocks)``.
+    bitwise that of ``reduce(np.kron, blocks)``.  An entry that overflows
+    raises ValueError, as in :func:`transform_fidelities`.
     """
     mu = as_bits(mu, name="mu")
     nu = as_bits(nu, len(mu), "nu")
     d = dimension(d)
     eye, transposes = np.eye(2), {s: pair_forms(d, s)[2] for s in set(nu)}
-    mat = reduce(_kron2, [transposes[n] if m else eye for m, n in zip(mu, nu)])
+    blocks = [transposes[n] if m else eye for m, n in zip(mu, nu)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = _finite(reduce(_kron2, blocks), bits_str(mu), d)
     mat.setflags(write=False)
     return mat
 
@@ -302,16 +316,7 @@ def transform_fidelities(desc: StateDescriptor, mu: Iterable[int]) -> np.ndarray
     """
     mu = as_bits(mu, desc.K, "mu")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _transfer(desc, pt_matrix(mu, desc.sigma, desc.d), bits_str(mu))
-
-
-def _transfer(desc: StateDescriptor, mat: np.ndarray, name: str) -> np.ndarray:
-    # the fidelities of desc moved by the transfer matrix of pattern name;
-    # the caller silences the overflow warnings of forming and applying it
-    t = desc.fidelities @ mat
-    if not np.all(np.isfinite(t)):
-        raise ValueError(f"transfer of mu={name} overflows at d = {float(desc.d):.3g}")
-    return t
+        return _finite(desc.fidelities @ pt_matrix(mu, desc.sigma, desc.d), bits_str(mu), desc.d)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +404,7 @@ def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
             for i in range(k - (n ^ (n - 1)).bit_length() if n else 0, k):
                 block = choices[i][n >> (k - 1 - i) & 1]
                 prefix[i] = _kron2(prefix[i - 1], block) if i else block
-            last = _ppt_failures(_transfer(desc, prefix[-1], name), name, labels)
+            last = _ppt_failures(_finite(desc.fidelities @ prefix[-1], name, desc.d), name, labels)
             failures.extend(last)
     # labels ends with the all-ones pattern, the biseparability test
     return SeparabilityVerdict(

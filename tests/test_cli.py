@@ -6,6 +6,7 @@ import pytest
 
 import invariant_states as iv
 from invariant_states import formats
+from invariant_states.bits import bits_str, parse_bits
 from invariant_states.cli import main
 
 
@@ -45,6 +46,14 @@ def test_build_sigma_length_mismatch(capsys):
     code, _, err = run(capsys, "build", "--d", "2", "--K", "2", "--sigma", "0",
                        "--fid", "0.25,0.25,0.25,0.25")
     assert code == 2 and "--sigma" in err
+
+
+def test_build_vertex_beyond_the_scale_rule_fails_closed(capsys):
+    # 2^40 fidelities would be 8 TiB: rejected before anything is allocated
+    bits = "0" * 40
+    code, out, err = run(capsys, "build", "--d", "2", "--K", "40", "--sigma", bits, "--vertex", bits)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: scale exceeded")
 
 
 def test_build_dense_writes_matrix(tmp_path, capsys):
@@ -157,7 +166,7 @@ def test_twirl_mc_without_out_is_rejected_before_reading(tmp_path, capsys):
 def _reference_twirl_error(blob: bytes, sigma: str) -> str:
     """The message of the in-memory route: decode the whole blob, then twirl."""
     with pytest.raises(ValueError) as exc:
-        iv.fidelities_of(formats.qopb_decode(blob), iv.parse_bits(sigma))
+        iv.fidelities_of(formats.qopb_decode(blob), parse_bits(sigma))
     return f"error: {exc.value}\n"
 
 
@@ -414,7 +423,7 @@ def test_check_large_d_and_k_passes_row_sum_check(tmp_path, capsys):
     expected = []
     for mu in iv.all_vectors(k):
         t = _per_axis_transform(fid, sigma, 9, mu)
-        expected.extend((f"mu={iv.bits_str(mu)},alpha={iv.bits_str(a)}", t[i])
+        expected.extend((f"mu={bits_str(mu)},alpha={bits_str(a)}", t[i])
                         for i, a in enumerate(iv.all_vectors(k)) if t[i] < -1e-12)
     assert expected and [f["constraint"] for f in failures] == [name for name, _ in expected]
     np.testing.assert_allclose([f["value"] for f in failures], [v for _, v in expected],

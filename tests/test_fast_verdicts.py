@@ -11,6 +11,7 @@ return the same float bits and print the same bytes.
 import gc
 import json
 import math
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -137,11 +138,17 @@ def _points(d, k, seed):
 def test_pt_matrix_is_bitwise_the_kron_product(k, d):
     gen = np.random.default_rng(k)
     pairs = [(mu, nu) for nu in _sigmas(k, gen) for mu in iv.all_vectors(k)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for mu, nu in pairs[:: max(1, len(pairs) // 64)]:
-            got, want = iv.pt_matrix(mu, nu, d), reference_pt_matrix(mu, nu, d)
-            assert got.shape == want.shape and _bits(got) == _bits(want)
-            assert not got.flags.writeable
+    for mu, nu in pairs[:: max(1, len(pairs) // 64)]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_pt_matrix(mu, nu, d)
+        if not np.all(np.isfinite(want)):
+            # an overflowing transfer raises instead of returning inf entries
+            with pytest.raises(ValueError, match=f"^transfer of mu={bits_str(mu)} overflows"):
+                iv.pt_matrix(mu, nu, d)
+            continue
+        got = iv.pt_matrix(mu, nu, d)
+        assert got.shape == want.shape and _bits(got) == _bits(want)
+        assert not got.flags.writeable
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -189,6 +196,15 @@ def test_overflow_raises_the_same_error(sigma):
     mu = tuple(int(b) for b in want[len("transfer of mu=") :].split()[0])
     assert _raised(iv.transform_fidelities, desc, mu) == want
     assert _raised(iv.check_ppt, desc, mu) == want
+
+
+@pytest.mark.parametrize("mu", [(1, 1, 1), (0, 1, 1, 1)])
+def test_pt_matrix_overflow_raises_without_a_warning(mu):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as raised:
+            iv.pt_matrix(mu, mu, 10**150)
+    assert str(raised.value) == f"transfer of mu={bits_str(mu)} overflows at d = 1e+150"
 
 
 # control, escape, non-ASCII, line-separator, lone-surrogate and astral characters

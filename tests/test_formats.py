@@ -58,6 +58,17 @@ def test_descriptor_json_rejects_bad_input():
         formats.parse_descriptor(wrong_k)
 
 
+def test_descriptor_beyond_the_scale_rule_is_rejected():
+    # transfer and order matrices are 2^K-sided, so K is held to the matrix-side cap
+    def vertex(k):
+        data = {"version": 1, "d": 2, "K": k, "sigma": [0] * k, "fidelities": [1.0] + [0.0] * (2**k - 1)}
+        return formats.canonical_json(data)
+
+    assert formats.parse_descriptor(vertex(12)).K == 12
+    with pytest.raises(ValueError, match="^scale exceeded"):
+        formats.parse_descriptor(vertex(13))
+
+
 def test_verdict_json_schema():
     desc = StateDescriptor(2, (0, 0), [0.4, 0.3, 0.3, 0.0])
     verdict = iv.check_ppt(desc, (1, 1))

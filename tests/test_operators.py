@@ -5,6 +5,16 @@ import invariant_states as iv
 from invariant_states import Operator, Rng
 
 
+def member(d, s, a):
+    # member a of the one-pair family s
+    return iv.invariant_projector(d, (s,), (a,))
+
+
+def flip(d):
+    # the exchange operator F: the difference of the two Werner-split members
+    return member(d, 0, 0) - member(d, 0, 1)
+
+
 def random_hermitian(d, n, seed):
     gen = np.random.default_rng(seed)
     side = d**n
@@ -84,12 +94,12 @@ def test_tensor_identity():
 
 def test_tensor_trace_multiplicative():
     # dense oracle: Tr(flip) by summing the diagonal
-    f = iv.flip(2)
+    f = flip(2)
     assert np.sum(np.diagonal(f.mat)).real == 2.0
     prod = iv.tensor_product(f, iv.identity(2, 1))
     assert abs(prod.trace() - 4.0) < 1e-15
 
-    q0q1 = iv.tensor_product(iv.werner_projector(2, 0), iv.werner_projector(2, 1))
+    q0q1 = iv.tensor_product(member(2, 0, 0), member(2, 0, 1))
     assert abs(q0q1.trace() - 3.0) < 1e-15
 
     a = random_hermitian(2, 2, 1)
@@ -113,12 +123,12 @@ def test_partial_trace_identity_factor():
 
 def test_partial_trace_max_entangled():
     # reduced state of a maximally entangled pair is maximally mixed
-    out = iv.partial_trace(iv.max_entangled_projector(2), {1})
+    out = iv.partial_trace(iv.invariant_projector(2, (1,), (1,)), {1})
     np.testing.assert_allclose(out.mat, np.eye(2) / 2, atol=1e-15)
 
 
 def test_partial_trace_flip():
-    out = iv.partial_trace(iv.flip(2), {2})
+    out = iv.partial_trace(flip(2), {2})
     np.testing.assert_allclose(out.mat, np.eye(2), atol=1e-15)
 
 
@@ -176,8 +186,8 @@ def test_partial_trace_errors():
 
 def test_partial_transpose_flip():
     for d in (2, 3, 4):
-        lhs = iv.partial_transpose(iv.flip(d), {2})
-        rhs = d * iv.max_entangled_projector(d)
+        lhs = iv.partial_transpose(flip(d), {2})
+        rhs = d * iv.invariant_projector(d, (1,), (1,))
         assert np.max(np.abs(lhs.mat - rhs.mat)) == 0.0
 
 
@@ -209,13 +219,13 @@ def test_partial_transpose_empty_set_is_identity():
 
 
 def test_min_eigenvalue_projector():
-    assert abs(iv.min_eigenvalue(iv.werner_projector(2, 1))) < 1e-14
+    assert abs(iv.min_eigenvalue(iv.invariant_projector(2, (0,), (1,)))) < 1e-14
 
 
 def test_min_eigenvalue_transposed_entangled():
     # dense eigendecomposition oracle: eigenvalues of the partial
     # transpose of the maximally entangled projector are +-1/d and 1/d
-    pt = iv.partial_transpose(iv.max_entangled_projector(2), {2})
+    pt = iv.partial_transpose(iv.invariant_projector(2, (1,), (1,)), {2})
     w = np.linalg.eigvalsh(pt.mat)
     assert abs(w[0] + 0.5) < 1e-14
     assert abs(iv.min_eigenvalue(pt) + 0.5) < 1e-12
@@ -250,7 +260,7 @@ def test_frobenius_distance():
     zero = Operator(2, 1, np.zeros((2, 2)))
     assert abs(iv.frobenius_distance(iv.identity(2, 1), zero) - np.sqrt(2)) < 1e-15
     # orthogonal projectors of ranks 3 and 1: distance sqrt(3 + 1) = 2
-    d = iv.frobenius_distance(iv.werner_projector(2, 0), iv.werner_projector(2, 1))
+    d = iv.frobenius_distance(member(2, 0, 0), member(2, 0, 1))
     assert abs(d - 2.0) < 1e-14
     with pytest.raises(ValueError):
         iv.frobenius_distance(iv.identity(2, 1), iv.identity(2, 2))

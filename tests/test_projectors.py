@@ -5,71 +5,97 @@ import pytest
 
 import invariant_states as iv
 from invariant_states import Rng, all_vectors
+from invariant_states.simplex import extract_fidelities
+
+
+def _member(d, s, a):
+    # member a of the one-pair family s
+    return iv.invariant_projector(d, (s,), (a,))
+
+
+def _flip(d):
+    # F is the difference of the two Werner-split members, exactly
+    return _member(d, 0, 0) - _member(d, 0, 1)
+
+
+def _loop_flip(d):
+    f = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            f[i * d + j, j * d + i] = 1.0
+    return f
+
+
+def _loop_entangled(d):
+    e = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            e[i * d + i, j * d + j] = 1.0 / d
+    return e
 
 
 def test_flip_swaps_basis_states():
-    f = iv.flip(2)
+    f = _flip(2)
     np.testing.assert_array_equal(f.mat @ iv.basis_ket(2, "01"), iv.basis_ket(2, "10"))
-    f3 = iv.flip(3)
+    f3 = _flip(3)
     np.testing.assert_array_equal(f3.mat @ iv.basis_ket(3, "12"), iv.basis_ket(3, "21"))
 
 
 def test_flip_involution_and_trace():
     for d in (2, 3, 4):
-        f = iv.flip(d)
+        f = _flip(d)
         np.testing.assert_array_equal((f @ f).mat, np.eye(d * d))
         assert f.trace().real == d
 
 
 def test_max_entangled_projector():
     for d in (2, 3, 4):
-        p = iv.max_entangled_projector(d)
+        p = _member(d, 1, 1)
         assert np.max(np.abs((p @ p - p).mat)) <= 1e-12
         assert abs(p.trace() - 1.0) < 1e-14
-        pt_flip = iv.partial_transpose(iv.flip(d), {2})
+        pt_flip = iv.partial_transpose(_flip(d), {2})
         np.testing.assert_allclose((d * p).mat, pt_flip.mat, atol=1e-15)
 
 
 def test_werner_projectors():
     # closed form d(d + (-1)^a)/2 at d=2 gives traces 3 and 1
-    assert iv.werner_projector(2, 0).trace().real == 3.0
-    assert iv.werner_projector(2, 1).trace().real == 1.0
+    assert _member(2, 0, 0).trace().real == 3.0
+    assert _member(2, 0, 1).trace().real == 1.0
     for d in (2, 3, 4):
-        q0, q1 = iv.werner_projector(d, 0), iv.werner_projector(d, 1)
+        q0, q1 = _member(d, 0, 0), _member(d, 0, 1)
         assert np.max(np.abs((q0 @ q1).mat)) <= 1e-14
         np.testing.assert_allclose((q0 + q1).mat, np.eye(d * d), atol=1e-15)
         for a in (0, 1):
             closed = d * (d + (-1) ** a) / 2
-            assert abs(iv.werner_projector(d, a).trace().real - closed) < 1e-12
+            assert abs(_member(d, 0, a).trace().real - closed) < 1e-12
 
 
 def test_antisymmetric_projector_spectrum():
-    q1 = iv.werner_projector(3, 1)
+    q1 = _member(3, 0, 1)
     w = np.linalg.eigvalsh(q1.mat)
     assert np.all((np.abs(w) < 1e-12) | (np.abs(w - 1) < 1e-12))
     assert round(np.sum(w)) == 3  # rank d(d-1)/2 at d=3
 
 
 def test_isotropic_projectors():
-    np.testing.assert_array_equal(
-        iv.isotropic_projector(2, 1).mat, iv.max_entangled_projector(2).mat
-    )
-    assert iv.isotropic_projector(3, 0).trace().real == 8.0  # d^2 - 1
+    np.testing.assert_array_equal(_member(2, 1, 1).mat, _loop_entangled(2))
+    assert _member(3, 1, 0).trace().real == 8.0  # d^2 - 1
     for d in (2, 3):
-        p0, p1 = iv.isotropic_projector(d, 0), iv.isotropic_projector(d, 1)
+        p0, p1 = _member(d, 1, 0), _member(d, 1, 1)
         assert np.max(np.abs((p0 @ p1).mat)) <= 1e-14
         np.testing.assert_allclose((p0 + p1).mat, np.eye(d * d), atol=1e-15)
 
 
 def test_invariant_projector_single_pair():
-    for d in (2, 3):
-        for a in (0, 1):
-            np.testing.assert_array_equal(
-                iv.invariant_projector(d, (0,), (a,)).mat, iv.werner_projector(d, a).mat
-            )
-            np.testing.assert_array_equal(
-                iv.invariant_projector(d, (1,), (a,)).mat, iv.isotropic_projector(d, a).mat
-            )
+    """The one-pair members against F and E filled by explicit loops:
+    (I + F)/2, (I - F)/2, I - E and E, bit for bit."""
+    for d in range(2, 6):
+        eye, f, e = np.eye(d * d), _loop_flip(d), _loop_entangled(d)
+        np.testing.assert_array_equal(_member(d, 0, 0).mat, (eye + f) * 0.5)
+        np.testing.assert_array_equal(_member(d, 0, 1).mat, (eye - f) * 0.5)
+        np.testing.assert_array_equal(_member(d, 1, 0).mat, eye - e)
+        np.testing.assert_array_equal(_member(d, 1, 1).mat, e)
+        np.testing.assert_array_equal(_flip(d).mat, f)
     assert abs(iv.invariant_projector(2, (1,), (1,)).trace() - 1.0) < 1e-15
 
 
@@ -180,7 +206,7 @@ def test_extract_fidelities_matches_dense_oracle(d, k):
         for mat in (z, z + z.conj().T):
             rho = iv.Operator(d, 2 * k, mat)
             dense = [np.einsum("ij,ji->", rho.mat, p.mat).real for p in family]
-            np.testing.assert_allclose(iv.extract_fidelities(rho, sigma), dense, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(extract_fidelities(rho, sigma), dense, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -209,7 +235,7 @@ def test_structured_route_never_builds_projectors(monkeypatch):
     sigma = (0, 1, 0)
     desc = iv.StateDescriptor(2, sigma, np.arange(1, 9) / 36)
     rho = iv.synthesize(desc)
-    np.testing.assert_allclose(iv.extract_fidelities(rho, sigma), desc.fidelities, atol=1e-14)
+    np.testing.assert_allclose(extract_fidelities(rho, sigma), desc.fidelities, atol=1e-14)
     np.testing.assert_allclose(iv.fidelities_of(rho, sigma).fidelities, desc.fidelities, atol=1e-14)
 
 

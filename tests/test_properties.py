@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import invariant_states as iv
 from invariant_states import formats
+from invariant_states.bits import xor
 from invariant_states.operators import dimension
 
 PROPERTY = settings(database=None, derandomize=True, deadline=None)
@@ -41,7 +42,7 @@ def test_pt_matrix_rows_sum_to_one_within_rounding(d, mu_nu):
 def test_pt_matrix_is_an_involution(d, mu_nu):
     mu, nu = mu_nu
     first = iv.pt_matrix(mu, nu, d)
-    second = iv.pt_matrix(mu, iv.xor(mu, nu), d)
+    second = iv.pt_matrix(mu, xor(mu, nu), d)
     error = np.abs(first @ second - np.eye(len(first)))
     assert np.all(error <= 1e-12 * (np.abs(first) @ np.abs(second)))
 

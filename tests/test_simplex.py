@@ -6,6 +6,8 @@ import pytest
 
 import invariant_states as iv
 from invariant_states import Rng, StateDescriptor, all_vectors
+from invariant_states.bits import bits_str, xor
+from invariant_states.simplex import extract_fidelities, maximally_mixed_pair
 
 
 def random_descriptor(d, k, sigma, seed):
@@ -60,7 +62,7 @@ PAIRS = StateDescriptor(2, (0, 1), np.full(4, 0.25))
         lambda: iv.as_bits([0.5, 1.7]),
         lambda: StateDescriptor(2, [0.5], [0.5, 0.5]),
         lambda: iv.check_ppt(StateDescriptor(2, [0], [0.5, 0.5]), [1.9]),
-        lambda: iv.flip(2.5),
+        lambda: iv.invariant_projector(2, (0,), (2,)),
         lambda: iv.invariant_projector(2.9, (0,), (1,)),
         lambda: iv.projectors.moment_expansion(3.7, (1,)),
         lambda: iv.pt_matrix((1,), (1,), 2.5),
@@ -72,10 +74,10 @@ PAIRS = StateDescriptor(2, (0, 1), np.full(4, 0.25))
         lambda: iv.extremal_fidelities((1,), [float("nan")], 2),
         lambda: iv.Operator(np.float64(2.0), 2, np.eye(4)),
         lambda: iv.identity(2.5),
-        lambda: iv.maximally_mixed_pair(0),
+        lambda: maximally_mixed_pair(0),
         lambda: iv.reduce_pair(PAIRS, 2.0),
         lambda: iv.reduce_mixed_pair(PAIRS, 1, 2.0),
-        lambda: iv.bits_str([0.5]),
+        lambda: bits_str([0.5]),
         lambda: iv.partial_trace(iv.identity(2, 4) / 16, [1.5]),
         lambda: iv.partial_transpose(iv.identity(2, 2), [2.7]),
         lambda: iv.mc_twirl(iv.identity(2, 2) / 4, (0,), 2.5, Rng(0)),
@@ -138,7 +140,7 @@ def test_fidelities_of_maximally_mixed():
 def test_fidelities_of_max_entangled_pair():
     # the maximally entangled vector is symmetric under exchange, so it
     # sits entirely in the symmetric sector of the Werner split
-    f = iv.fidelities_of(iv.max_entangled_projector(2), (0,)).fidelities
+    f = iv.fidelities_of(iv.invariant_projector(2, (1,), (1,)), (0,)).fidelities
     np.testing.assert_allclose(f, [1.0, 0.0], atol=1e-14)
 
 
@@ -158,7 +160,7 @@ def test_fidelities_of_validation():
 
 def test_synthesize_vertex():
     desc = StateDescriptor(2, (0,), [1.0, 0.0])
-    expected = iv.werner_projector(2, 0) / 3.0
+    expected = iv.invariant_projector(2, (0,), (0,)) / 3.0
     assert iv.frobenius_distance(iv.synthesize(desc), expected) <= 1e-14
 
 
@@ -223,7 +225,7 @@ def test_exact_twirl_matches_extremal_formula():
 
 
 def test_mc_twirl_fixes_invariant_state():
-    q0 = iv.werner_projector(2, 0) / 3.0
+    q0 = iv.invariant_projector(2, (0,), (0,)) / 3.0
     est = iv.mc_twirl(q0, (0,), 10, Rng(3))
     assert iv.frobenius_distance(est, q0) <= 1e-10
 
@@ -281,8 +283,8 @@ def test_single_pair_dense_transfer_identities(d):
     family with the transfer-matrix rows as coefficients."""
     x = iv.pt_matrix((1,), (0,), d)
     y = iv.pt_matrix((1,), (1,), d)
-    q = [iv.werner_projector(d, b) / iv.projector_trace(d, (0,), (b,)) for b in (0, 1)]
-    p = [iv.isotropic_projector(d, b) / iv.projector_trace(d, (1,), (b,)) for b in (0, 1)]
+    q = [iv.invariant_projector(d, (0,), (b,)) / iv.projector_trace(d, (0,), (b,)) for b in (0, 1)]
+    p = [iv.invariant_projector(d, (1,), (b,)) / iv.projector_trace(d, (1,), (b,)) for b in (0, 1)]
     for a in (0, 1):
         lhs = iv.partial_transpose(q[a], {2})
         rhs = x[a, 0] * p[0] + x[a, 1] * p[1]
@@ -317,8 +319,8 @@ def test_pt_matrix_composition_law(d, k):
         for mu in all_vectors(k):
             for mu2 in all_vectors(k):
                 first = iv.pt_matrix(mu, nu, d)
-                second = iv.pt_matrix(mu2, iv.xor(mu, nu), d)
-                combined = iv.pt_matrix(iv.xor(mu, mu2), nu, d)
+                second = iv.pt_matrix(mu2, xor(mu, nu), d)
+                combined = iv.pt_matrix(xor(mu, mu2), nu, d)
                 np.testing.assert_allclose(first @ second, combined, atol=1e-12)
 
 
@@ -362,8 +364,8 @@ def test_transform_matches_dense_transpose(d, k):
             rho = iv.synthesize(desc)
             for mu in all_vectors(k):
                 fast = iv.transform_fidelities(desc, mu)
-                dense = iv.extract_fidelities(
-                    iv.partial_transpose(rho, bob_slots(mu)), iv.xor(mu, sigma)
+                dense = extract_fidelities(
+                    iv.partial_transpose(rho, bob_slots(mu)), xor(mu, sigma)
                 )
                 np.testing.assert_allclose(fast, dense, atol=1e-10)
                 assert abs(fast.sum() - 1.0) <= 1e-12
@@ -373,7 +375,7 @@ def test_transform_involution():
     desc = random_descriptor(3, 2, (0, 1), seed=12)
     for mu in all_vectors(2):
         z1 = iv.pt_matrix(mu, desc.sigma, desc.d)
-        z2 = iv.pt_matrix(mu, iv.xor(mu, desc.sigma), desc.d)
+        z2 = iv.pt_matrix(mu, xor(mu, desc.sigma), desc.d)
         twice = desc.fidelities @ z1 @ z2
         np.testing.assert_allclose(twice, desc.fidelities, atol=1e-12)
 
@@ -493,7 +495,7 @@ def test_extremal_fidelities_against_haar_products():
                 factors = [iv.projector_onto(d, v) for v in psis + phis]
                 rho = reduce(iv.tensor_product, factors)
                 rho_s = iv.partial_transpose(rho, bob_slots(sigma))
-                dense = iv.extract_fidelities(rho_s, sigma)
+                dense = extract_fidelities(rho_s, sigma)
                 fast = iv.extremal_fidelities(sigma, overlaps, d)
                 np.testing.assert_allclose(fast, dense, atol=1e-10)
 
@@ -518,7 +520,7 @@ def test_extremal_product_state_matches_formula():
             a = [0.25, 0.9]
             rho = iv.extremal_product_state(d, sigma, a)
             assert abs(rho.trace() - 1.0) <= 1e-12
-            dense = iv.extract_fidelities(rho, sigma)
+            dense = extract_fidelities(rho, sigma)
             np.testing.assert_allclose(
                 dense, iv.extremal_fidelities(sigma, a, d), atol=1e-10
             )
@@ -536,7 +538,7 @@ def test_extremal_overlap_validation():
 
 def test_biseparable_fidelities_entangled_pair():
     for d in (2, 3):
-        ent = iv.max_entangled_projector(d)
+        ent = iv.invariant_projector(d, (1,), (1,))
         q = iv.biseparable_fidelities(ent, ent)
         expected = [(1 + 1 / d) / 2, 0.0, 0.0, (1 - 1 / d) / 2]
         np.testing.assert_allclose(q, expected, atol=1e-14)
@@ -569,18 +571,18 @@ def test_biseparable_fidelities_match_dense_twirl():
 def test_biseparable_fidelities_rank2_projector():
     # the closed form holds for projectors of any rank
     d = 2
-    sym = iv.werner_projector(d, 0)
+    sym = iv.invariant_projector(d, (0,), (0,))
     vb = iv.haar_unitary(d * d, Rng(17)).mat[:, 0]
     pb = iv.Operator(d, 2, np.outer(vb, vb.conj()))
     q = iv.biseparable_fidelities(sym, pb)
-    dense = iv.extract_fidelities(iv.tensor_product(sym, pb), (0, 0))
+    dense = extract_fidelities(iv.tensor_product(sym, pb), (0, 0))
     np.testing.assert_allclose(q, dense, atol=1e-12)
 
 
 def test_biseparable_fidelities_rejects_non_projector():
     bad = iv.identity(2, 2) * 0.5
     with pytest.raises(ValueError):
-        iv.biseparable_fidelities(bad, iv.max_entangled_projector(2))
+        iv.biseparable_fidelities(bad, iv.invariant_projector(2, (1,), (1,)))
 
 
 # --- reductions ---------------------------------------------------------------
@@ -609,7 +611,7 @@ def test_reduce_pair_matches_dense(sigma):
         rho = iv.synthesize(desc)
         for i in (1, 2):
             reduced = iv.reduce_pair(desc, i)
-            dense = iv.extract_fidelities(
+            dense = extract_fidelities(
                 iv.partial_trace(rho, {i, k + i}), reduced.sigma
             )
             np.testing.assert_allclose(reduced.fidelities, dense, atol=1e-10)
@@ -654,7 +656,7 @@ def test_reduce_mixed_pair_three_pairs():
     orphans = iv.partial_trace(remaining, {2, 4})
     np.testing.assert_allclose(orphans.mat, np.eye(4) / 4, atol=1e-10)
     pair3 = iv.partial_trace(remaining, {1, 3})
-    dense = iv.extract_fidelities(pair3, (sigma[2],))
+    dense = extract_fidelities(pair3, (sigma[2],))
     np.testing.assert_allclose(reduced.fidelities, dense, atol=1e-10)
 
 
@@ -668,5 +670,5 @@ def test_reduce_mixed_pair_errors():
 
 def test_maximally_mixed_pair_descriptor():
     for d in (2, 3):
-        out = iv.synthesize(iv.maximally_mixed_pair(d))
+        out = iv.synthesize(maximally_mixed_pair(d))
         np.testing.assert_allclose(out.mat, np.eye(d * d) / d**2, atol=1e-14)

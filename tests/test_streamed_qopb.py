@@ -15,6 +15,7 @@ import pytest
 
 import invariant_states as iv
 from invariant_states import formats
+from invariant_states.bits import bits_str
 from invariant_states.cli import main
 from invariant_states.simplex import _moments
 
@@ -23,7 +24,7 @@ CASES = [(d, k, sigma) for d in (2, 3) for k in (1, 2, 3) for sigma in iv.all_ve
 
 def _ids(case):
     d, k, sigma = case
-    return f"d{d}-K{k}-{iv.bits_str(sigma)}"
+    return f"d{d}-K{k}-{bits_str(sigma)}"
 
 
 def _cli(*argv) -> tuple[int, str]:
@@ -38,13 +39,13 @@ def test_twirl_matches_in_memory_route(tmp_path, case):
     """A random non-invariant state twirls to the bytes of fidelities_of."""
     d, k, sigma = case
     side = d ** (2 * k)
-    gen = np.random.default_rng(side + int(iv.bits_str(sigma), 2))
+    gen = np.random.default_rng(side + int(bits_str(sigma), 2))
     g = gen.standard_normal((side, side)) + 1j * gen.standard_normal((side, side))
     rho = g @ g.conj().T
     blob = formats.qopb_encode(iv.Operator(d, 2 * k, rho / np.trace(rho).real))
     path = tmp_path / "rho.qopb"
     path.write_bytes(blob)
-    code, out = _cli("twirl", "--in", path, "--sigma", iv.bits_str(sigma))
+    code, out = _cli("twirl", "--in", path, "--sigma", bits_str(sigma))
     assert code == 0
     assert out == formats.dumps_descriptor(iv.fidelities_of(formats.qopb_decode(blob), sigma))
 
@@ -62,7 +63,7 @@ def test_build_dense_matches_in_memory_route(tmp_path, case):
         fid[gen.permutation(2**k)[:zeros]] = 0.0
         desc = iv.StateDescriptor(d, sigma, fid / fid.sum())
         fid_arg = ",".join(repr(float(x)) for x in desc.fidelities)
-        code, _ = _cli("build", "--d", d, "--K", k, "--sigma", iv.bits_str(sigma), "--fid", fid_arg,
+        code, _ = _cli("build", "--d", d, "--K", k, "--sigma", bits_str(sigma), "--fid", fid_arg,
                        "--out", tmp_path / "s.json", "--dense")
         assert code == 0
         assert matrix.read_bytes() == formats.qopb_encode(iv.synthesize(desc))
@@ -184,7 +185,7 @@ def test_mc_twirl_file_is_qopb_encode_of_the_estimate(tmp_path, d, k, sigma):
     rho = iv.Operator(d, 2 * k, g @ g.conj().T / np.trace(g @ g.conj().T).real)
     path, out = tmp_path / "rho.qopb", tmp_path / "e.qopb"
     path.write_bytes(formats.qopb_encode(rho))
-    code, _ = _cli("twirl", "--in", path, "--sigma", iv.bits_str(sigma), "--mc", 3, "--seed", 5, "--out", out)
+    code, _ = _cli("twirl", "--in", path, "--sigma", bits_str(sigma), "--mc", 3, "--seed", 5, "--out", out)
     assert code == 0
     assert out.read_bytes() == formats.qopb_encode(iv.mc_twirl(rho, sigma, 3, iv.Rng(5)))
 
