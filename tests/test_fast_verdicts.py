@@ -11,6 +11,8 @@ return the same float bits and print the same bytes.
 import gc
 import json
 import math
+import operator
+import sys
 import warnings
 from functools import reduce
 
@@ -133,7 +135,28 @@ def _points(d, k, seed):
             yield StateDescriptor(d, sigma, iv.extremal_fidelities(sigma, gen.uniform(0, 1, k), d))
 
 
-@pytest.mark.parametrize("d", DIMS + (10**150,))
+def _peak(d: float, k: int) -> float:
+    # the largest magnitude of k isotropic transposition blocks' product,
+    # multiplied left to right as the Kronecker product does
+    return reduce(operator.mul, [(1.0 + d) / 2] * k)
+
+
+def _edge_dims(k: int) -> tuple[int, int]:
+    """The largest d whose peak product over k isotropic pairs is finite
+    (within a few ulps of the float maximum), and the next float up, whose
+    product overflows."""
+    d = 2.0 * sys.float_info.max ** (1.0 / k)
+    while _peak(d, k) == math.inf:
+        d = math.nextafter(d, 0.0)
+    while _peak(math.nextafter(d, math.inf), k) < math.inf:
+        d = math.nextafter(d, math.inf)
+    return int(d), int(math.nextafter(d, math.inf))
+
+
+EDGES = {k: _edge_dims(k) for k in range(2, 8)}
+
+
+@pytest.mark.parametrize("d", DIMS + (10**100, 10**150, 10**300) + sum(EDGES.values(), ()))
 @pytest.mark.parametrize("k", range(1, 8))
 def test_pt_matrix_is_bitwise_the_kron_product(k, d):
     gen = np.random.default_rng(k)
@@ -198,13 +221,73 @@ def test_overflow_raises_the_same_error(sigma):
     assert _raised(iv.check_ppt, desc, mu) == want
 
 
-@pytest.mark.parametrize("mu", [(1, 1, 1), (0, 1, 1, 1)])
-def test_pt_matrix_overflow_raises_without_a_warning(mu):
+def _outcome(fn, *args):
+    """What fn returns, or the message of the ValueError it raises; any
+    warning fails the test."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError) as raised:
-            iv.pt_matrix(mu, mu, 10**150)
-    assert str(raised.value) == f"transfer of mu={bits_str(mu)} overflows at d = 1e+150"
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            return str(exc)
+
+
+@pytest.mark.parametrize("mu", [(1, 1, 1), (0, 1, 1, 1)])
+def test_pt_matrix_overflow_raises_without_a_warning(mu):
+    want = f"transfer of mu={bits_str(mu)} overflows at d = 1e+150"
+    assert _outcome(iv.pt_matrix, mu, mu, 10**150) == want
+    desc = StateDescriptor(10**150, mu, np.full(2 ** len(mu), 2.0 ** -len(mu)))
+    assert _outcome(iv.transform_fidelities, desc, mu) == want == _outcome(reference_transform, desc, mu)
+    assert _outcome(iv.check_ppt_all, desc) == _outcome(reference_ppt_all, desc)
+
+
+def _edge_points():
+    # at both sides of each overflow edge: a spread point, and a point
+    # whose fidelity of the all-ones member sits just above 1, so that the
+    # product with a finite transfer overflows at the largest finite peak
+    for k, dims in EDGES.items():
+        for d in dims:
+            for sigma in ((1,) * k, (0,) + (1,) * (k - 1), (1,) * (k - 1) + (0,)):
+                yield StateDescriptor(d, sigma, np.full(2**k, 2.0**-k))
+                yield StateDescriptor(d, sigma, np.eye(2**k)[-1] * (1.0 + 1e-11))
+
+
+def _edge_id(desc) -> str:
+    point = "above-1" if desc.fidelities[-1] > 1.0 else "spread"
+    return f"K={desc.K},d={float(desc.d):.17g},sigma={bits_str(desc.sigma)},{point}"
+
+
+@pytest.mark.parametrize("desc", _edge_points(), ids=_edge_id)
+def test_transform_and_ppt_all_raise_exactly_where_the_reference_overflows(desc):
+    for mu in iv.all_vectors(desc.K):
+        want = _outcome(reference_transform, desc, mu)
+        got = _outcome(iv.transform_fidelities, desc, mu)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert _bits(got) == _bits(want)
+    want, got = _outcome(reference_ppt_all, desc), _outcome(iv.check_ppt_all, desc)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.failures == want.failures and got.biseparable.failures == want.biseparable.failures
+
+
+def test_edge_points_raise_on_both_routes():
+    # guard against an edge set on which the comparison above is vacuous:
+    # every edge pair has a point that passes and one whose transfer or
+    # product overflows, from the matrix and from the product alone
+    by_route = set()
+    for desc in _edge_points():
+        for mu in iv.all_vectors(desc.K):
+            message = _outcome(reference_transform, desc, mu)
+            if isinstance(message, str):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    finite = np.all(np.isfinite(reference_pt_matrix(mu, desc.sigma, desc.d)))
+                by_route.add((desc.K, "product" if finite else "matrix"))
+            else:
+                by_route.add((desc.K, "finite"))
+    assert by_route == {(k, route) for k in EDGES for route in ("finite", "matrix", "product")}
 
 
 # control, escape, non-ASCII, line-separator, lone-surrogate and astral characters

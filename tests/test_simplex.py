@@ -92,6 +92,7 @@ PAIRS = StateDescriptor(2, (0, 1), np.full(4, 0.25))
         lambda: iv.projector_onto(0, np.ones(4)),
         lambda: iv.projector_onto(1, np.ones(4)),
         lambda: iv.projector_onto(True, np.ones(4)),
+        lambda: iv.extremal_fidelities((0,) * 40, [0.5] * 40, 2),  # K beyond the scale cap
     ],
 )
 def test_fractional_or_out_of_range_arguments_fail_closed(call):
