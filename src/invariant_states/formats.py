@@ -112,9 +112,9 @@ def dumps_verdict(verdict: SeparabilityVerdict) -> str:
     ``failures`` (each ``bound``, ``constraint``, ``value``),
     ``necessary_only`` (if set) and ``outcome``, in that sorted key order.
 
-    Written directly, one f-string per failure, as pieces joined once at
-    the end, with no dict per failure; the bytes are those of
-    :func:`canonical_json` on the equivalent nested dict."""
+    Written directly, leaf by leaf through :func:`canonical_json`, as
+    pieces joined once at the end, with no dict per failure; the bytes are
+    those of :func:`canonical_json` on the equivalent nested dict."""
     pieces: list[str] = []
     _verdict_pieces(verdict, pieces)
     pieces.append("\n")
@@ -128,25 +128,15 @@ def _verdict_pieces(verdict: SeparabilityVerdict, pieces: list[str]) -> None:
         _verdict_pieces(verdict.biseparable, pieces)
         pieces.append(",")
     pieces.append(f'"criterion":{canonical_json(verdict.criterion)},"failures":[')
-    pieces.extend(
-        f'{"," if i else ""}{{"bound":{_leaf(f.bound)},"constraint":{_leaf(f.constraint)},"value":{_leaf(f.value)}}}'
-        for i, f in enumerate(verdict.failures)
-    )
+    for i, f in enumerate(verdict.failures):
+        pieces.append(
+            f'{"," if i else ""}{{"bound":{canonical_json(f.bound)},'
+            f'"constraint":{canonical_json(f.constraint)},"value":{canonical_json(f.value)}}}'
+        )
     pieces.append("]")
     if verdict.necessary_only:
         pieces.append(',"necessary_only":true')
     pieces.append(f',"outcome":{canonical_json(verdict.outcome)}}}')
-
-
-def _leaf(value) -> str:
-    # canonical_json(value), the finite floats and the strings of a failure
-    # taken first, without its type dispatch
-    kind = type(value)
-    if kind is float and math.isfinite(value):
-        return format(value, ".17g")
-    if kind is str:
-        return encode_basestring(value)
-    return canonical_json(value)
 
 
 # ---------------------------------------------------------------------------

@@ -281,13 +281,6 @@ def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(2 * n, 2 * n)
 
 
-# the block of a pair left alone, shared; a view of a read-only array, so
-# no caller can make it writable
-_EYE = np.eye(2)
-_EYE.setflags(write=False)
-_EYE = _EYE[:]
-
-
 def _transposes(d: int, families) -> dict[int, tuple[np.ndarray, float]]:
     # the transposition block of each family, from one pair_forms call, and
     # its largest magnitude as a Python float, whose products never warn
@@ -312,7 +305,8 @@ def _transfer(mu: Bits, nu: Bits, d: int) -> np.ndarray:
             peak *= blocks[n][1]
     if peak == math.inf:
         raise _overflow(bits_str(mu), d)
-    return reduce(_kron2, [blocks[n][0] if m else _EYE for m, n in zip(mu, nu)])
+    eye = np.eye(2)
+    return reduce(_kron2, [blocks[n][0] if m else eye for m, n in zip(mu, nu)])
 
 
 def pt_matrix(mu: Iterable[int], nu: Iterable[int], d: int) -> np.ndarray:
@@ -441,7 +435,8 @@ def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
     k, d, f = desc.K, desc.d, desc.fidelities
     labels = _labels(k)
     blocks = _transposes(d, set(desc.sigma))
-    choices = [((_EYE, 1.0), blocks[s]) for s in desc.sigma]
+    eye = np.eye(2)
+    choices = [((eye, 1.0), blocks[s]) for s in desc.sigma]
     # prefix[i], peaks[i]: the product of the blocks of pairs 1..i+1 of the
     # current pattern, and the product of their peaks.  Overflow is decided
     # from the peaks, as in pt_matrix, not left to the product with the

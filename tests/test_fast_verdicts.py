@@ -174,6 +174,21 @@ def test_pt_matrix_is_bitwise_the_kron_product(k, d):
         assert not got.flags.writeable
 
 
+def test_writing_a_returned_transfer_leaves_later_transfers_alone():
+    # the K=1 identity transfer is the identity block itself; a caller who
+    # turns writing back on, through the array or its owner, changes only
+    # their own copy
+    desc = StateDescriptor(2, (0,), np.array([0.25, 0.75]))
+    for _ in range(2):
+        m = iv.pt_matrix((0,), (0,), 2)
+        owner = m if m.base is None else m.base
+        owner.setflags(write=True)
+        owner[...] = 5.0
+    assert _bits(iv.pt_matrix((0,), (0,), 2)) == _bits(np.eye(2))
+    assert _bits(iv.transform_fidelities(desc, (0,))) == _bits(desc.fidelities @ np.eye(2))
+    assert iv.check_ppt_all(desc) == reference_ppt_all(desc)
+
+
 @pytest.mark.parametrize("d", DIMS)
 @pytest.mark.parametrize("k", range(1, 8))
 def test_verdicts_are_bitwise_the_plain_routes(k, d):
