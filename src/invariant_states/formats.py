@@ -18,15 +18,17 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import struct
 from contextlib import contextmanager
+from itertools import repeat
 from json.encoder import encode_basestring
 
 import numpy as np
 
 from .bits import as_bits
-from .operators import Operator, _side
+from .operators import Operator, _Fresh, _side
 from .simplex import SeparabilityVerdict, StateDescriptor
 
 QOPB_MAGIC = b"QOPB"
@@ -41,13 +43,15 @@ def canonical_json(value) -> str:
     """Serialize dicts with string keys, lists, tuples and JSON scalars to
     deterministic JSON (sorted keys, 17-digit floats, no NaN or inf).
 
-    Strings are written by ``json.encoder.encode_basestring``, the encoder
-    that ``json.dumps(..., ensure_ascii=False)`` calls for them, without a
-    ``json.dumps`` call per string."""
+    A float is written by ``format(value, '.17g')``.  Strings are written by
+    ``json.encoder.encode_basestring``, the encoder that
+    ``json.dumps(..., ensure_ascii=False)`` calls for them, without a
+    ``json.dumps`` call per string.  :func:`dumps_verdict` writes its
+    failure columns by the same two rules."""
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"non-finite float {value!r} is not representable in JSON")
-        return format(value, ".17g")
+        return format(value, _FLOAT)
     if isinstance(value, str):
         return encode_basestring(value)
     if isinstance(value, dict):
@@ -56,6 +60,35 @@ def canonical_json(value) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(map(canonical_json, value)) + "]"
     return json.dumps(value, ensure_ascii=False)
+
+
+_FLOAT = ".17g"  # the format spec of every float
+
+
+def _column(items: tuple) -> list[str]:
+    # canonical_json of each item of a nonempty column: written once for a
+    # column of one object, as the bounds of PPT failures are, and in one
+    # pass over a column of finite floats or of strings; any other column
+    # is written leaf by leaf.  A finite sum means finite items.  Where 64
+    # items spread over a longer column repeat a float object, as the
+    # failures of check_polytope do, each distinct object is formatted
+    # once; objects, not values, so that 0.0 and -0.0 keep their own texts.
+    # Otherwise finding the distinct objects would cost about half as much
+    # as formatting them all.
+    if all(map(operator.is_, items, repeat(items[0]))):
+        return [canonical_json(items[0])] * len(items)
+    kinds = set(map(type, items))
+    if kinds == {float} and math.isfinite(sum(items)):
+        sample = items[:: len(items) // 64 or len(items)]
+        if len(set(map(id, sample))) == len(sample):
+            return list(map(float.__format__, items, repeat(_FLOAT)))
+        ids = list(map(id, items))
+        distinct = dict(zip(ids, items))
+        text = dict(zip(distinct, map(float.__format__, distinct.values(), repeat(_FLOAT))))
+        return list(map(text.__getitem__, ids))
+    if kinds == {str}:
+        return list(map(encode_basestring, items))
+    return list(map(canonical_json, items))
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +145,12 @@ def dumps_verdict(verdict: SeparabilityVerdict) -> str:
     ``failures`` (each ``bound``, ``constraint``, ``value``),
     ``necessary_only`` (if set) and ``outcome``, in that sorted key order.
 
-    Written directly, leaf by leaf through :func:`canonical_json`, as
-    pieces joined once at the end, with no dict per failure; the bytes are
-    those of :func:`canonical_json` on the equivalent nested dict."""
+    Written directly, with no dict per failure, as pieces joined once at
+    the end; the bytes are those of :func:`canonical_json` on the
+    equivalent nested dict.  The failures are written as three columns:
+    a column of finite floats, or of strings, is formatted in one pass by
+    the rules of :func:`canonical_json`, each distinct float object once,
+    and any other column leaf by leaf through it."""
     pieces: list[str] = []
     _verdict_pieces(verdict, pieces)
     pieces.append("\n")
@@ -128,11 +164,13 @@ def _verdict_pieces(verdict: SeparabilityVerdict, pieces: list[str]) -> None:
         _verdict_pieces(verdict.biseparable, pieces)
         pieces.append(",")
     pieces.append(f'"criterion":{canonical_json(verdict.criterion)},"failures":[')
-    for i, f in enumerate(verdict.failures):
-        pieces.append(
-            f'{"," if i else ""}{{"bound":{canonical_json(f.bound)},'
-            f'"constraint":{canonical_json(f.constraint)},"value":{canonical_json(f.value)}}}'
-        )
+    if verdict.failures:
+        constraints, values, bounds = zip(*verdict.failures)
+        # the pieces of every failure, then its three leaves in their slots
+        row = [',{"bound":', None, ',"constraint":', None, ',"value":', None, "}"] * len(bounds)
+        row[0] = '{"bound":'
+        row[1::7], row[3::7], row[5::7] = _column(bounds), _column(constraints), _column(values)
+        pieces += row
     pieces.append("]")
     if verdict.necessary_only:
         pieces.append(',"necessary_only":true')
@@ -187,8 +225,7 @@ def qopb_decode(data: bytes) -> Operator:
     # the payload starts at offset 13, so the view is unaligned; the single
     # copy made by astype is aligned and native-endian
     mat = np.frombuffer(data, dtype=_ENTRY, offset=_offset(0)).reshape(side, side).astype(np.complex128)
-    mat.setflags(write=False)  # handed to Operator without a copy
-    return Operator(d, n, mat)
+    return Operator(d, n, _Fresh(mat))
 
 
 def qopb_write_entries(path, d: int, n: int, positions: np.ndarray, values: np.ndarray) -> None:

@@ -58,15 +58,32 @@ def _side(d, n) -> int:
     return d**n
 
 
+class _Fresh:
+    """An array handed over by the code that has just made it and keeps no
+    other reference to it, so that :func:`_readonly` freezes it in place
+    instead of copying it: a dense result is never held twice."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def _readonly(values, dtype) -> np.ndarray:
     """``values`` as a read-only C-contiguous ``dtype`` array that no caller
-    can write: the input itself if it is already such an array owning its
-    data, otherwise a copy.  Complex input to a real dtype is rejected."""
+    can write: always a copy, since even a read-only array can be made
+    writable again by its owner, except for the array in a :class:`_Fresh`
+    of that dtype and layout, which is frozen and kept.  Complex input to
+    a real dtype is rejected."""
+    if type(values) is _Fresh:
+        a = values.array
+        if a.dtype == dtype and a.flags.c_contiguous and a.flags.owndata:
+            a.setflags(write=False)
+            return a
+        values = a
     a = np.asarray(values)
     if np.iscomplexobj(a) and not np.issubdtype(dtype, np.complexfloating):
         raise ValueError(f"expected real values, got {a.dtype} entries")
-    if a.dtype == dtype and a.flags.c_contiguous and a.flags.owndata and not a.flags.writeable:
-        return a
     out = np.array(a, dtype=dtype, order="C")
     out.setflags(write=False)
     return out

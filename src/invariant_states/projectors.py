@@ -56,17 +56,27 @@ def pair_forms(d: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gives a value (at worst inf) rather than an OverflowError.
     """
     d = float(dimension(d))
+    transpose = np.array(_transpose_entries(d, s)).reshape(2, 2)
     if s == 0:
         return (
             np.array([[0.5, 0.5], [0.5, -0.5]]),
             np.array([d * (d + 1.0) / 2, d * (d - 1.0) / 2]),
-            np.array([[d - 1.0, 1.0], [d + 1.0, -1.0]]) / d,
+            transpose,
         )
     return (
         np.array([[1.0, -1.0 / d], [0.0, 1.0 / d]]),
         np.array([(d - 1.0) * (d + 1.0), 1.0]),
-        np.array([[1.0, 1.0], [1.0 + d, 1.0 - d]]) / 2,
+        transpose,
     )
+
+
+def _transpose_entries(d: float, s: int) -> list[float]:
+    # the transpose block of pair_forms, row by row, as Python floats (the
+    # same quotients numpy forms), for a validated d given as a float; on
+    # its own so that the transfer layer need not build the other forms
+    if s == 0:
+        return [(d - 1.0) / d, 1.0 / d, (d + 1.0) / d, -1.0 / d]
+    return [1.0 / 2, 1.0 / 2, (1.0 + d) / 2, (1.0 - d) / 2]
 
 
 def _pair_block(d: int, s: int, a: int) -> Operator:

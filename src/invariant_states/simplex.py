@@ -22,17 +22,20 @@ transposition pattern transposes the second member of pair i (slot K+i).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Optional
+from itertools import repeat
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .bits import Bits, all_vectors, as_bits, bits_str, label
+from .bits import Bits, as_bits, bits_str, label
 from .operators import (
     HERMITICITY_ATOL,
     Operator,
     Rng,
+    _Fresh,
     _haar_sample,
     _integer,
     _readonly,
@@ -44,7 +47,7 @@ from .operators import (
     projector_onto,
     tensor_product,
 )
-from .projectors import moment_expansion, pair_forms
+from .projectors import _transpose_entries, moment_expansion, pair_forms
 
 FIDELITY_NEG_ATOL = 1e-12
 FIDELITY_SUM_ATOL = 1e-10
@@ -175,8 +178,7 @@ def synthesize(desc: StateDescriptor) -> Operator:
     side = desc.d ** (2 * desc.K)
     mat = np.zeros((side, side), dtype=np.complex128)
     mat.reshape(-1)[positions] = values
-    mat.setflags(write=False)  # handed to Operator without a copy
-    return Operator(desc.d, 2 * desc.K, mat)
+    return Operator(desc.d, 2 * desc.K, _Fresh(mat))
 
 
 def _kron_stack(factors: np.ndarray) -> np.ndarray:
@@ -254,8 +256,7 @@ def mc_twirl(rho: Operator, sigma: Iterable[int], samples: int, rng: Rng) -> Ope
         for term in one:
             terms += term.reshape(h, h, h, h).transpose(1, 0, 3, 2)
     acc /= samples
-    acc.setflags(write=False)  # handed to Operator without a copy
-    return Operator(d, 2 * k, acc)
+    return Operator(d, 2 * k, _Fresh(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -263,50 +264,58 @@ def mc_twirl(rho: Operator, sigma: Iterable[int], samples: int, rng: Rng) -> Ope
 
 
 def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.kron(a, b) for a 2 x 2 b: the same products a[r, c] * b[i, j] in
-    # the interleaved output.  Up to an 8-sided a, one broadcast multiply
-    # writes them all; above that it is the slower form, so one strided
-    # multiply per entry of b (on a 2-vCPU Xeon VM: 2 against 5 us up to 8
-    # sides, 16 against 8 us at 32, 57 against 15 at 64).  No product can
-    # overflow: the callers rule that out first, from the blocks' peaks
-    # (see pt_matrix).
-    n = a.shape[0]
-    out = np.empty((n, 2, n, 2))
-    if n <= 8:
-        np.multiply(a, b[:, :, None, None], out=out.transpose(1, 3, 0, 2))
+    # np.kron(a[x], b[y]) at index x * len(b) + y, for a stack a of n x n
+    # and a stack b of 2 x 2 matrices: the same products a[x, r, c] *
+    # b[y, i, j] in the interleaved output.  Up to 2048 output entries, one
+    # broadcast multiply writes them all; above that it is the slower form,
+    # so one strided multiply per entry of each b (on a 2-vCPU Xeon VM, one
+    # 16-sided a: 13 against 16 us, two: 17 against 26, four: 31 against
+    # 28; one 32-sided a: 33 against 17, one 64-sided: 111 against 25).  No
+    # product can overflow: the callers rule that out first, from the
+    # blocks' peaks (see pt_matrix).
+    m, n, _ = a.shape
+    c = b.shape[0]
+    out = np.empty((m, c, n, 2, n, 2))
+    if out.size <= 2048:
+        np.multiply(a[:, None, None, None], b[None, :, :, :, None, None], out=out.transpose(0, 1, 3, 5, 2, 4))
     else:
-        for i in range(2):
-            for j in range(2):
-                np.multiply(a, b[i, j], out=out[:, i, :, j])
-    return out.reshape(2 * n, 2 * n)
+        for y in range(c):
+            for i in range(2):
+                for j in range(2):
+                    np.multiply(a, b[y, i, j], out=out[:, y, :, i, :, j])
+    return out.reshape(m * c, 2 * n, 2 * n)
 
 
-def _transposes(d: int, families) -> dict[int, tuple[np.ndarray, float]]:
-    # the transposition block of each family, from one pair_forms call, and
-    # its largest magnitude as a Python float, whose products never warn
-    blocks = {}
-    for s in families:
-        t = pair_forms(d, s)[2]
-        blocks[s] = t, max(map(abs, t.ravel().tolist()))
-    return blocks
+def _transposes(d: int) -> tuple[np.ndarray, list[float]]:
+    # stack[s] holds the two transfer blocks of family s, the identity and
+    # the transposition block, and peaks[s] the latter's largest magnitude
+    # as a Python float, whose products never warn
+    d = float(d)
+    werner, isotropic = _transpose_entries(d, 0), _transpose_entries(d, 1)
+    stack = np.array([1.0, 0.0, 0.0, 1.0, *werner, 1.0, 0.0, 0.0, 1.0, *isotropic]).reshape(2, 2, 2, 2)
+    return stack, [max(map(abs, werner)), max(map(abs, isotropic))]
+
+
+# the fidelities of a descriptor sum to 1 within 1e-10 and none is below
+# -1e-12, so their magnitudes sum to less than 2 for every K up to 12, and
+# every partial sum of their product with a transfer whose entries are at
+# most this in magnitude stays below the largest float, whatever the order
+_SAFE_PEAK = 2.0**1022
 
 
 def _overflow(name: str, d: int) -> ValueError:
     return ValueError(f"transfer of mu={name} overflows at d = {float(d):.3g}")
 
 
-def _transfer(mu: Bits, nu: Bits, d: int) -> np.ndarray:
-    # pt_matrix for validated arguments, not yet read-only; ValueError
-    # before any product if an entry would overflow
-    blocks = _transposes(d, {n for m, n in zip(mu, nu) if m})
-    peak = 1.0
-    for m, n in zip(mu, nu):
-        if m:
-            peak *= blocks[n][1]
+def _transfer(mu: Bits, nu: Bits, d: int) -> tuple[np.ndarray, float]:
+    # pt_matrix for validated arguments, not yet read-only, and the product
+    # of its blocks' peaks; ValueError before any product if an entry would
+    # overflow
+    stack, peaks = _transposes(d)
+    peak = math.prod(peaks[n] for m, n in zip(mu, nu) if m)
     if peak == math.inf:
         raise _overflow(bits_str(mu), d)
-    eye = np.eye(2)
-    return reduce(_kron2, [blocks[n][0] if m else eye for m, n in zip(mu, nu)])
+    return reduce(_kron2, [stack[n, m : m + 1] for m, n in zip(mu, nu)])[0], peak
 
 
 def pt_matrix(mu: Iterable[int], nu: Iterable[int], d: int) -> np.ndarray:
@@ -333,7 +342,7 @@ def pt_matrix(mu: Iterable[int], nu: Iterable[int], d: int) -> np.ndarray:
     """
     mu = as_bits(mu, name="mu")
     nu = as_bits(nu, len(mu), "nu")
-    mat = _transfer(mu, nu, dimension(d))
+    mat = _transfer(mu, nu, dimension(d))[0]
     mat.setflags(write=False)
     return mat
 
@@ -350,7 +359,9 @@ def transform_fidelities(desc: StateDescriptor, mu: Iterable[int]) -> np.ndarray
     the fidelities with a finite transfer does.
     """
     mu = as_bits(mu, desc.K, "mu")
-    mat = _transfer(mu, desc.sigma, desc.d)
+    mat, peak = _transfer(mu, desc.sigma, desc.d)
+    if peak <= _SAFE_PEAK:
+        return desc.fidelities @ mat
     with np.errstate(over="ignore", invalid="ignore"):
         t = desc.fidelities @ mat
     if not np.isfinite(t).all():
@@ -362,8 +373,11 @@ def transform_fidelities(desc: StateDescriptor, mu: Iterable[int]) -> np.ndarray
 # separability criteria
 
 
-@dataclass(frozen=True)
-class ConstraintFailure:
+class ConstraintFailure(NamedTuple):
+    """One violated inequality: its name, the value found and the bound
+    that value broke.  A named tuple, so it unpacks as, and compares equal
+    to, the plain tuple ``(constraint, value, bound)``."""
+
     constraint: str
     value: float
     bound: float
@@ -394,13 +408,15 @@ class SeparabilityVerdict:
 
 def _labels(k: int) -> list[str]:
     # the bit label of every fidelity index, in index order
-    return [label(i, k) for i in range(2**k)]
+    return list(map(label, range(2**k), repeat(k)))
 
 
-def _ppt_failures(t: np.ndarray, name: str, labels: list[str]) -> list[ConstraintFailure]:
-    idx = np.flatnonzero(t < -PPT_ATOL)
-    head = f"mu={name},alpha="
-    return [ConstraintFailure(head + labels[i], v, 0.0) for i, v in zip(idx.tolist(), t[idx].tolist())]
+def _failures(heads, rows, labels, cols, values, bounds) -> tuple[ConstraintFailure, ...]:
+    # one failure per position of the columns rows and cols, named
+    # heads[row] + labels[col], with its value and bound: C-level maps
+    # over the columns and one tuple per failure, no Python frame each
+    names = map(operator.add, map(heads.__getitem__, rows), map(labels.__getitem__, cols))
+    return tuple(map(tuple.__new__, repeat(ConstraintFailure), zip(names, values, bounds)))
 
 
 def check_ppt(desc: StateDescriptor, mu: Iterable[int]) -> SeparabilityVerdict:
@@ -411,8 +427,11 @@ def check_ppt(desc: StateDescriptor, mu: Iterable[int]) -> SeparabilityVerdict:
     """
     mu = as_bits(mu, desc.K, "mu")
     name = bits_str(mu)
-    failures = _ppt_failures(transform_fidelities(desc, mu), name, _labels(desc.K))
-    return SeparabilityVerdict(f"ppt:{name}", tuple(failures))
+    t = transform_fidelities(desc, mu)
+    cols = np.flatnonzero(t < -PPT_ATOL)
+    heads = [f"mu={name},alpha="]
+    failures = _failures(heads, repeat(0), _labels(desc.K), cols.tolist(), t[cols].tolist(), repeat(0.0))
+    return SeparabilityVerdict(f"ppt:{name}", failures)
 
 
 def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
@@ -426,44 +445,74 @@ def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
     The result equals that of :func:`check_ppt` over the patterns in
     :func:`.bits.all_vectors` order, bit for bit, at less cost, and so
     does the error of the first pattern whose transfer overflows.  The
-    blocks are fetched once per family.  Consecutive patterns share a
-    prefix of pairs, so a stack keeps the Kronecker product of each prefix
-    and the product of its peaks (see :func:`pt_matrix`), and only the
-    products past the first changed pair are redone: 2^(K+1) - 4 products
-    of the 2 x 2 kernel in all, instead of (K - 1) 2^K.
+    blocks are fetched once per family.  Patterns are taken in stacks of
+    2^j that share their leading K - j pairs, j = min(K, 3), or less where
+    a stack would hold more than 2^20 entries (from K = 9 on): a walk over
+    those prefixes keeps the Kronecker product of each and redoes only the
+    products past the first changed pair, each stack is that prefix times
+    every choice of the last j blocks, and one stacked product with the
+    fidelities fills its transformed rows, each bitwise ``f @ M`` of its
+    transfer M.  The failures come from one scan of the (2^K, 2^K) rows.
+
+    Overflow is decided from the blocks' peaks, as in :func:`pt_matrix`,
+    not left to the product with the fidelities: a BLAS may skip zero
+    fidelities and never meet an inf entry.  A pattern's peak is the
+    left-to-right product of the peaks of its transposed pairs, so the
+    all-ones pattern has the largest; only if that overflows are the
+    patterns' peaks formed, and no transfer from the first overflowing
+    pattern on is multiplied.  The error names the first pattern whose
+    peak or transformed row is not finite.
     """
     k, d, f = desc.K, desc.d, desc.fidelities
+    size = 2**k
     labels = _labels(k)
-    blocks = _transposes(d, set(desc.sigma))
-    eye = np.eye(2)
-    choices = [((eye, 1.0), blocks[s]) for s in desc.sigma]
-    # prefix[i], peaks[i]: the product of the blocks of pairs 1..i+1 of the
-    # current pattern, and the product of their peaks.  Overflow is decided
-    # from the peaks, as in pt_matrix, not left to the product with the
-    # fidelities: a BLAS may skip zero fidelities and never meet an inf entry.
-    prefix, peaks = [None] * k, [1.0] * k
-    failures = []
+    stack, peaks = _transposes(d)
+    choices = [stack[s] for s in desc.sigma]
+    # pairs covered by the prefix walk, and patterns per stack
+    lead = k - max(0, min(k, 3, _STACK_BITS - 2 * k))
+    width = size >> lead
+    rows = np.empty((size, size))
+    prefix = [None] * lead
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, name in enumerate(labels):
-            # patterns n - 1 and n differ in their last bit_length(n ^ (n - 1))
-            # pairs, so only those prefixes are redone
-            for i in range(k - (n ^ (n - 1)).bit_length() if n else 0, k):
-                block, peak = choices[i][n >> (k - 1 - i) & 1]
-                if i:
-                    peak = peaks[i - 1] * peak
-                    if peak == math.inf:
-                        raise _overflow(name, d)
-                    block = _kron2(prefix[i - 1], block)
-                prefix[i], peaks[i] = block, peak
-            t = f @ prefix[-1]
-            if not np.isfinite(t).all():
-                raise _overflow(name, d)
-            last = _ppt_failures(t, name, labels)
-            failures.extend(last)
+        stop = _first_overflow([peaks[s] for s in desc.sigma])
+        for g in range(-(-stop // width)):
+            # prefixes g - 1 and g differ in their last bit_length(g ^ (g - 1)) pairs
+            for i in range(lead - (g ^ (g - 1)).bit_length() if g else 0, lead):
+                bit = g >> (lead - 1 - i) & 1
+                block = choices[i][bit : bit + 1]
+                prefix[i] = _kron2(prefix[i - 1], block) if i else block
+            transfers = prefix[-1] if lead else choices[0]
+            for i in range(max(lead, 1), k):
+                transfers = _kron2(transfers, choices[i])
+            lo = g * width
+            hi = min(lo + width, stop)
+            np.matmul(f, transfers[: hi - lo], out=rows[lo:hi])
+        finite = np.isfinite(rows[:stop]).all(axis=1)
+    if stop < size or not finite.all():
+        raise _overflow(labels[stop if finite.all() else int(np.argmin(finite))], d)
+    mask = rows < -PPT_ATOL
+    patterns, cols = np.nonzero(mask)
+    heads = [f"mu={name},alpha=" for name in labels]
+    failures = _failures(heads, patterns.tolist(), labels, cols.tolist(), rows[mask].tolist(), repeat(0.0))
     # labels ends with the all-ones pattern, the biseparability test
-    return SeparabilityVerdict(
-        "ppt-all", tuple(failures), biseparable=SeparabilityVerdict("bisep", tuple(last))
-    )
+    last = failures[len(failures) - int(np.count_nonzero(mask[-1])) :]
+    return SeparabilityVerdict("ppt-all", failures, biseparable=SeparabilityVerdict("bisep", last))
+
+
+# a stack of transfers in check_ppt_all holds at most 2**_STACK_BITS
+# entries (8 MiB)
+_STACK_BITS = 20
+
+
+def _first_overflow(peaks: list[float]) -> int:
+    # the index of the first pattern whose peak overflows, or 2^K if none
+    # does; under the caller's errstate, as the peaks' products may overflow
+    if math.prod(peaks) < math.inf:
+        return 2 ** len(peaks)
+    products = np.ones(1)
+    for peak in peaks:
+        products = np.multiply.outer(products, [1.0, peak]).reshape(-1)
+    return int(np.argmax(products == math.inf))
 
 
 def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:
@@ -476,7 +525,7 @@ def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:
     verdict is flagged ``necessary_only``.
     """
     k, f = desc.K, desc.fidelities
-    vectors = np.array(list(all_vectors(k)))
+    vectors = np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1) & 1
     weight = vectors.sum(axis=1)
     overlap = vectors @ np.array(desc.sigma)
     # Python float powers: numpy's array ** can differ from them in the last
@@ -485,17 +534,17 @@ def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:
     ratios = np.array([(2.0 / desc.d) ** o for o in range(k + 1)])
     bound = halves[weight] * ratios[overlap]
     labels, values, bounds = _labels(k), f.tolist(), bound.tolist()
-    failures = [
-        ConstraintFailure(f"bound,alpha={labels[i]}", values[i], bounds[i])
-        for i in np.flatnonzero(f > bound + PPT_ATOL).tolist()
-    ]
-    order = (weight[:, None] > weight[None, :]) & (f[:, None] > f[None, :] + PPT_ATOL)
-    rows, cols = np.nonzero(order)
-    failures.extend(
-        ConstraintFailure(f"order,alpha={labels[i]},beta={labels[j]}", values[i], values[j])
-        for i, j in zip(rows.tolist(), cols.tolist())
+    # one float object per fidelity and per bound, shared by every failure
+    # that prints it
+    cols = np.flatnonzero(f > bound + PPT_ATOL).tolist()
+    failures = _failures(
+        ["bound,alpha="], repeat(0), labels, cols, map(values.__getitem__, cols), map(bounds.__getitem__, cols)
     )
-    return SeparabilityVerdict("polytope", tuple(failures), necessary_only=True)
+    order = (weight[:, None] > weight[None, :]) & (f[:, None] > f[None, :] + PPT_ATOL)
+    rows, cols = (a.tolist() for a in np.nonzero(order))
+    heads = [f"order,alpha={name},beta=" for name in labels]
+    failures += _failures(heads, rows, labels, cols, map(values.__getitem__, rows), map(values.__getitem__, cols))
+    return SeparabilityVerdict("polytope", failures, necessary_only=True)
 
 
 # ---------------------------------------------------------------------------

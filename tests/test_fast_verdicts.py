@@ -22,7 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import invariant_states as iv
-from invariant_states import ConstraintFailure, SeparabilityVerdict, StateDescriptor, formats
+from invariant_states import ConstraintFailure, SeparabilityVerdict, StateDescriptor, formats, simplex
 from invariant_states.bits import bits_str, label
 from invariant_states.projectors import pair_forms
 from invariant_states.simplex import PPT_ATOL
@@ -208,6 +208,63 @@ def test_verdicts_are_bitwise_the_plain_routes(k, d):
         assert formats.dumps_verdict(got) == reference_dumps_verdict(want)
 
 
+@pytest.mark.parametrize("k", range(1, 8))
+def test_stacked_transfers_and_products_are_bitwise_the_per_pattern_ones(k):
+    """The stacked route of check_ppt_all: the Kronecker kernel on stacks
+    gives every transfer in pattern order, each bitwise np.kron of its
+    blocks, and the stacked product with the fidelities, in stacks of 8
+    as check_ppt_all takes them, gives each row bitwise f @ M."""
+    for d in DIMS:
+        stack, _ = simplex._transposes(d)
+        for desc in _points(d, k, seed=2000 * k + d):
+            transfers = reduce(simplex._kron2, [stack[s] for s in desc.sigma])
+            width = min(2**k, 8)
+            rows = np.empty((2**k, 2**k))
+            for lo in range(0, 2**k, width):
+                np.matmul(desc.fidelities, transfers[lo : lo + width], out=rows[lo : lo + width])
+            for n, mu in enumerate(iv.all_vectors(k)):
+                assert _bits(transfers[n]) == _bits(reference_pt_matrix(mu, desc.sigma, d))
+                assert _bits(rows[n]) == _bits(reference_transform(desc, mu))
+
+
+@pytest.mark.parametrize("bits", [10, 11, 12, 13])
+def test_narrower_stacks_give_the_same_verdicts(bits, monkeypatch):
+    """From K = 9 on a stack of 8 transfers would pass the stack cap, and
+    check_ppt_all takes 4, 2 or single transfers; a lower cap exercises
+    those widths at K = 5..7."""
+    monkeypatch.setattr(simplex, "_STACK_BITS", bits)
+    for k in (5, 6, 7):
+        for desc in list(_points(3, k, seed=3000 * k + bits))[:2]:
+            got, want = iv.check_ppt_all(desc), reference_ppt_all(desc)
+            assert got.failures == want.failures and got.biseparable.failures == want.biseparable.failures
+            assert formats.dumps_verdict(got) == reference_dumps_verdict(want)
+
+
+@pytest.mark.parametrize("sigma", [(1, 1, 0), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1, 0, 1, 0)])
+def test_the_peak_rule_raises_before_any_product_with_an_overflowing_transfer(sigma, monkeypatch):
+    """On a one-hot point f @ M reads only row 0 of each transfer, which is
+    finite at any d, so a BLAS that skips zero fidelities would let the
+    point pass.  The error must name the first pattern whose peak, the
+    left-to-right product of its transposed pairs' peaks, overflows, and
+    no transfer with a non-finite entry may reach a product."""
+    d, k = 10**300, len(sigma)
+    peaks = [float(np.abs(pair_forms(d, s)[2]).max()) for s in sigma]
+    first = next(
+        mu for mu in iv.all_vectors(k) if reduce(operator.mul, [p for p, m in zip(peaks, mu) if m], 1.0) == math.inf
+    )
+    finite_operands = []
+    matmul = np.matmul
+
+    def spy(a, b, **kwargs):
+        finite_operands.append(bool(np.isfinite(b).all()))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    desc = StateDescriptor(d, sigma, np.eye(2**k)[0])
+    assert _outcome(iv.check_ppt_all, desc) == f"transfer of mu={bits_str(first)} overflows at d = 1e+300"
+    assert finite_operands and all(finite_operands)
+
+
 def test_points_fail_every_kind_of_constraint():
     # guard against a point set on which the comparison above is vacuous
     kinds = set()
@@ -334,17 +391,91 @@ def test_verdict_strings_are_escaped_as_json_dumps(text):
 def test_criteria_and_writer_leave_no_garbage():
     """One call of each at K=7 allocates no reference cycle, so nothing is
     left for the cyclic collector (a recursive closure would leave its
-    frames and arrays there)."""
+    frames and arrays there): the criteria and their failure builder, the
+    transfer route, and the writer's one-pass, shared-float and
+    leaf-by-leaf columns."""
     gen = np.random.default_rng(7)
     desc = StateDescriptor(3, (1, 0, 1, 1, 0, 0, 1), gen.dirichlet(np.ones(128)))
+    mixed = SeparabilityVerdict("mixed", tuple(ConstraintFailure("é", i, np.float64(-0.5)) for i in range(100)))
     for _ in range(2):  # the first round warms up
         gc.collect()
         gc.disable()
         try:
-            verdicts = [iv.check_ppt_all(desc), iv.check_polytope(desc)]
+            verdicts = [iv.check_ppt_all(desc), iv.check_polytope(desc), iv.check_ppt(desc, (1,) * 7), mixed]
+            transforms = [iv.transform_fidelities(desc, (1, 0) * 3 + (1,)), iv.pt_matrix((1,) * 7, desc.sigma, 3)]
             printed = [formats.dumps_verdict(v) for v in verdicts]
             found = gc.collect()
         finally:
             gc.enable()
     assert found == 0
     assert len(verdicts[0].failures) > 1000 and printed[1].count("order,") > 100
+    assert verdicts[2].failures and len(transforms) == 2 and printed[3].count('"é"') == 100
+
+
+def test_constraint_failure_is_a_named_tuple():
+    by_position = ConstraintFailure("mu=1,alpha=1", -0.25, 0.0)
+    by_keyword = ConstraintFailure(bound=0.0, value=-0.25, constraint="mu=1,alpha=1")
+    assert by_position == by_keyword == ("mu=1,alpha=1", -0.25, 0.0)
+    assert (by_position.constraint, by_position.value, by_position.bound) == tuple(by_position)
+    name, value, bound = by_position
+    assert (name, value, bound) == by_position and hash(by_position) == hash(("mu=1,alpha=1", -0.25, 0.0))
+    assert repr(by_position) == "ConstraintFailure(constraint='mu=1,alpha=1', value=-0.25, bound=0.0)"
+    with pytest.raises(AttributeError):
+        by_position.value = 1.0
+    with pytest.raises(TypeError):
+        by_position[1] = 1.0
+    with pytest.raises(TypeError):
+        ConstraintFailure("mu=1,alpha=1", -0.25)
+    # the failures the criteria build are instances, with Python leaves
+    desc = StateDescriptor(2, (0, 1), np.array([0.1, 0.1, 0.1, 0.7]))
+    verdicts = iv.check_ppt_all(desc), iv.check_polytope(desc), iv.check_ppt(desc, (1, 1))
+    for failure in sum((v.failures for v in verdicts), ()):
+        assert type(failure) is ConstraintFailure
+        assert list(map(type, failure)) == [str, float, float]
+
+
+# a pool of leaves, each reused by object: signed zeros, a subnormal, the
+# float extremes, the 17-digit integer edge, Python and numpy numbers, and
+# escaped and non-ASCII strings
+_POOL = (
+    0.0, -0.0, 5e-324, -1.7976931348623157e308, 1e16, 0.1, -1.0 / 3, 1, -7, True, False, np.float64(-0.0),
+    np.float64(2.0 / 3), "mu=01,alpha=10", "é\u2028", '"\\/\x00', "\U0001f600",
+)
+_FLOATS = tuple(x for x in _POOL if type(x) is float)
+_TEXTS = tuple(x for x in _POOL if type(x) is str)
+
+
+@given(
+    columns=st.sampled_from([_POOL, _FLOATS, _TEXTS]).flatmap(
+        lambda pool: st.tuples(*[st.lists(st.sampled_from(pool), min_size=150, max_size=150)] * 3)
+    ),
+    size=st.sampled_from([1, 5, 63, 64, 65, 150]),
+)
+def test_failure_columns_are_canonical_json_per_leaf(columns, size):
+    """Columns of shared finite floats, of strings and of mixed leaves,
+    short and long enough to be sampled, print what canonical_json prints
+    leaf by leaf."""
+    failures = tuple(ConstraintFailure(*leaves) for leaves in zip(*(c[:size] for c in columns)))
+    verdict = SeparabilityVerdict("columns", failures, necessary_only=True)
+    assert formats.dumps_verdict(verdict) == reference_dumps_verdict(verdict)
+
+
+def test_failure_columns_keep_each_signed_zero_object():
+    # 0.0 and -0.0 are equal and hash alike, so float objects are shared by
+    # identity, never by value
+    zeros = [0.0, -0.0] * 50
+    verdict = SeparabilityVerdict("zeros", tuple(ConstraintFailure("z", z, z) for z in zeros))
+    printed = formats.dumps_verdict(verdict)
+    assert printed == reference_dumps_verdict(verdict) and printed.count('"value":-0') == 50
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.inf)])
+def test_failure_columns_reject_non_finite_floats(bad):
+    # the last item of a column, and every item of a column of one object
+    for size in (1, 100):
+        for failures in (
+            (ConstraintFailure("c", 0.5, 0.5),) * (size - 1) + (ConstraintFailure("c", bad, 0.5),),
+            (ConstraintFailure("c", bad, 0.5),) * size,
+        ):
+            with pytest.raises(ValueError, match="non-finite float"):
+                formats.dumps_verdict(SeparabilityVerdict("bad", failures))

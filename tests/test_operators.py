@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import invariant_states as iv
-from invariant_states import Operator, Rng
+from invariant_states import Operator, Rng, formats
+from invariant_states.operators import _Fresh
 
 
 def member(d, s, a):
@@ -64,10 +65,33 @@ def test_operator_copies_arrays_it_does_not_own():
     op = Operator(2, 2, view)
     m[0, 0] = 3.0
     assert op.mat[0, 0] == 2.0 and not op.mat.flags.writeable
-    # a read-only array that owns its data is held as it is
+    # so is a read-only array that owns its data, whose owner can make it
+    # writable again
     frozen = np.eye(4, dtype=complex)
     frozen.setflags(write=False)
-    assert Operator(2, 2, frozen).mat is frozen
+    assert Operator(2, 2, frozen).mat is not frozen
+
+
+def test_a_read_only_array_made_writable_again_never_reaches_an_operator():
+    m = np.eye(4, dtype=complex) / 4
+    m.setflags(write=False)
+    op = Operator(2, 2, m)
+    m.setflags(write=True)
+    m[0, 0] = 7
+    assert op.trace() == 1
+
+
+def test_fresh_results_are_frozen_in_place_not_copied():
+    # the library's own dense results are handed over without a copy
+    fresh = np.eye(4, dtype=complex)
+    op = Operator(2, 2, _Fresh(fresh))
+    assert op.mat is fresh and not fresh.flags.writeable
+    desc = iv.StateDescriptor(2, (0, 1), [0.25] * 4)
+    rho = iv.synthesize(desc)
+    for op in (rho, iv.mc_twirl(rho, (0, 1), 2, Rng(0)), formats.qopb_decode(formats.qopb_encode(rho))):
+        assert op.mat.flags.owndata and not op.mat.flags.writeable
+    # an array of another dtype or layout is copied as any other
+    assert Operator(2, 2, _Fresh(np.eye(4))).mat.dtype == np.complex128
 
 
 def test_scale_is_bounded_before_any_allocation():

@@ -111,6 +111,15 @@ def test_descriptor_copies_the_callers_fidelities():
     assert iv.check_ppt(desc, (1,)) == iv.check_ppt(StateDescriptor(2, (0,), [0.5, 0.5]), (1,))
 
 
+def test_a_read_only_array_made_writable_again_never_reaches_a_descriptor():
+    f = np.array([0.25, 0.75])
+    f.setflags(write=False)
+    desc = StateDescriptor(2, (0,), f)
+    f.setflags(write=True)
+    f[0] = 7.0
+    assert desc.fidelities.tolist() == [0.25, 0.75] and not desc.fidelities.flags.writeable
+
+
 # --- fidelity extraction and synthesis -------------------------------------
 
 
