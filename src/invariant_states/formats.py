@@ -109,7 +109,7 @@ def dumps_descriptor(desc: StateDescriptor) -> str:
 def parse_descriptor(text: str) -> StateDescriptor:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter from deep nesting
         raise ValueError(f"invalid descriptor JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError("descriptor JSON must be an object")

@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .bits import Bits, as_bits, bits_str, label
+from .bits import Bits, all_vectors, as_bits, bits_str, label
 from .operators import (
     HERMITICITY_ATOL,
     Operator,
@@ -307,6 +307,15 @@ def _overflow(name: str, d: int) -> ValueError:
     return ValueError(f"transfer of mu={name} overflows at d = {float(d):.3g}")
 
 
+def _transfers(stack: np.ndarray, sigma: Bits, head: Bits) -> np.ndarray:
+    # the transfers of every pattern that starts with head, in pattern
+    # order: the left-to-right Kronecker product of the block head_i of
+    # family sigma_i for each pair head fixes, and of both blocks of the
+    # family for each pair after it
+    blocks = [stack[s, m : m + 1] for s, m in zip(sigma, head)] + [stack[s] for s in sigma[len(head) :]]
+    return reduce(_kron2, blocks)
+
+
 def _transfer(mu: Bits, nu: Bits, d: int) -> tuple[np.ndarray, float]:
     # pt_matrix for validated arguments, not yet read-only, and the product
     # of its blocks' peaks; ValueError before any product if an entry would
@@ -315,7 +324,7 @@ def _transfer(mu: Bits, nu: Bits, d: int) -> tuple[np.ndarray, float]:
     peak = math.prod(peaks[n] for m, n in zip(mu, nu) if m)
     if peak == math.inf:
         raise _overflow(bits_str(mu), d)
-    return reduce(_kron2, [stack[n, m : m + 1] for m, n in zip(mu, nu)])[0], peak
+    return _transfers(stack, nu, mu)[0], peak
 
 
 def pt_matrix(mu: Iterable[int], nu: Iterable[int], d: int) -> np.ndarray:
@@ -338,7 +347,9 @@ def pt_matrix(mu: Iterable[int], nu: Iterable[int], d: int) -> np.ndarray:
     Rounding is monotone, so the product of the peaks, taken in the same
     order, bounds every entry and is one entry's magnitude: it overflows
     exactly when some entry does, and then ValueError is raised, as in
-    :func:`transform_fidelities`.
+    :func:`transform_fidelities`.  Each transposed pair can only raise the
+    peak, so the all-ones pattern's is the largest; at most 2^1022, no
+    product with valid fidelities can overflow either.
     """
     mu = as_bits(mu, name="mu")
     nu = as_bits(nu, len(mu), "nu")
@@ -354,16 +365,16 @@ def transform_fidelities(desc: StateDescriptor, mu: Iterable[int]) -> np.ndarray
     sum to 1 but may be negative; a negative entry certifies that the
     transposed operator is not positive semidefinite.  For a d so large
     that the transfer overflows, it raises ValueError instead of returning
-    non-finite entries: when an entry of :func:`pt_matrix` would (decided
-    from the blocks' peaks, before any product), and when the product of
-    the fidelities with a finite transfer does.
+    non-finite entries: when an entry of :func:`pt_matrix` would (by its
+    peak rule), and when the product of the fidelities with a finite
+    transfer does.
     """
     mu = as_bits(mu, desc.K, "mu")
     mat, peak = _transfer(mu, desc.sigma, desc.d)
     if peak <= _SAFE_PEAK:
-        return desc.fidelities @ mat
+        return np.matmul(desc.fidelities, mat)
     with np.errstate(over="ignore", invalid="ignore"):
-        t = desc.fidelities @ mat
+        t = np.matmul(desc.fidelities, mat)
     if not np.isfinite(t).all():
         raise _overflow(bits_str(mu), desc.d)
     return t
@@ -438,58 +449,34 @@ def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
     """PPT under every transposition pattern; the full-separability test.
 
     An invariant state is separable into all 2K parties exactly when all
-    2^K patterns pass.  The all-ones sub-verdict doubles as the
-    biseparability test (separability across the cut grouping all first
-    members) and is reported alongside.
+    2^K patterns pass: its coordinate at vertex alpha of the simplex of
+    twirled fully product states is a positive multiple of the all-ones
+    entry of pattern not(alpha), and a separable state is PPT.  The
+    all-ones sub-verdict doubles as the biseparability test (separability
+    across the cut grouping all first members) and is reported alongside.
 
-    The result equals that of :func:`check_ppt` over the patterns in
-    :func:`.bits.all_vectors` order, bit for bit, at less cost, and so
-    does the error of the first pattern whose transfer overflows.  The
-    blocks are fetched once per family.  Patterns are taken in stacks of
-    2^j that share their leading K - j pairs, j = min(K, 3), or less where
-    a stack would hold more than 2^20 entries (from K = 9 on): a walk over
-    those prefixes keeps the Kronecker product of each and redoes only the
-    products past the first changed pair, each stack is that prefix times
-    every choice of the last j blocks, and one stacked product with the
-    fidelities fills its transformed rows, each bitwise ``f @ M`` of its
-    transfer M.  The failures come from one scan of the (2^K, 2^K) rows.
-
-    Overflow is decided from the blocks' peaks, as in :func:`pt_matrix`,
-    not left to the product with the fidelities: a BLAS may skip zero
-    fidelities and never meet an inf entry.  A pattern's peak is the
-    left-to-right product of the peaks of its transposed pairs, so the
-    all-ones pattern has the largest; only if that overflows are the
-    patterns' peaks formed, and no transfer from the first overflowing
-    pattern on is multiplied.  The error names the first pattern whose
-    peak or transformed row is not finite.
+    The result, and the error of the first pattern whose transfer
+    overflows, equal those of :func:`check_ppt` over the patterns in
+    :func:`.bits.all_vectors` order, bit for bit.  Patterns go in stacks
+    of 2^j that share their leading K - j pairs, j = min(K, 3), or less
+    where a stack would hold more than 2^20 entries (from K = 9 on): one
+    Kronecker walk and one stacked product with the fidelities per stack.
+    Only if the all-ones pattern's peak (see :func:`pt_matrix`), the
+    largest, is above 2^1022, which takes a d near the float range, are
+    the patterns transformed one at a time by :func:`transform_fidelities`.
     """
-    k, d, f = desc.K, desc.d, desc.fidelities
+    k, f = desc.K, desc.fidelities
     size = 2**k
     labels = _labels(k)
-    stack, peaks = _transposes(d)
-    choices = [stack[s] for s in desc.sigma]
-    # pairs covered by the prefix walk, and patterns per stack
-    lead = k - max(0, min(k, 3, _STACK_BITS - 2 * k))
-    width = size >> lead
-    rows = np.empty((size, size))
-    prefix = [None] * lead
-    with np.errstate(over="ignore", invalid="ignore"):
-        stop = _first_overflow([peaks[s] for s in desc.sigma])
-        for g in range(-(-stop // width)):
-            # prefixes g - 1 and g differ in their last bit_length(g ^ (g - 1)) pairs
-            for i in range(lead - (g ^ (g - 1)).bit_length() if g else 0, lead):
-                bit = g >> (lead - 1 - i) & 1
-                block = choices[i][bit : bit + 1]
-                prefix[i] = _kron2(prefix[i - 1], block) if i else block
-            transfers = prefix[-1] if lead else choices[0]
-            for i in range(max(lead, 1), k):
-                transfers = _kron2(transfers, choices[i])
-            lo = g * width
-            hi = min(lo + width, stop)
-            np.matmul(f, transfers[: hi - lo], out=rows[lo:hi])
-        finite = np.isfinite(rows[:stop]).all(axis=1)
-    if stop < size or not finite.all():
-        raise _overflow(labels[stop if finite.all() else int(np.argmin(finite))], d)
+    stack, peaks = _transposes(desc.d)
+    if math.prod(peaks[s] for s in desc.sigma) <= _SAFE_PEAK:
+        # leading pairs fixed per stack
+        lead = k - max(0, min(k, 3, _STACK_BITS - 2 * k))
+        rows = np.empty((size, size))
+        for head, out in zip(all_vectors(lead), rows.reshape(2**lead, -1, size)):
+            np.matmul(f, _transfers(stack, desc.sigma, head), out=out)
+    else:
+        rows = np.array([transform_fidelities(desc, mu) for mu in all_vectors(k)])
     mask = rows < -PPT_ATOL
     patterns, cols = np.nonzero(mask)
     heads = [f"mu={name},alpha=" for name in labels]
@@ -502,17 +489,6 @@ def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
 # a stack of transfers in check_ppt_all holds at most 2**_STACK_BITS
 # entries (8 MiB)
 _STACK_BITS = 20
-
-
-def _first_overflow(peaks: list[float]) -> int:
-    # the index of the first pattern whose peak overflows, or 2^K if none
-    # does; under the caller's errstate, as the peaks' products may overflow
-    if math.prod(peaks) < math.inf:
-        return 2 ** len(peaks)
-    products = np.ones(1)
-    for peak in peaks:
-        products = np.multiply.outer(products, [1.0, peak]).reshape(-1)
-    return int(np.argmax(products == math.inf))
 
 
 def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:

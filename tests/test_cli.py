@@ -228,6 +228,11 @@ def test_twirl_directory_input_fails_closed(tmp_path, capsys):
                      id="integer-fidelity-beyond-float-range"),
         pytest.param('"d":1' + "0" * 400 + ',"K":1,"sigma":[0],"fidelities":[0.5,0.5]',
                      "float range", id="d-beyond-float-range"),
+        # json.loads runs out of recursion depth long before the end
+        pytest.param('"d":' + "[" * 200000, "invalid descriptor JSON: maximum recursion depth",
+                     id="deeply-nested-array"),
+        pytest.param('"d":' + '{"a":' * 200000, "invalid descriptor JSON: maximum recursion depth",
+                     id="deeply-nested-object"),
     ],
 )
 def test_check_malformed_descriptor_fails_closed(tmp_path, capsys, field, expected):

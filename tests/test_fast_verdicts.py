@@ -141,19 +141,21 @@ def _peak(d: float, k: int) -> float:
     return reduce(operator.mul, [(1.0 + d) / 2] * k)
 
 
-def _edge_dims(k: int) -> tuple[int, int]:
-    """The largest d whose peak product over k isotropic pairs is finite
-    (within a few ulps of the float maximum), and the next float up, whose
-    product overflows."""
-    d = 2.0 * sys.float_info.max ** (1.0 / k)
-    while _peak(d, k) == math.inf:
+def _edge_dims(k: int, limit: float = sys.float_info.max) -> tuple[int, int]:
+    """The largest d whose peak product over k isotropic pairs is at most
+    limit (by default finite: within a few ulps of the float maximum), and
+    the next float up, whose product is above it."""
+    d = 2.0 * limit ** (1.0 / k)
+    while not _peak(d, k) <= limit:
         d = math.nextafter(d, 0.0)
-    while _peak(math.nextafter(d, math.inf), k) < math.inf:
+    while _peak(math.nextafter(d, math.inf), k) <= limit:
         d = math.nextafter(d, math.inf)
     return int(d), int(math.nextafter(d, math.inf))
 
 
 EDGES = {k: _edge_dims(k) for k in range(2, 8)}
+# where check_ppt_all leaves its stacked route for the pattern-by-pattern one
+SAFE_EDGES = {k: _edge_dims(k, simplex._SAFE_PEAK) for k in range(2, 8)}
 
 
 @pytest.mark.parametrize("d", DIMS + (10**100, 10**150, 10**300) + sum(EDGES.values(), ()))
@@ -265,6 +267,26 @@ def test_the_peak_rule_raises_before_any_product_with_an_overflowing_transfer(si
     assert finite_operands and all(finite_operands)
 
 
+def test_stacks_stay_under_the_cap_at_k9(monkeypatch):
+    """At K = 9 a stack of 8 transfers would hold 2^21 entries; the stacks
+    check_ppt_all multiplies hold 2^20, and the verdict is the per-pattern one."""
+    desc = StateDescriptor(3, (1, 0, 1, 1, 0, 0, 1, 0, 1), np.random.default_rng(9).dirichlet(np.ones(2**9)))
+    sizes = []
+    matmul = np.matmul
+
+    def spy(a, b, **kwargs):
+        sizes.append(b.size)
+        return matmul(a, b, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "matmul", spy)
+        got = iv.check_ppt_all(desc)
+    assert sizes == [2**20] * 2**7
+    want = [iv.check_ppt(desc, mu) for mu in iv.all_vectors(9)]
+    assert got.failures == sum((v.failures for v in want), ()) and got.failures
+    assert got.biseparable.failures == want[-1].failures
+
+
 def test_points_fail_every_kind_of_constraint():
     # guard against a point set on which the comparison above is vacuous
     kinds = set()
@@ -314,10 +336,11 @@ def test_pt_matrix_overflow_raises_without_a_warning(mu):
 
 
 def _edge_points():
-    # at both sides of each overflow edge: a spread point, and a point
-    # whose fidelity of the all-ones member sits just above 1, so that the
-    # product with a finite transfer overflows at the largest finite peak
-    for k, dims in EDGES.items():
+    # at both sides of each overflow and route edge: a spread point, and a
+    # point whose fidelity of the all-ones member sits just above 1, so
+    # that the product with a finite transfer overflows at the largest
+    # finite peak
+    for k, dims in [*EDGES.items(), *SAFE_EDGES.items()]:
         for d in dims:
             for sigma in ((1,) * k, (0,) + (1,) * (k - 1), (1,) * (k - 1) + (0,)):
                 yield StateDescriptor(d, sigma, np.full(2**k, 2.0**-k))
@@ -347,8 +370,9 @@ def test_transform_and_ppt_all_raise_exactly_where_the_reference_overflows(desc)
 
 def test_edge_points_raise_on_both_routes():
     # guard against an edge set on which the comparison above is vacuous:
-    # every edge pair has a point that passes and one whose transfer or
-    # product overflows, from the matrix and from the product alone
+    # every overflow edge pair has a point that passes and one whose
+    # transfer or product overflows, from the matrix and from the product
+    # alone
     by_route = set()
     for desc in _edge_points():
         for mu in iv.all_vectors(desc.K):
@@ -360,6 +384,10 @@ def test_edge_points_raise_on_both_routes():
             else:
                 by_route.add((desc.K, "finite"))
     assert by_route == {(k, route) for k in EDGES for route in ("finite", "matrix", "product")}
+    # and the route edges straddle the all-ones peak that picks the route
+    for k, (below, above) in SAFE_EDGES.items():
+        peaks = [math.prod([simplex._transposes(d)[1][1]] * k) for d in (below, above)]
+        assert peaks[0] <= simplex._SAFE_PEAK < peaks[1]
 
 
 # control, escape, non-ASCII, line-separator, lone-surrogate and astral characters

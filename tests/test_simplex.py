@@ -7,7 +7,7 @@ import pytest
 import invariant_states as iv
 from invariant_states import Rng, StateDescriptor, all_vectors
 from invariant_states.bits import bits_str, xor
-from invariant_states.simplex import extract_fidelities, maximally_mixed_pair
+from invariant_states.simplex import PPT_ATOL, extract_fidelities, maximally_mixed_pair
 
 
 def random_descriptor(d, k, sigma, seed):
@@ -457,6 +457,49 @@ def test_check_ppt_all_reports_biseparability():
     assert not embedded.satisfied
     assert embedded.criterion == "bisep"
     assert embedded.failures == iv.check_ppt(entangled, (1, 1)).failures
+
+
+def _separable_coordinates(desc):
+    """Barycentric coordinates p = f @ (x)_i B_i^-1 among the twirled fully
+    product vertices, extremal_fidelities at overlaps in {0,1}^K."""
+    inverses = {0: np.array([[1.0, 0.0], [-1.0, 2.0]]), 1: np.array([[1.0, 0.0], [1.0 - desc.d, desc.d]])}
+    return desc.fidelities @ reduce(np.kron, [inverses[s] for s in desc.sigma])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+@pytest.mark.parametrize("k", range(1, 8))
+def test_separable_coordinates_are_the_all_ones_entries_of_the_patterns(k, d):
+    """p[alpha] = c_alpha t_not(alpha)[1...1], where t_mu is
+    transform_fidelities(desc, mu) and c_alpha = prod_i (d if alpha_i =
+    sigma_i else 2): each column of B_i^-1 is that multiple of a column of
+    the identity or of the transposition block.
+    Passing every pattern therefore makes p >= 0, so check_ppt_all
+    decides full separability, as p >= 0 does."""
+    gen = np.random.default_rng(100 * k + d)
+    sigma = tuple(int(b) for b in gen.integers(0, 2, k))
+    vertices = np.array([iv.extremal_fidelities(sigma, a, d) for a in all_vectors(k)])
+    points = [
+        gen.dirichlet(np.ones(2**k)),
+        gen.dirichlet(np.full(2**k, 0.2)),
+        iv.extremal_fidelities(sigma, gen.uniform(0, 1, k), d),
+        gen.dirichlet(np.ones(2**k)) @ vertices,
+        0.5 * gen.dirichlet(np.ones(2**k)) @ vertices + 0.5 * gen.dirichlet(np.ones(2**k)),
+        np.eye(2**k)[-1],
+    ]
+    scale = np.array([np.prod([d if a == s else 2 for a, s in zip(alpha, sigma)]) for alpha in all_vectors(k)])
+    outcomes = set()
+    for f in points:
+        desc = StateDescriptor(d, sigma, f / f.sum())
+        p = _separable_coordinates(desc) / scale
+        last = [iv.transform_fidelities(desc, tuple(1 - a for a in alpha))[-1] for alpha in all_vectors(k)]
+        # 1e-15 absolute up to magnitude 1; the all-ones member's entries
+        # reach ((d-1)/2)^K in magnitude, and its bound scales with them
+        np.testing.assert_allclose(p, last, rtol=0, atol=1e-15 * max(1.0, np.abs(last).max()))
+        satisfied = iv.check_ppt_all(desc).satisfied
+        assert bool(np.all(p >= -PPT_ATOL)) == satisfied
+        outcomes.add(satisfied)
+    # the vertex mixtures are separable, the all-ones family member is not
+    assert outcomes == {True, False}
 
 
 def test_maximally_mixed_passes_everything():
