@@ -109,8 +109,12 @@ def dumps_descriptor(desc: StateDescriptor) -> str:
 def parse_descriptor(text: str) -> StateDescriptor:
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter from deep nesting
-        raise ValueError(f"invalid descriptor JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # besides malformed text: an integer literal past Python's digit
+        # limit, whose advice to raise the limit is no use here, and deep
+        # nesting
+        reason = str(exc).partition("; use sys.set_int_max_str_digits()")[0]
+        raise ValueError(f"invalid descriptor JSON: {reason}") from exc
     if not isinstance(data, dict):
         raise ValueError("descriptor JSON must be an object")
     missing = {"version", "d", "K", "sigma", "fidelities"} - set(data)

@@ -8,9 +8,9 @@ used throughout this module:
 
 * states map to points of a (2^K - 1)-simplex (:class:`StateDescriptor`);
 * group averaging (twirling) maps any state to its fidelity vector;
-* partial transposition of selected pairs acts on fidelities through
-  small transfer matrices obtained as Kronecker products of two 2 x 2
-  blocks; positivity of the transformed vector is the PPT test;
+* partial transposition of selected pairs acts on fidelities through one
+  2 x 2 block per transposed pair, along that pair's bit; positivity of
+  the transformed vector is the PPT test;
 * extremal fully product states land on computable points, whose convex
   hull gives linear inequality bounds (necessary separability conditions).
 
@@ -263,43 +263,18 @@ def mc_twirl(rho: Operator, sigma: Iterable[int], samples: int, rng: Rng) -> Ope
 # fidelity transfer under partial transposition
 
 
-def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.kron(a[x], b[y]) at index x * len(b) + y, for a stack a of n x n
-    # and a stack b of 2 x 2 matrices: the same products a[x, r, c] *
-    # b[y, i, j] in the interleaved output.  Up to 2048 output entries, one
-    # broadcast multiply writes them all; above that it is the slower form,
-    # so one strided multiply per entry of each b (on a 2-vCPU Xeon VM, one
-    # 16-sided a: 13 against 16 us, two: 17 against 26, four: 31 against
-    # 28; one 32-sided a: 33 against 17, one 64-sided: 111 against 25).  No
-    # product can overflow: the callers rule that out first, from the
-    # blocks' peaks (see pt_matrix).
-    m, n, _ = a.shape
-    c = b.shape[0]
-    out = np.empty((m, c, n, 2, n, 2))
-    if out.size <= 2048:
-        np.multiply(a[:, None, None, None], b[None, :, :, :, None, None], out=out.transpose(0, 1, 3, 5, 2, 4))
-    else:
-        for y in range(c):
-            for i in range(2):
-                for j in range(2):
-                    np.multiply(a, b[y, i, j], out=out[:, y, :, i, :, j])
-    return out.reshape(m * c, 2 * n, 2 * n)
-
-
 def _transposes(d: int) -> tuple[np.ndarray, list[float]]:
-    # stack[s] holds the two transfer blocks of family s, the identity and
-    # the transposition block, and peaks[s] the latter's largest magnitude
-    # as a Python float, whose products never warn
+    # the transposition block of each family, and its largest magnitude as
+    # a Python float, whose products never warn
     d = float(d)
     werner, isotropic = _transpose_entries(d, 0), _transpose_entries(d, 1)
-    stack = np.array([1.0, 0.0, 0.0, 1.0, *werner, 1.0, 0.0, 0.0, 1.0, *isotropic]).reshape(2, 2, 2, 2)
-    return stack, [max(map(abs, werner)), max(map(abs, isotropic))]
+    return np.array(werner + isotropic).reshape(2, 2, 2), [max(map(abs, werner)), max(map(abs, isotropic))]
 
 
 # the fidelities of a descriptor sum to 1 within 1e-10 and none is below
 # -1e-12, so their magnitudes sum to less than 2 for every K up to 12, and
-# every partial sum of their product with a transfer whose entries are at
-# most this in magnitude stays below the largest float, whatever the order
+# no partial sum of their product with a transfer, or with part of one,
+# whose entries are at most this in magnitude can reach the largest float
 _SAFE_PEAK = 2.0**1022
 
 
@@ -307,24 +282,30 @@ def _overflow(name: str, d: int) -> ValueError:
     return ValueError(f"transfer of mu={name} overflows at d = {float(d):.3g}")
 
 
-def _transfers(stack: np.ndarray, sigma: Bits, head: Bits) -> np.ndarray:
-    # the transfers of every pattern that starts with head, in pattern
-    # order: the left-to-right Kronecker product of the block head_i of
-    # family sigma_i for each pair head fixes, and of both blocks of the
-    # family for each pair after it
-    blocks = [stack[s, m : m + 1] for s, m in zip(sigma, head)] + [stack[s] for s in sigma[len(head) :]]
-    return reduce(_kron2, blocks)
-
-
-def _transfer(mu: Bits, nu: Bits, d: int) -> tuple[np.ndarray, float]:
-    # pt_matrix for validated arguments, not yet read-only, and the product
-    # of its blocks' peaks; ValueError before any product if an entry would
-    # overflow
-    stack, peaks = _transposes(d)
+def _peak(mu: Bits, nu: Bits, peaks: list[float], d: int) -> float:
+    # the peak rule of pt_matrix: ValueError if the left-to-right product
+    # of the transposed pairs' peaks overflows
     peak = math.prod(peaks[n] for m, n in zip(mu, nu) if m)
     if peak == math.inf:
         raise _overflow(bits_str(mu), d)
-    return _transfers(stack, nu, mu)[0], peak
+    return peak
+
+
+def _step(x: np.ndarray, block: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    # one pair's block along the next-to-last axis, elementwise: out[..., c, :]
+    # = x[..., 0, :] * block[0, c] + x[..., 1, :] * block[1, c]
+    out = np.multiply(x[..., :1, :], block[0, :, None], out=out)
+    out += x[..., 1:, :] * block[1, :, None]
+    return out
+
+
+def _kernel(f: np.ndarray, mu: Bits, sigma: Bits, blocks: np.ndarray) -> np.ndarray:
+    # f times the transfer of mu: one step along axis i of f.reshape((2,) * K)
+    # for each i with mu_i = 1, first pair first; f itself if there is none
+    for i, (m, s) in enumerate(zip(mu, sigma)):
+        if m:
+            f = _step(f.reshape(2**i, 2, -1), blocks[s]).reshape(-1)
+    return f
 
 
 def pt_matrix(mu: Iterable[int], nu: Iterable[int], d: int) -> np.ndarray:
@@ -333,27 +314,26 @@ def pt_matrix(mu: Iterable[int], nu: Iterable[int], d: int) -> np.ndarray:
     Returns the read-only real 2^K x 2^K matrix whose row alpha expands the
     mu-transposed normalized projector alpha of family nu in the target
     family xor(mu, nu).  Every row sums to 1, but entries may be negative,
-    which is what makes the PPT test nontrivial.  It is the Kronecker
-    product over pairs, first pair most significant, of the identity
-    where mu_i = 0 and of the transposition block of family nu_i in
-    :func:`.projectors.pair_forms` where mu_i = 1.  The product is taken
-    left to right with a 2 x 2 Kronecker kernel, so every entry is
-    bitwise that of ``reduce(np.kron, blocks)``.
+    which is what makes the PPT test nontrivial.  It is
+    ``reduce(np.kron, blocks)``, first pair most significant, of the
+    identity where mu_i = 0 and of the transposition block of family nu_i
+    in :func:`.projectors.pair_forms` where mu_i = 1: the oracle of
+    :func:`transform_fidelities`, which never builds it.
 
-    Overflow is decided before any entry is computed.  Every entry is a
-    left-to-right product of one entry per block, and every block's
-    largest magnitude, its peak, is at least 1: 1 for the identity,
-    (d+1)/d for a Werner-split and (d+1)/2 for an isotropic transposition.
-    Rounding is monotone, so the product of the peaks, taken in the same
-    order, bounds every entry and is one entry's magnitude: it overflows
-    exactly when some entry does, and then ValueError is raised, as in
-    :func:`transform_fidelities`.  Each transposed pair can only raise the
-    peak, so the all-ones pattern's is the largest; at most 2^1022, no
-    product with valid fidelities can overflow either.
+    The peak rule decides overflow before any entry is computed.  Every
+    entry is a left-to-right product of one entry per block, each block's
+    largest magnitude, its peak, is at least 1 ((d+1)/d for a Werner-split
+    and (d+1)/2 for an isotropic transposition), and rounding is monotone,
+    so the product of the peaks in the same order is one entry's magnitude
+    and bounds every other: ValueError is raised exactly when some entry
+    overflows.  The all-ones pattern's peak is the largest; at most 2^1022,
+    no product with valid fidelities can overflow either.
     """
     mu = as_bits(mu, name="mu")
     nu = as_bits(nu, len(mu), "nu")
-    mat = _transfer(mu, nu, dimension(d))[0]
+    blocks, peaks = _transposes(dimension(d))
+    _peak(mu, nu, peaks, d)
+    mat = reduce(np.kron, [blocks[n] if m else np.eye(2) for m, n in zip(mu, nu)])
     mat.setflags(write=False)
     return mat
 
@@ -361,20 +341,24 @@ def pt_matrix(mu: Iterable[int], nu: Iterable[int], d: int) -> np.ndarray:
 def transform_fidelities(desc: StateDescriptor, mu: Iterable[int]) -> np.ndarray:
     """Fidelity vector of the mu-partial transpose of a described state.
 
-    The result lives in the family xor(mu, desc.sigma).  Entries always
-    sum to 1 but may be negative; a negative entry certifies that the
-    transposed operator is not positive semidefinite.  For a d so large
-    that the transfer overflows, it raises ValueError instead of returning
-    non-finite entries: when an entry of :func:`pt_matrix` would (by its
-    peak rule), and when the product of the fidelities with a finite
-    transfer does.
+    The result, a new array, lives in the family xor(mu, desc.sigma).
+    Entries always sum to 1 but may be negative; a negative entry
+    certifies that the transposed operator is not positive semidefinite.
+    It is ``desc.fidelities @ pt_matrix(mu, desc.sigma, desc.d)`` up to
+    rounding, computed pair by pair: each transposed pair's 2 x 2 block
+    acts along its own axis of the fidelities seen as a (2,) * K array,
+    by elementwise products and sums, so IEEE arithmetic fixes every bit.
+    It raises ValueError where the transfer overflows by the peak rule of
+    :func:`pt_matrix`, before any step, and where the result is not finite.
     """
     mu = as_bits(mu, desc.K, "mu")
-    mat, peak = _transfer(mu, desc.sigma, desc.d)
-    if peak <= _SAFE_PEAK:
-        return np.matmul(desc.fidelities, mat)
+    f = desc.fidelities
+    blocks, peaks = _transposes(desc.d)
+    if _peak(mu, desc.sigma, peaks, desc.d) <= _SAFE_PEAK:
+        t = _kernel(f, mu, desc.sigma, blocks)
+        return f.copy() if t is f else t
     with np.errstate(over="ignore", invalid="ignore"):
-        t = np.matmul(desc.fidelities, mat)
+        t = _kernel(f, mu, desc.sigma, blocks)
     if not np.isfinite(t).all():
         raise _overflow(bits_str(mu), desc.d)
     return t
@@ -457,24 +441,24 @@ def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
 
     The result, and the error of the first pattern whose transfer
     overflows, equal those of :func:`check_ppt` over the patterns in
-    :func:`.bits.all_vectors` order, bit for bit.  Patterns go in stacks
-    of 2^j that share their leading K - j pairs, j = min(K, 3), or less
-    where a stack would hold more than 2^20 entries (from K = 9 on): one
-    Kronecker walk and one stacked product with the fidelities per stack.
-    Only if the all-ones pattern's peak (see :func:`pt_matrix`), the
-    largest, is above 2^1022, which takes a d near the float range, are
-    the patterns transformed one at a time by :func:`transform_fidelities`.
+    :func:`.bits.all_vectors` order, bit for bit.  The patterns grow one
+    pair at a time: at pair i, each pattern keeps its row for mu_i = 0 and
+    gains, for mu_i = 1, the step along axis i that
+    :func:`transform_fidelities` takes.  Only if the all-ones pattern's
+    peak (see :func:`pt_matrix`), the largest, is above 2^1022, which takes
+    a d near the float range, are the patterns transformed one at a time.
     """
     k, f = desc.K, desc.fidelities
     size = 2**k
     labels = _labels(k)
-    stack, peaks = _transposes(desc.d)
+    blocks, peaks = _transposes(desc.d)
     if math.prod(peaks[s] for s in desc.sigma) <= _SAFE_PEAK:
-        # leading pairs fixed per stack
-        lead = k - max(0, min(k, 3, _STACK_BITS - 2 * k))
+        # before pair i, the row of pattern p is rows[p * 2^(k - i)]
         rows = np.empty((size, size))
-        for head, out in zip(all_vectors(lead), rows.reshape(2**lead, -1, size)):
-            np.matmul(f, _transfers(stack, desc.sigma, head), out=out)
+        rows[0] = f
+        for i, s in enumerate(desc.sigma):
+            grid = rows.reshape(2**i, 2, 2 ** (k - i - 1), 2**i, 2, -1)
+            _step(grid[:, 0, 0], blocks[s], grid[:, 1, 0])
     else:
         rows = np.array([transform_fidelities(desc, mu) for mu in all_vectors(k)])
     mask = rows < -PPT_ATOL
@@ -484,11 +468,6 @@ def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
     # labels ends with the all-ones pattern, the biseparability test
     last = failures[len(failures) - int(np.count_nonzero(mask[-1])) :]
     return SeparabilityVerdict("ppt-all", failures, biseparable=SeparabilityVerdict("bisep", last))
-
-
-# a stack of transfers in check_ppt_all holds at most 2**_STACK_BITS
-# entries (8 MiB)
-_STACK_BITS = 20
 
 
 def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:

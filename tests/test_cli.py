@@ -233,6 +233,11 @@ def test_twirl_directory_input_fails_closed(tmp_path, capsys):
                      id="deeply-nested-array"),
         pytest.param('"d":' + '{"a":' * 200000, "invalid descriptor JSON: maximum recursion depth",
                      id="deeply-nested-object"),
+        # integer literals past Python's 4300-digit limit for int parsing
+        pytest.param('"d":1' + "0" * 4999 + ',"K":1,"sigma":[0],"fidelities":[0.5,0.5]',
+                     "invalid descriptor JSON: Exceeds the limit", id="5000-digit-d"),
+        pytest.param('"d":2,"K":1,"sigma":[0],"fidelities":[1' + "0" * 4999 + ',0]',
+                     "invalid descriptor JSON: Exceeds the limit", id="5000-digit-fidelity"),
     ],
 )
 def test_check_malformed_descriptor_fails_closed(tmp_path, capsys, field, expected):
@@ -241,6 +246,7 @@ def test_check_malformed_descriptor_fails_closed(tmp_path, capsys, field, expect
     code, out, err = run(capsys, "check", "--in", str(path), "--criterion", "ppt-all", "--strict")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and expected in err
+    assert "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize("criterion", ["ppt-all", "bisep", "polytope"])

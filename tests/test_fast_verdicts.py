@@ -1,11 +1,14 @@
 """The transfer and verdict layers pinned bit for bit against their plain routes.
 
 The references below are the straightforward forms of the same
-computations: transfer matrices as ``reduce(np.kron, blocks)``, the
-all-patterns PPT test as one single-pattern test per pattern with
-``float`` per failure, and canonical JSON with one ``json.dumps`` per
-string and a dict per verdict and failure.  The library's kernels must
-return the same float bits and print the same bytes.
+computations: transfer matrices as ``reduce(np.kron, blocks)``,
+transformed fidelities as a loop over Python floats that applies each
+transposed pair's 2 x 2 block along its own axis, the all-patterns PPT
+test as one single-pattern test per pattern with ``float`` per failure,
+and canonical JSON with one ``json.dumps`` per string and a dict per
+verdict and failure.  The library's kernels must return the same float
+bits and print the same bytes.  The Kronecker product with the
+fidelities, a BLAS product, is the oracle within a rounding bound.
 """
 
 import gc
@@ -35,11 +38,28 @@ def reference_pt_matrix(mu, nu, d):
 
 
 def reference_transform(desc, mu):
+    """Pair by pair, first pair first: t[.., c, ..] = t[.., 0, ..] * B[0][c] +
+    t[.., 1, ..] * B[1][c] along axis i for each transposed pair i, in
+    Python floats.  It raises if the transfer has a non-finite entry, and
+    if the result is not finite."""
+    error = ValueError(f"transfer of mu={bits_str(mu)} overflows at d = {float(desc.d):.3g}")
     with np.errstate(over="ignore", invalid="ignore"):
-        t = desc.fidelities @ reference_pt_matrix(mu, desc.sigma, desc.d)
-    if not np.all(np.isfinite(t)):
-        raise ValueError(f"transfer of mu={bits_str(mu)} overflows at d = {float(desc.d):.3g}")
-    return t
+        if not np.all(np.isfinite(reference_pt_matrix(mu, desc.sigma, desc.d))):
+            raise error
+    k, t = desc.K, desc.fidelities.tolist()
+    for i, (m, s) in enumerate(zip(mu, desc.sigma)):
+        if not m:
+            continue
+        b = pair_forms(desc.d, s)[2].tolist()
+        half = 2 ** (k - 1 - i)
+        for lo in range(0, 2**k, 2 * half):
+            for j in range(lo, lo + half):
+                x0, x1 = t[j], t[j + half]
+                t[j] = x0 * b[0][0] + x1 * b[1][0]
+                t[j + half] = x0 * b[0][1] + x1 * b[1][1]
+    if not all(map(math.isfinite, t)):
+        raise error
+    return np.array(t)
 
 
 def reference_ppt(desc, mu):
@@ -211,80 +231,78 @@ def test_verdicts_are_bitwise_the_plain_routes(k, d):
 
 
 @pytest.mark.parametrize("k", range(1, 8))
-def test_stacked_transfers_and_products_are_bitwise_the_per_pattern_ones(k):
-    """The stacked route of check_ppt_all: the Kronecker kernel on stacks
-    gives every transfer in pattern order, each bitwise np.kron of its
-    blocks, and the stacked product with the fidelities, in stacks of 8
-    as check_ppt_all takes them, gives each row bitwise f @ M."""
+def test_transforms_are_within_rounding_of_the_kron_oracle(k):
+    """Each entry of the pair-by-pair transform lies within (3K + 2^K) eps
+    (|f| @ |M|) of f @ M, M the Kronecker transfer: each of at most K
+    steps rounds two products and a sum, and the product with M sums 2^K
+    terms."""
+    eps = np.finfo(float).eps
     for d in DIMS:
-        stack, _ = simplex._transposes(d)
         for desc in _points(d, k, seed=2000 * k + d):
-            transfers = reduce(simplex._kron2, [stack[s] for s in desc.sigma])
-            width = min(2**k, 8)
-            rows = np.empty((2**k, 2**k))
-            for lo in range(0, 2**k, width):
-                np.matmul(desc.fidelities, transfers[lo : lo + width], out=rows[lo : lo + width])
-            for n, mu in enumerate(iv.all_vectors(k)):
-                assert _bits(transfers[n]) == _bits(reference_pt_matrix(mu, desc.sigma, d))
-                assert _bits(rows[n]) == _bits(reference_transform(desc, mu))
-
-
-@pytest.mark.parametrize("bits", [10, 11, 12, 13])
-def test_narrower_stacks_give_the_same_verdicts(bits, monkeypatch):
-    """From K = 9 on a stack of 8 transfers would pass the stack cap, and
-    check_ppt_all takes 4, 2 or single transfers; a lower cap exercises
-    those widths at K = 5..7."""
-    monkeypatch.setattr(simplex, "_STACK_BITS", bits)
-    for k in (5, 6, 7):
-        for desc in list(_points(3, k, seed=3000 * k + bits))[:2]:
-            got, want = iv.check_ppt_all(desc), reference_ppt_all(desc)
-            assert got.failures == want.failures and got.biseparable.failures == want.biseparable.failures
-            assert formats.dumps_verdict(got) == reference_dumps_verdict(want)
+            for mu in iv.all_vectors(k):
+                m = reference_pt_matrix(mu, desc.sigma, d)
+                bound = (3 * k + 2**k) * eps * (np.abs(desc.fidelities) @ np.abs(m))
+                error = np.abs(iv.transform_fidelities(desc, mu) - desc.fidelities @ m)
+                assert np.all(error <= bound)
 
 
 @pytest.mark.parametrize("sigma", [(1, 1, 0), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1, 0, 1, 0)])
-def test_the_peak_rule_raises_before_any_product_with_an_overflowing_transfer(sigma, monkeypatch):
-    """On a one-hot point f @ M reads only row 0 of each transfer, which is
-    finite at any d, so a BLAS that skips zero fidelities would let the
-    point pass.  The error must name the first pattern whose peak, the
-    left-to-right product of its transposed pairs' peaks, overflows, and
-    no transfer with a non-finite entry may reach a product."""
+def test_the_peak_rule_raises_before_any_step_of_an_overflowing_pattern(sigma, monkeypatch):
+    """On a one-hot point the steps of the first pattern whose peak, the
+    left-to-right product of its transposed pairs' peaks, overflows still
+    give finite values, so a kernel that ran on would let the point pass.
+    The patterns before it are transformed in order; it takes no step,
+    and the error names it."""
     d, k = 10**300, len(sigma)
     peaks = [float(np.abs(pair_forms(d, s)[2]).max()) for s in sigma]
+    patterns = list(iv.all_vectors(k))
     first = next(
-        mu for mu in iv.all_vectors(k) if reduce(operator.mul, [p for p, m in zip(peaks, mu) if m], 1.0) == math.inf
+        n for n, mu in enumerate(patterns)
+        if reduce(operator.mul, [p for p, m in zip(peaks, mu) if m], 1.0) == math.inf
     )
-    finite_operands = []
-    matmul = np.matmul
+    transformed = []
+    kernel = simplex._kernel
 
-    def spy(a, b, **kwargs):
-        finite_operands.append(bool(np.isfinite(b).all()))
-        return matmul(a, b, **kwargs)
+    def spy(f, mu, *args):
+        transformed.append(mu)
+        return kernel(f, mu, *args)
 
-    monkeypatch.setattr(np, "matmul", spy)
+    monkeypatch.setattr(simplex, "_kernel", spy)
     desc = StateDescriptor(d, sigma, np.eye(2**k)[0])
-    assert _outcome(iv.check_ppt_all, desc) == f"transfer of mu={bits_str(first)} overflows at d = 1e+300"
-    assert finite_operands and all(finite_operands)
+    assert _outcome(iv.check_ppt_all, desc) == f"transfer of mu={bits_str(patterns[first])} overflows at d = 1e+300"
+    assert transformed == patterns[:first]
 
 
-def test_stacks_stay_under_the_cap_at_k9(monkeypatch):
-    """At K = 9 a stack of 8 transfers would hold 2^21 entries; the stacks
-    check_ppt_all multiplies hold 2^20, and the verdict is the per-pattern one."""
+def test_transforms_and_criteria_never_call_matmul(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.matmul called")
+
+    monkeypatch.setattr(np, "matmul", refuse)
+    # the all-ones peak at 2 * 10**154 is about 1e308, above _SAFE_PEAK
+    for d in (3, 2 * 10**154):
+        desc = StateDescriptor(d, (1, 0, 1), np.random.default_rng(3).dirichlet(np.ones(8)))
+        for mu in iv.all_vectors(3):
+            _outcome(iv.transform_fidelities, desc, mu)
+            _outcome(iv.check_ppt, desc, mu)
+        _outcome(iv.check_ppt_all, desc)
+
+
+def test_ppt_all_is_the_per_pattern_ppt_at_k9():
     desc = StateDescriptor(3, (1, 0, 1, 1, 0, 0, 1, 0, 1), np.random.default_rng(9).dirichlet(np.ones(2**9)))
-    sizes = []
-    matmul = np.matmul
-
-    def spy(a, b, **kwargs):
-        sizes.append(b.size)
-        return matmul(a, b, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(np, "matmul", spy)
-        got = iv.check_ppt_all(desc)
-    assert sizes == [2**20] * 2**7
+    got = iv.check_ppt_all(desc)
     want = [iv.check_ppt(desc, mu) for mu in iv.all_vectors(9)]
     assert got.failures == sum((v.failures for v in want), ()) and got.failures
     assert got.biseparable.failures == want[-1].failures
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_the_identity_transform_is_a_fresh_writable_array(k):
+    desc = StateDescriptor(2, (0,) * k, np.full(2**k, 2.0**-k))
+    t = iv.transform_fidelities(desc, (0,) * k)
+    assert t is not desc.fidelities and not np.shares_memory(t, desc.fidelities)
+    assert t.flags.writeable and _bits(t) == _bits(desc.fidelities)
+    t[0] = 5.0
+    assert desc.fidelities[0] == 2.0**-k
 
 
 def test_points_fail_every_kind_of_constraint():

@@ -4,8 +4,9 @@ Each case runs the CLI in process on fixed inputs and hashes its exit
 code, its stdout and the bytes of every file it writes.  The digests in
 ``golden_cli.json`` pin the output of ``verify --level quick``, of
 ``check`` and ``reduce`` on 42 descriptors (K = 1..7, d in {2, 3, 5})
-and of ``build --dense`` -> ``twirl`` chains.  Printed values come
-through BLAS products, so a different BLAS kernel may move last digits.
+and of ``build --dense`` -> ``twirl`` chains.  Values printed by the
+dense chains come through BLAS products, so a different BLAS kernel may
+move their last digits; the criteria use elementwise arithmetic only.
 
 Regenerate the digests only for an intended output change, and say so in
 CHANGES.md:
