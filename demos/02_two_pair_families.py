@@ -13,7 +13,6 @@ import numpy as np
 import invariant_states as iv
 from invariant_states import all_vectors, formats
 from invariant_states.bits import bits_str
-from invariant_states.simplex import extract_fidelities
 
 d = 2
 print(f"local dimension d = {d}, two pairs on slots (1,3) and (2,4)\n")
@@ -54,7 +53,7 @@ print(" ", formats.dumps_descriptor(desc).strip())
 reduced = iv.reduce_pair(desc, 2)
 print("drop pair 2 -> family", bits_str(reduced.sigma),
       "with fidelities", reduced.fidelities)
-dense = extract_fidelities(iv.partial_trace(iv.synthesize(desc), {2, 4}), (0,))
+dense = iv.fidelities_of(iv.partial_trace(iv.synthesize(desc), {2, 4}), (0,)).fidelities
 print("dense partial trace agrees:", np.allclose(reduced.fidelities, dense))
 
 # tracing two slots that are not a matched pair destroys all structure

@@ -2,8 +2,8 @@
 
 Generalized Werner and isotropic families over K qudit pairs and every
 mixture in between: dense operator algebra, projector families, fidelity
-simplices, exact and Monte-Carlo twirls, partial-transpose transfer
-matrices, separability criteria, and pair reductions.
+simplices, exact and Monte-Carlo twirls, partial transposition on
+fidelities, separability criteria, and pair reductions.
 """
 
 from .bits import all_vectors, as_bits
@@ -30,7 +30,6 @@ from .simplex import (
     check_ppt,
     check_ppt_all,
     extremal_fidelities,
-    extremal_product_state,
     fidelities_of,
     mc_twirl,
     pt_matrix,
@@ -56,7 +55,6 @@ __all__ = [
     "check_ppt",
     "check_ppt_all",
     "extremal_fidelities",
-    "extremal_product_state",
     "fidelities_of",
     "frobenius_distance",
     "haar_unitary",

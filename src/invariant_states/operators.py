@@ -89,9 +89,9 @@ def _readonly(values, dtype) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
-    """A dense operator on ``n`` qudits of local dimension ``d``.
+    """A dense operator on ``n`` qudits of local dimension ``d``, compared by value.
 
     Attributes:
         d: local dimension of each subsystem, at least 2.
@@ -111,6 +111,14 @@ class Operator:
         if m.shape != (side, side):
             raise ValueError(f"matrix shape {m.shape} does not match d**n = {side} for d={self.d}, n={self.n}")
         object.__setattr__(self, "mat", m)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.d, self.n) == (other.d, other.n) and np.array_equal(self.mat, other.mat)
+
+    def __hash__(self):
+        return hash((self.d, self.n))
 
     @property
     def side(self) -> int:

@@ -73,7 +73,7 @@ def pair_forms(d: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _transpose_entries(d: float, s: int) -> list[float]:
     # the transpose block of pair_forms, row by row, as Python floats (the
     # same quotients numpy forms), for a validated d given as a float; on
-    # its own so that the transfer layer need not build the other forms
+    # its own so that the per-pair PPT steps need not build the other forms
     if s == 0:
         return [(d - 1.0) / d, 1.0 / d, (d + 1.0) / d, -1.0 / d]
     return [1.0 / 2, 1.0 / 2, (1.0 + d) / 2, (1.0 - d) / 2]

@@ -1,9 +1,11 @@
-"""Named self-verification checks.
+"""Named self-verification checks, and the dense oracles they use.
 
 Each check exercises one closed-form claim of the library against an
 independent brute-force route (dense matrices, eigenvalues, Monte Carlo)
 and reports a pass/fail result with a deterministic detail string, so a
-verification run with a fixed seed produces byte-identical output.
+verification run with a fixed seed produces byte-identical output.  The
+dense oracles :func:`_dense_fidelities` and :func:`extremal_product_state`
+are defined here, beside the checks that use them; the tests use them too.
 
 The ``quick`` level covers the deterministic algebraic identities; the
 ``full`` level adds the randomized dense-oracle sweeps and the
@@ -13,10 +15,11 @@ Monte-Carlo convergence study.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .bits import all_vectors, xor
+from .bits import all_vectors, as_bits, xor
 from .operators import (
     Operator,
     Rng,
@@ -27,16 +30,17 @@ from .operators import (
     partial_transpose,
     projector_onto,
     basis_ket,
+    tensor_product,
 )
 from .projectors import invariant_projector, projector_trace
 from .simplex import (
     StateDescriptor,
+    _check_overlaps,
     check_polytope,
     check_ppt,
     check_ppt_all,
     biseparable_fidelities,
     extremal_fidelities,
-    extremal_product_state,
     fidelities_of,
     maximally_mixed_pair,
     mc_twirl,
@@ -73,6 +77,19 @@ def _dense_fidelities(rho: Operator, sigma, families: dict) -> np.ndarray:
             invariant_projector(rho.d, sigma, alpha).mat for alpha in all_vectors(len(sigma))
         ]
     return np.array([np.einsum("ij,ji->", rho.mat, p).real for p in families[key]])
+
+
+def extremal_product_state(d: int, sigma, overlaps) -> Operator:
+    """The dense product state behind :func:`.simplex.extremal_fidelities`,
+    the brute-force counterpart of its closed form: pair i holds |0> on its
+    first member and cos(t)|0> + sin(t)|1>, cos(t)^2 = overlaps[i], on its
+    second, and the second members of the sigma_i = 1 pairs are transposed."""
+    sigma = as_bits(sigma, name="sigma")
+    a = _check_overlaps(overlaps, len(sigma))
+    zero, one = basis_ket(d, [0]), basis_ket(d, [1])
+    kets = [zero] * len(sigma) + [zero * np.sqrt(a_i) + one * np.sqrt(1.0 - a_i) for a_i in a]
+    rho = reduce(tensor_product, [projector_onto(d, v) for v in kets])
+    return partial_transpose(rho, _bob_slots(sigma))
 
 
 def check_transfer_inverse() -> CheckResult:
@@ -179,11 +196,11 @@ def check_biseparable_construction() -> CheckResult:
 
 
 def check_transform_dense(seed: int = 0, per_combo: int = 50) -> CheckResult:
-    """Fidelity transfer matrices against dense partial transposition.
+    """Transformed fidelities against dense partial transposition.
 
     For random simplex points in every family, transposing the
     synthesized matrix and re-extracting fidelities in the target family
-    must agree with the transfer-matrix product.
+    must agree with the per-pair steps of :func:`.simplex.transform_fidelities`.
     """
     worst = 0.0
     block = 0
@@ -233,7 +250,7 @@ def check_extremal_formula(seed: int = 0, per_combo: int = 200) -> CheckResult:
 
 
 def check_ppt_sign_agreement(seed: int = 0, draws: int = 1000) -> CheckResult:
-    """Transfer-matrix PPT verdicts against dense eigenvalue verdicts.
+    """Fidelity-space PPT verdicts against dense eigenvalue verdicts.
 
     Random Werner-family points for two pairs, all three nontrivial
     transposition patterns, d = 2 and 3: the sign test on transformed

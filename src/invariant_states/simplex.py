@@ -40,12 +40,8 @@ from .operators import (
     _integer,
     _readonly,
     _side,
-    basis_ket,
     dimension,
     partial_trace,
-    partial_transpose,
-    projector_onto,
-    tensor_product,
 )
 from .projectors import _transpose_entries, moment_expansion, pair_forms
 
@@ -54,16 +50,17 @@ FIDELITY_SUM_ATOL = 1e-10
 PPT_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateDescriptor:
     """A point of the invariant-state simplex: (d, sigma, fidelities).
 
     fidelities has length 2^K for K = len(sigma), is indexed by the bit
     encoding of :mod:`.bits`, and must be finite, nonnegative (within
-    1e-12) and sum to 1 (within 1e-10).  K is at most 12: transfer and
-    order matrices are 2^K-sided, under the matrix-side cap.  The
+    1e-12) and sum to 1 (within 1e-10); -0.0 is stored as 0.0, which
+    prints as it parses back.  K is at most 12: the criteria's 2^K-sided
+    PPT rows and order matrix stay under the matrix-side cap.  The
     described state is the corresponding mixture of normalized family
-    projectors; see :func:`synthesize`.
+    projectors; see :func:`synthesize`.  Descriptors compare by value.
     """
 
     d: int
@@ -74,7 +71,7 @@ class StateDescriptor:
         object.__setattr__(self, "d", dimension(self.d))
         object.__setattr__(self, "sigma", as_bits(self.sigma, name="sigma"))
         _side(2, len(self.sigma))
-        f = _readonly(np.ravel(self.fidelities), float)
+        f = _readonly(np.ravel(self.fidelities), float) + 0.0
         if f.size != 2 ** len(self.sigma):
             raise ValueError(f"need 2**K = {2 ** len(self.sigma)} fidelities, got {f.size}")
         if not np.all(np.isfinite(f)):
@@ -86,7 +83,16 @@ class StateDescriptor:
             total = float(f.sum())
         if not abs(total - 1.0) <= FIDELITY_SUM_ATOL:
             raise ValueError(f"fidelities must sum to 1, got {total:.12g}")
+        f.setflags(write=False)
         object.__setattr__(self, "fidelities", f)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.d, self.sigma) == (other.d, other.sigma) and np.array_equal(self.fidelities, other.fidelities)
+
+    def __hash__(self):
+        return hash((self.d, self.sigma))
 
     @property
     def K(self) -> int:
@@ -98,18 +104,6 @@ def _check_state_shape(n: int, sigma) -> Bits:
     if n != 2 * len(sigma):
         raise ValueError(f"state acts on {n} subsystems but sigma has {len(sigma)} pairs")
     return sigma
-
-
-def extract_fidelities(rho: Operator, sigma: Iterable[int]) -> np.ndarray:
-    """Raw overlaps Tr(rho P) with each family projector, no validation.
-
-    Unlike :func:`fidelities_of` this never rejects negative entries, so
-    it can be used on partial transposes of states.  The overlaps are the
-    per-pair change of basis applied to the moments Tr(rho X_S); see
-    :func:`.projectors.moment_expansion`.
-    """
-    coeffs, _, moments = _moments(rho.mat.reshape(-1).take, rho.d, _check_state_shape(rho.n, sigma))
-    return coeffs @ moments.real
 
 
 def _moments(take, d: int, sigma: Bits) -> tuple[np.ndarray, complex, np.ndarray]:
@@ -540,25 +534,6 @@ def extremal_fidelities(sigma: Iterable[int], overlaps, d: int) -> np.ndarray:
         for s, a_i in zip(sigma, a)
     ]
     return reduce(np.kron, factors)
-
-
-def extremal_product_state(d: int, sigma: Iterable[int], overlaps) -> Operator:
-    """Dense realization of the product state behind :func:`extremal_fidelities`.
-
-    Pair i uses |0> on the first member and cos(t)|0> + sin(t)|1> on the
-    second with cos(t)^2 = overlaps[i]; the sigma pattern of transposes is
-    then applied to the second members.  Intended as the brute-force
-    counterpart for checking the closed form.
-    """
-    sigma = as_bits(sigma, name="sigma")
-    a = _check_overlaps(overlaps, len(sigma))
-    k = len(sigma)
-    first = [basis_ket(d, [0]) for _ in range(k)]
-    second = [basis_ket(d, [0]) * np.sqrt(a_i) + basis_ket(d, [1]) * np.sqrt(1.0 - a_i) for a_i in a]
-    factors = [projector_onto(d, v) for v in first + second]
-    rho = reduce(tensor_product, factors)
-    transposed = [k + i for i in range(1, k + 1) if sigma[i - 1] == 1]
-    return partial_transpose(rho, transposed)
 
 
 def biseparable_fidelities(proj_a: Operator, proj_b: Operator) -> np.ndarray:

@@ -28,6 +28,11 @@ def test_build_writes_descriptor(tmp_path, capsys):
     assert data == {"K": 1, "d": 2, "fidelities": [0.5, 0.5], "sigma": [0], "version": 1}
 
 
+def test_build_prints_negative_zero_as_zero(capsys):
+    code, out, _ = run(capsys, "build", "--d", "2", "--K", "1", "--sigma", "0", "--fid=-0.0,1")
+    assert code == 0 and '"fidelities":[0,1]' in out
+
+
 def test_build_vertex_to_stdout(capsys):
     code, out, _ = run(capsys, "build", "--d", "2", "--K", "2", "--sigma", "00",
                        "--vertex", "11")

@@ -42,6 +42,15 @@ def test_descriptor_json_round_trip():
     assert formats.dumps_descriptor(back) == text
 
 
+def test_descriptor_with_negative_zero_round_trips():
+    # JSON -0 parses as the integer 0, so -0.0 is stored as 0.0
+    desc = StateDescriptor(2, (0, 1), [-0.0, 0.5, -0.0, 0.5])
+    assert not np.signbit(desc.fidelities).any()
+    text = formats.dumps_descriptor(desc)
+    assert '"fidelities":[0,0.5,0,0.5]' in text
+    assert formats.dumps_descriptor(formats.parse_descriptor(text)) == text
+
+
 def test_descriptor_json_rejects_bad_input():
     with pytest.raises(ValueError):
         formats.parse_descriptor("not json")

@@ -94,6 +94,16 @@ def test_fresh_results_are_frozen_in_place_not_copied():
     assert Operator(2, 2, _Fresh(np.eye(4))).mat.dtype == np.complex128
 
 
+def test_operators_compare_by_value_and_hash():
+    a = iv.identity(2, 2)
+    b = Operator(np.int64(2), 2, np.eye(4))
+    assert a == b and hash(a) == hash(b)
+    assert a != a * 0.5
+    assert a != Operator(4, 1, np.eye(4)) and a != 1
+    assert {a, b, a * 0.5} == {a, a * 0.5} and len({a, b, a * 0.5}) == 2
+    assert {a: 1, a * 0.5: 2}[b] == 1
+
+
 def test_scale_is_bounded_before_any_allocation():
     calls = [
         lambda: Operator(3, 2**20, np.eye(1)),

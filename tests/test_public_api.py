@@ -16,7 +16,6 @@ PUBLIC = {
     "check_ppt",
     "check_ppt_all",
     "extremal_fidelities",
-    "extremal_product_state",
     "fidelities_of",
     "frobenius_distance",
     "haar_unitary",
@@ -38,7 +37,7 @@ PUBLIC = {
 
 
 def test_all_is_exactly_the_public_names():
-    assert len(PUBLIC) == 31
+    assert len(PUBLIC) == 30
     assert len(iv.__all__) == len(set(iv.__all__))
     assert set(iv.__all__) == PUBLIC
     for name in iv.__all__:
@@ -47,10 +46,18 @@ def test_all_is_exactly_the_public_names():
 
 def test_helpers_stay_importable_from_their_modules():
     from invariant_states.bits import bits_str, parse_bits, xor
-    from invariant_states.simplex import extract_fidelities, maximally_mixed_pair
+    from invariant_states.simplex import maximally_mixed_pair
 
     assert bits_str(parse_bits("011")) == "011" and xor((0, 1), (1, 1)) == (1, 0)
-    assert callable(extract_fidelities) and maximally_mixed_pair(2).K == 1
+    assert maximally_mixed_pair(2).K == 1
+
+
+def test_dense_oracles_live_in_selfcheck():
+    from invariant_states import selfcheck
+
+    assert callable(selfcheck.extremal_product_state) and callable(selfcheck._dense_fidelities)
+    for name in ("extract_fidelities", "extremal_product_state"):
+        assert not hasattr(iv, name) and not hasattr(iv.simplex, name)
 
 
 def test_one_pair_builders_are_gone():

@@ -7,7 +7,8 @@ import pytest
 import invariant_states as iv
 from invariant_states import Rng, StateDescriptor, all_vectors
 from invariant_states.bits import bits_str, xor
-from invariant_states.simplex import PPT_ATOL, extract_fidelities, maximally_mixed_pair
+from invariant_states.selfcheck import _dense_fidelities, extremal_product_state
+from invariant_states.simplex import PPT_ATOL, maximally_mixed_pair
 
 
 def random_descriptor(d, k, sigma, seed):
@@ -120,6 +121,18 @@ def test_a_read_only_array_made_writable_again_never_reaches_a_descriptor():
     assert desc.fidelities.tolist() == [0.25, 0.75] and not desc.fidelities.flags.writeable
 
 
+def test_descriptors_compare_by_value_and_hash():
+    a = StateDescriptor(2, (0,), [0.5, 0.5])
+    b = StateDescriptor(np.int64(2), [0], np.array([0.5, 0.5]))
+    assert a == b and hash(a) == hash(b)
+    assert a != StateDescriptor(2, (0,), [0.25, 0.75])
+    assert a != StateDescriptor(3, (0,), [0.5, 0.5]) and a != StateDescriptor(2, (1,), [0.5, 0.5])
+    assert a != (2, (0,), [0.5, 0.5])
+    other = StateDescriptor(2, (0,), [0.25, 0.75])
+    assert {a, b, other} == {a, other} and len({a, b, other}) == 2
+    assert {a: 1, other: 2}[b] == 1
+
+
 # --- fidelity extraction and synthesis -------------------------------------
 
 
@@ -229,7 +242,7 @@ def test_exact_twirl_idempotent():
 
 
 def test_exact_twirl_matches_extremal_formula():
-    rho = iv.extremal_product_state(3, (1, 0), [0.3, 0.8])
+    rho = extremal_product_state(3, (1, 0), [0.3, 0.8])
     fast = iv.extremal_fidelities((1, 0), [0.3, 0.8], 3)
     np.testing.assert_allclose(iv.fidelities_of(rho, (1, 0)).fidelities, fast, atol=1e-12)
 
@@ -374,8 +387,8 @@ def test_transform_matches_dense_transpose(d, k):
             rho = iv.synthesize(desc)
             for mu in all_vectors(k):
                 fast = iv.transform_fidelities(desc, mu)
-                dense = extract_fidelities(
-                    iv.partial_transpose(rho, bob_slots(mu)), xor(mu, sigma)
+                dense = _dense_fidelities(
+                    iv.partial_transpose(rho, bob_slots(mu)), xor(mu, sigma), {}
                 )
                 np.testing.assert_allclose(fast, dense, atol=1e-10)
                 assert abs(fast.sum() - 1.0) <= 1e-12
@@ -548,7 +561,7 @@ def test_extremal_fidelities_against_haar_products():
                 factors = [iv.projector_onto(d, v) for v in psis + phis]
                 rho = reduce(iv.tensor_product, factors)
                 rho_s = iv.partial_transpose(rho, bob_slots(sigma))
-                dense = extract_fidelities(rho_s, sigma)
+                dense = _dense_fidelities(rho_s, sigma, {})
                 fast = iv.extremal_fidelities(sigma, overlaps, d)
                 np.testing.assert_allclose(fast, dense, atol=1e-10)
 
@@ -571,9 +584,9 @@ def test_extremal_product_state_matches_formula():
     for d in (2, 3):
         for sigma in all_vectors(2):
             a = [0.25, 0.9]
-            rho = iv.extremal_product_state(d, sigma, a)
+            rho = extremal_product_state(d, sigma, a)
             assert abs(rho.trace() - 1.0) <= 1e-12
-            dense = extract_fidelities(rho, sigma)
+            dense = _dense_fidelities(rho, sigma, {})
             np.testing.assert_allclose(
                 dense, iv.extremal_fidelities(sigma, a, d), atol=1e-10
             )
@@ -628,7 +641,7 @@ def test_biseparable_fidelities_rank2_projector():
     vb = iv.haar_unitary(d * d, Rng(17)).mat[:, 0]
     pb = iv.Operator(d, 2, np.outer(vb, vb.conj()))
     q = iv.biseparable_fidelities(sym, pb)
-    dense = extract_fidelities(iv.tensor_product(sym, pb), (0, 0))
+    dense = _dense_fidelities(iv.tensor_product(sym, pb), (0, 0), {})
     np.testing.assert_allclose(q, dense, atol=1e-12)
 
 
@@ -664,8 +677,8 @@ def test_reduce_pair_matches_dense(sigma):
         rho = iv.synthesize(desc)
         for i in (1, 2):
             reduced = iv.reduce_pair(desc, i)
-            dense = extract_fidelities(
-                iv.partial_trace(rho, {i, k + i}), reduced.sigma
+            dense = _dense_fidelities(
+                iv.partial_trace(rho, {i, k + i}), reduced.sigma, {}
             )
             np.testing.assert_allclose(reduced.fidelities, dense, atol=1e-10)
             assert abs(reduced.fidelities.sum() - 1.0) <= 1e-12
@@ -709,7 +722,7 @@ def test_reduce_mixed_pair_three_pairs():
     orphans = iv.partial_trace(remaining, {2, 4})
     np.testing.assert_allclose(orphans.mat, np.eye(4) / 4, atol=1e-10)
     pair3 = iv.partial_trace(remaining, {1, 3})
-    dense = extract_fidelities(pair3, (sigma[2],))
+    dense = _dense_fidelities(pair3, (sigma[2],), {})
     np.testing.assert_allclose(reduced.fidelities, dense, atol=1e-10)
 
 
