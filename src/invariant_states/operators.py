@@ -247,9 +247,11 @@ def partial_transpose(a: Operator, subsystems: Iterable[int]) -> Operator:
 def min_eigenvalue(a: Operator, herm_atol: float = HERMITICITY_ATOL) -> float:
     """Smallest eigenvalue of a Hermitian operator.
 
-    Raises ValueError if the input deviates from Hermiticity by more than
-    ``herm_atol`` in any entry.
+    Raises ValueError if an entry is not finite, or if the input deviates
+    from Hermiticity by more than ``herm_atol`` in any entry.
     """
+    if not np.isfinite(a.mat).all():
+        raise ValueError("matrix has non-finite entries")
     deviation = float(np.max(np.abs(a.mat - a.mat.conj().T)))
     if deviation > herm_atol:
         raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")

@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .bits import Bits, all_vectors, as_bits, bits_str, label
+from .bits import Bits, as_bits, bits_str, label
 from .operators import (
     HERMITICITY_ATOL,
     Operator,
@@ -267,22 +267,15 @@ def _transposes(d: int) -> tuple[np.ndarray, list[float]]:
 
 # the fidelities of a descriptor sum to 1 within 1e-10 and none is below
 # -1e-12, so their magnitudes sum to less than 2 for every K up to 12, and
-# no partial sum of their product with a transfer, or with part of one,
-# whose entries are at most this in magnitude can reach the largest float
+# each step multiplies the largest partial sum by at most its block's peak:
+# where the product of the transposed pairs' peaks is at most this, no step
+# can reach the largest float, so no errstate is entered and no result is
+# scanned for non-finite entries
 _SAFE_PEAK = 2.0**1022
 
 
 def _overflow(name: str, d: int) -> ValueError:
     return ValueError(f"transfer of mu={name} overflows at d = {float(d):.3g}")
-
-
-def _peak(mu: Bits, nu: Bits, peaks: list[float], d: int) -> float:
-    # the peak rule of pt_matrix: ValueError if the left-to-right product
-    # of the transposed pairs' peaks overflows
-    peak = math.prod(peaks[n] for m, n in zip(mu, nu) if m)
-    if peak == math.inf:
-        raise _overflow(bits_str(mu), d)
-    return peak
 
 
 def _step(x: np.ndarray, block: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -314,19 +307,21 @@ def pt_matrix(mu: Iterable[int], nu: Iterable[int], d: int) -> np.ndarray:
     in :func:`.projectors.pair_forms` where mu_i = 1: the oracle of
     :func:`transform_fidelities`, which never builds it.
 
-    The peak rule decides overflow before any entry is computed.  Every
+    K is at most 12, as for :class:`StateDescriptor`, checked before any
+    allocation.  Overflow is decided before any entry is computed: every
     entry is a left-to-right product of one entry per block, each block's
     largest magnitude, its peak, is at least 1 ((d+1)/d for a Werner-split
     and (d+1)/2 for an isotropic transposition), and rounding is monotone,
     so the product of the peaks in the same order is one entry's magnitude
     and bounds every other: ValueError is raised exactly when some entry
-    overflows.  The all-ones pattern's peak is the largest; at most 2^1022,
-    no product with valid fidelities can overflow either.
+    overflows.
     """
     mu = as_bits(mu, name="mu")
     nu = as_bits(nu, len(mu), "nu")
+    _side(2, len(mu))
     blocks, peaks = _transposes(dimension(d))
-    _peak(mu, nu, peaks, d)
+    if math.prod(peaks[n] for m, n in zip(mu, nu) if m) == math.inf:
+        raise _overflow(bits_str(mu), d)
     mat = reduce(np.kron, [blocks[n] if m else np.eye(2) for m, n in zip(mu, nu)])
     mat.setflags(write=False)
     return mat
@@ -342,13 +337,12 @@ def transform_fidelities(desc: StateDescriptor, mu: Iterable[int]) -> np.ndarray
     rounding, computed pair by pair: each transposed pair's 2 x 2 block
     acts along its own axis of the fidelities seen as a (2,) * K array,
     by elementwise products and sums, so IEEE arithmetic fixes every bit.
-    It raises ValueError where the transfer overflows by the peak rule of
-    :func:`pt_matrix`, before any step, and where the result is not finite.
+    It raises ValueError exactly when the result has a non-finite entry.
     """
     mu = as_bits(mu, desc.K, "mu")
     f = desc.fidelities
     blocks, peaks = _transposes(desc.d)
-    if _peak(mu, desc.sigma, peaks, desc.d) <= _SAFE_PEAK:
+    if math.prod(peaks[s] for m, s in zip(mu, desc.sigma) if m) <= _SAFE_PEAK:
         t = _kernel(f, mu, desc.sigma, blocks)
         return f.copy() if t is f else t
     with np.errstate(over="ignore", invalid="ignore"):
@@ -433,28 +427,30 @@ def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
     all-ones sub-verdict doubles as the biseparability test (separability
     across the cut grouping all first members) and is reported alongside.
 
-    The result, and the error of the first pattern whose transfer
-    overflows, equal those of :func:`check_ppt` over the patterns in
-    :func:`.bits.all_vectors` order, bit for bit.  The patterns grow one
-    pair at a time: at pair i, each pattern keeps its row for mu_i = 0 and
-    gains, for mu_i = 1, the step along axis i that
-    :func:`transform_fidelities` takes.  Only if the all-ones pattern's
-    peak (see :func:`pt_matrix`), the largest, is above 2^1022, which takes
-    a d near the float range, are the patterns transformed one at a time.
+    The result, and the error of the first pattern whose transformed
+    vector is not finite, equal those of :func:`check_ppt` over the
+    patterns in :func:`.bits.all_vectors` order, bit for bit.  The patterns
+    grow one pair at a time: at pair i, each pattern keeps its row for
+    mu_i = 0 and gains, for mu_i = 1, the step along axis i that
+    :func:`transform_fidelities` takes.  The rows are scanned for
+    non-finite values only where the all-ones pattern's peak product, the
+    largest, is above 2^1022, which takes a d near the float range.
     """
     k, f = desc.K, desc.fidelities
     size = 2**k
     labels = _labels(k)
     blocks, peaks = _transposes(desc.d)
-    if math.prod(peaks[s] for s in desc.sigma) <= _SAFE_PEAK:
-        # before pair i, the row of pattern p is rows[p * 2^(k - i)]
-        rows = np.empty((size, size))
-        rows[0] = f
+    # before pair i, the row of pattern p is rows[p * 2^(k - i)]
+    rows = np.empty((size, size))
+    rows[0] = f
+    with np.errstate(over="ignore", invalid="ignore"):
         for i, s in enumerate(desc.sigma):
             grid = rows.reshape(2**i, 2, 2 ** (k - i - 1), 2**i, 2, -1)
             _step(grid[:, 0, 0], blocks[s], grid[:, 1, 0])
-    else:
-        rows = np.array([transform_fidelities(desc, mu) for mu in all_vectors(k)])
+    if math.prod(peaks[s] for s in desc.sigma) > _SAFE_PEAK:
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            raise _overflow(labels[int(np.argmin(finite))], desc.d)
     mask = rows < -PPT_ATOL
     patterns, cols = np.nonzero(mask)
     heads = [f"mu={name},alpha=" for name in labels]

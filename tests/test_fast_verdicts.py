@@ -1,14 +1,16 @@
 """The transfer and verdict layers pinned bit for bit against their plain routes.
 
 The references below are the straightforward forms of the same
-computations: transfer matrices as ``reduce(np.kron, blocks)``,
-transformed fidelities as a loop over Python floats that applies each
-transposed pair's 2 x 2 block along its own axis, the all-patterns PPT
-test as one single-pattern test per pattern with ``float`` per failure,
-and canonical JSON with one ``json.dumps`` per string and a dict per
-verdict and failure.  The library's kernels must return the same float
-bits and print the same bytes.  The Kronecker product with the
-fidelities, a BLAS product, is the oracle within a rounding bound.
+computations, written without the library's bit helpers or array code:
+transfer matrices as ``reduce(np.kron, blocks)``, transformed fidelities
+as a loop over Python floats that applies each transposed pair's 2 x 2
+block along its own axis, the PPT tests as one loop over those values per
+pattern, the polytope test as one loop per fidelity and one per pair of
+fidelities with hull bounds from Python float powers, and canonical JSON
+with one ``json.dumps`` per string and a dict per verdict and failure.
+The library's kernels must return the same float bits and print the same
+bytes.  The Kronecker product with the fidelities, a BLAS product, is the
+oracle within a rounding bound.
 """
 
 import gc
@@ -18,6 +20,7 @@ import operator
 import sys
 import warnings
 from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -26,11 +29,20 @@ from hypothesis import strategies as st
 
 import invariant_states as iv
 from invariant_states import ConstraintFailure, SeparabilityVerdict, StateDescriptor, formats, simplex
-from invariant_states.bits import bits_str, label
+from invariant_states.bits import bits_str
 from invariant_states.projectors import pair_forms
 from invariant_states.simplex import PPT_ATOL
 
 DIMS = (2, 3, 5, 7)
+
+
+def _vectors(k):
+    # every bit tuple of length k, first bit most significant
+    return list(product((0, 1), repeat=k))
+
+
+def _name(bits):
+    return "".join(str(b) for b in bits)
 
 
 def reference_pt_matrix(mu, nu, d):
@@ -40,12 +52,7 @@ def reference_pt_matrix(mu, nu, d):
 def reference_transform(desc, mu):
     """Pair by pair, first pair first: t[.., c, ..] = t[.., 0, ..] * B[0][c] +
     t[.., 1, ..] * B[1][c] along axis i for each transposed pair i, in
-    Python floats.  It raises if the transfer has a non-finite entry, and
-    if the result is not finite."""
-    error = ValueError(f"transfer of mu={bits_str(mu)} overflows at d = {float(desc.d):.3g}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.all(np.isfinite(reference_pt_matrix(mu, desc.sigma, desc.d))):
-            raise error
+    Python floats.  It raises if the result is not finite."""
     k, t = desc.K, desc.fidelities.tolist()
     for i, (m, s) in enumerate(zip(mu, desc.sigma)):
         if not m:
@@ -58,23 +65,22 @@ def reference_transform(desc, mu):
                 t[j] = x0 * b[0][0] + x1 * b[1][0]
                 t[j + half] = x0 * b[0][1] + x1 * b[1][1]
     if not all(map(math.isfinite, t)):
-        raise error
+        raise ValueError(f"transfer of mu={_name(mu)} overflows at d = {float(desc.d):.3g}")
     return np.array(t)
 
 
 def reference_ppt(desc, mu):
-    t = reference_transform(desc, mu)
-    name = bits_str(mu)
     failures = tuple(
-        ConstraintFailure(f"mu={name},alpha={label(i, desc.K)}", float(t[i]), 0.0)
-        for i in np.flatnonzero(t < -PPT_ATOL)
+        ConstraintFailure(f"mu={_name(mu)},alpha={_name(alpha)}", value, 0.0)
+        for alpha, value in zip(_vectors(desc.K), reference_transform(desc, mu).tolist())
+        if value < -PPT_ATOL
     )
-    return SeparabilityVerdict(f"ppt:{name}", failures)
+    return SeparabilityVerdict(f"ppt:{_name(mu)}", failures)
 
 
 def reference_ppt_all(desc):
     failures = []
-    for mu in iv.all_vectors(desc.K):
+    for mu in _vectors(desc.K):
         verdict = reference_ppt(desc, mu)
         failures.extend(verdict.failures)
     return SeparabilityVerdict(
@@ -83,22 +89,18 @@ def reference_ppt_all(desc):
 
 
 def reference_polytope(desc):
-    k, f = desc.K, desc.fidelities
-    vectors = np.array(list(iv.all_vectors(k)))
-    weight = vectors.sum(axis=1)
-    overlap = vectors @ np.array(desc.sigma)
-    halves = np.array([0.5**w for w in range(k + 1)])
-    ratios = np.array([(2.0 / desc.d) ** o for o in range(k + 1)])
-    bound = halves[weight] * ratios[overlap]
-    failures = [
-        ConstraintFailure(f"bound,alpha={label(i, k)}", float(f[i]), float(bound[i]))
-        for i in np.flatnonzero(f > bound + PPT_ATOL)
-    ]
-    order = (weight[:, None] > weight[None, :]) & (f[:, None] > f[None, :] + PPT_ATOL)
-    failures.extend(
-        ConstraintFailure(f"order,alpha={label(i, k)},beta={label(j, k)}", float(f[i]), float(f[j]))
-        for i, j in np.argwhere(order)
-    )
+    f = desc.fidelities.tolist()
+    vectors = _vectors(desc.K)
+    failures = []
+    for alpha, value in zip(vectors, f):
+        overlap = sum(s & a for s, a in zip(desc.sigma, alpha))
+        bound = (0.5 ** sum(alpha)) * (2.0 / desc.d) ** overlap
+        if value > bound + PPT_ATOL:
+            failures.append(ConstraintFailure(f"bound,alpha={_name(alpha)}", value, bound))
+    for alpha, value in zip(vectors, f):
+        for beta, other in zip(vectors, f):
+            if sum(alpha) > sum(beta) and value > other + PPT_ATOL:
+                failures.append(ConstraintFailure(f"order,alpha={_name(alpha)},beta={_name(beta)}", value, other))
     return SeparabilityVerdict("polytope", tuple(failures), necessary_only=True)
 
 
@@ -141,18 +143,30 @@ def _bits(a: np.ndarray) -> bytes:
 
 def _sigmas(k, gen):
     if k <= 3:
-        return list(iv.all_vectors(k))
+        return _vectors(k)
     return [tuple(int(b) for b in gen.integers(0, 2, k)) for _ in range(2)]
 
 
 def _points(d, k, seed):
-    """Spread and peaked Dirichlet points and an extremal point per sigma."""
+    """Per sigma: spread and peaked Dirichlet points, an extremal point, the
+    uniform point, the all-ones vertex and a point whose all-ones fidelity
+    sits exactly at its hull bound; at K = 1 also the two threshold points,
+    where the transformed vector has an exact zero."""
     gen = np.random.default_rng(seed)
     for sigma in _sigmas(k, gen):
         yield StateDescriptor(d, sigma, gen.dirichlet(np.ones(2**k)))
         yield StateDescriptor(d, sigma, gen.dirichlet(np.full(2**k, 0.2)))
         if k <= 5:
             yield StateDescriptor(d, sigma, iv.extremal_fidelities(sigma, gen.uniform(0, 1, k), d))
+        yield StateDescriptor(d, sigma, np.full(2**k, 2.0**-k))
+        yield StateDescriptor(d, sigma, np.eye(2**k)[-1])
+        bound = 0.5**k * (2.0 / d) ** sum(sigma)
+        at_bound = np.full(2**k, (1.0 - bound) / (2**k - 1))
+        at_bound[-1] = bound
+        yield StateDescriptor(d, sigma, at_bound)
+    if k == 1:
+        for sigma, t in (((0,), 0.5), ((1,), 1.0 / d)):
+            yield StateDescriptor(d, sigma, [1.0 - t, t])
 
 
 def _peak(d: float, k: int) -> float:
@@ -174,7 +188,7 @@ def _edge_dims(k: int, limit: float = sys.float_info.max) -> tuple[int, int]:
 
 
 EDGES = {k: _edge_dims(k) for k in range(2, 8)}
-# where check_ppt_all leaves its stacked route for the pattern-by-pattern one
+# where the transforms start to guard their arithmetic and scan the result
 SAFE_EDGES = {k: _edge_dims(k, simplex._SAFE_PEAK) for k in range(2, 8)}
 
 
@@ -247,30 +261,23 @@ def test_transforms_are_within_rounding_of_the_kron_oracle(k):
 
 
 @pytest.mark.parametrize("sigma", [(1, 1, 0), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1, 0, 1, 0)])
-def test_the_peak_rule_raises_before_any_step_of_an_overflowing_pattern(sigma, monkeypatch):
-    """On a one-hot point the steps of the first pattern whose peak, the
-    left-to-right product of its transposed pairs' peaks, overflows still
-    give finite values, so a kernel that ran on would let the point pass.
-    The patterns before it are transformed in order; it takes no step,
-    and the error names it."""
+def test_a_finite_result_is_answered_though_its_peak_product_overflows(sigma):
+    """On a one-hot point at d = 10**300, the first pattern whose peak
+    product, the left-to-right product of its transposed pairs' peaks,
+    overflows still has a finite transformed vector.  pt_matrix, which
+    forms the overflowing matrix, raises; the transforms and the criteria
+    answer, bit for bit as the per-axis reference."""
     d, k = 10**300, len(sigma)
     peaks = [float(np.abs(pair_forms(d, s)[2]).max()) for s in sigma]
-    patterns = list(iv.all_vectors(k))
-    first = next(
-        n for n, mu in enumerate(patterns)
-        if reduce(operator.mul, [p for p, m in zip(peaks, mu) if m], 1.0) == math.inf
-    )
-    transformed = []
-    kernel = simplex._kernel
-
-    def spy(f, mu, *args):
-        transformed.append(mu)
-        return kernel(f, mu, *args)
-
-    monkeypatch.setattr(simplex, "_kernel", spy)
+    first = next(mu for mu in _vectors(k) if reduce(operator.mul, [p for p, m in zip(peaks, mu) if m], 1.0) == math.inf)
+    assert _outcome(iv.pt_matrix, first, sigma, d) == f"transfer of mu={_name(first)} overflows at d = 1e+300"
     desc = StateDescriptor(d, sigma, np.eye(2**k)[0])
-    assert _outcome(iv.check_ppt_all, desc) == f"transfer of mu={bits_str(patterns[first])} overflows at d = 1e+300"
-    assert transformed == patterns[:first]
+    for mu in _vectors(k):
+        assert _bits(_outcome(iv.transform_fidelities, desc, mu)) == _bits(reference_transform(desc, mu))
+    got, want = _outcome(iv.check_ppt, desc, first), reference_ppt(desc, first)
+    assert formats.dumps_verdict(got) == reference_dumps_verdict(want)
+    got, want = _outcome(iv.check_ppt_all, desc), reference_ppt_all(desc)
+    assert formats.dumps_verdict(got) == reference_dumps_verdict(want)
 
 
 def test_transforms_and_criteria_never_call_matmul(monkeypatch):
@@ -306,13 +313,24 @@ def test_the_identity_transform_is_a_fresh_writable_array(k):
 
 
 def test_points_fail_every_kind_of_constraint():
-    # guard against a point set on which the comparison above is vacuous
+    # guard against a point set on which the comparisons above are vacuous:
+    # at the smallest and the largest K, some point fails a PPT pattern, a
+    # hull bound and an order constraint
     kinds = set()
-    for k in (2, 7):
+    for k in (1, 7):
         for desc in _points(3, k, seed=1000 * k + 3):
             for f in iv.check_ppt_all(desc).failures + iv.check_polytope(desc).failures:
                 kinds.add((f.constraint.split(",")[0].split("=")[0], k))
-    assert kinds >= {(kind, k) for kind in ("mu", "bound", "order") for k in (2, 7)}
+    assert kinds >= {(kind, k) for kind in ("mu", "bound", "order") for k in (1, 7)}
+
+
+def test_bound_values_keep_python_float_powers():
+    # numpy's array ** gives 0.44444444444444436 for (2/3)**2 on some
+    # builds; the bound must equal Python's 0.4444444444444444 exactly
+    desc = StateDescriptor(3, (1, 1), [0.0, 0.0, 0.0, 1.0])
+    bounds = {f.constraint: f.bound for f in iv.check_polytope(desc).failures}
+    assert bounds["bound,alpha=11"] == 0.25 * (2.0 / 3) ** 2
+    assert '"bound":0.1111111111111111' in formats.dumps_verdict(iv.check_polytope(desc))
 
 
 def _raised(fn, *args) -> str:
@@ -354,7 +372,7 @@ def test_pt_matrix_overflow_raises_without_a_warning(mu):
 
 
 def _edge_points():
-    # at both sides of each overflow and route edge: a spread point, and a
+    # at both sides of each overflow and guard edge: a spread point, and a
     # point whose fidelity of the all-ones member sits just above 1, so
     # that the product with a finite transfer overflows at the largest
     # finite peak
@@ -386,23 +404,20 @@ def test_transform_and_ppt_all_raise_exactly_where_the_reference_overflows(desc)
         assert got.failures == want.failures and got.biseparable.failures == want.biseparable.failures
 
 
-def test_edge_points_raise_on_both_routes():
+def test_edge_points_cover_every_overflow_case():
     # guard against an edge set on which the comparison above is vacuous:
-    # every overflow edge pair has a point that passes and one whose
-    # transfer or product overflows, from the matrix and from the product
-    # alone
-    by_route = set()
+    # at every K, some pattern's result is finite and some overflows, each
+    # both where its transfer matrix is finite and where it overflows
+    cases = set()
     for desc in _edge_points():
         for mu in iv.all_vectors(desc.K):
-            message = _outcome(reference_transform, desc, mu)
-            if isinstance(message, str):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    finite = np.all(np.isfinite(reference_pt_matrix(mu, desc.sigma, desc.d)))
-                by_route.add((desc.K, "product" if finite else "matrix"))
-            else:
-                by_route.add((desc.K, "finite"))
-    assert by_route == {(k, route) for k in EDGES for route in ("finite", "matrix", "product")}
-    # and the route edges straddle the all-ones peak that picks the route
+            result = "overflows" if isinstance(_outcome(reference_transform, desc, mu), str) else "finite"
+            with np.errstate(over="ignore", invalid="ignore"):
+                matrix = "finite" if np.all(np.isfinite(reference_pt_matrix(mu, desc.sigma, desc.d))) else "overflows"
+            cases.add((desc.K, result, matrix))
+    assert cases == {(k, r, m) for k in EDGES for r in ("finite", "overflows") for m in ("finite", "overflows")}
+    # and the guard edges straddle the all-ones peak above which the
+    # transforms guard their arithmetic
     for k, (below, above) in SAFE_EDGES.items():
         peaks = [math.prod([simplex._transposes(d)[1][1]] * k) for d in (below, above)]
         assert peaks[0] <= simplex._SAFE_PEAK < peaks[1]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,18 @@ def test_min_eigenvalue_rejects_non_hermitian():
     m[0, 1] = 1.0
     with pytest.raises(ValueError):
         iv.min_eigenvalue(Operator(2, 1, m))
+
+
+@pytest.mark.parametrize("row, col, bad", [(0, 0, np.nan), (0, 0, np.inf), (0, 1, np.inf)])
+def test_min_eigenvalue_rejects_non_finite_entries_without_a_warning(row, col, bad):
+    # unchecked, eigvalsh answers a NaN diagonal entry with 0.0, a silent
+    # PSD verdict, and an inf off-diagonal entry with a warning
+    m = np.eye(4, dtype=complex) / 4
+    m[row, col] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            iv.min_eigenvalue(Operator(2, 2, m))
 
 
 def test_min_eigenvalue_certificate_residual():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import invariant_states as iv
-from invariant_states import Rng, StateDescriptor, all_vectors
+from invariant_states import Rng, StateDescriptor, all_vectors, simplex
 from invariant_states.bits import bits_str, xor
 from invariant_states.selfcheck import _dense_fidelities, extremal_product_state
 from invariant_states.simplex import PPT_ATOL, maximally_mixed_pair
@@ -322,6 +322,17 @@ def test_pt_matrix_identity_pattern():
         z = iv.pt_matrix((0, 0), nu, 3)
         np.testing.assert_array_equal(z, np.eye(4))
         assert z.dtype == np.float64 and not z.flags.writeable
+
+
+@pytest.mark.parametrize("k", [13, 40])
+def test_pt_matrix_applies_the_k_cap_before_any_allocation(k, monkeypatch):
+    # K = 40 would ask reduce(np.kron, ...) for 2^80 entries
+    def refuse(*args):
+        raise AssertionError("Kronecker product formed")
+
+    monkeypatch.setattr(simplex, "reduce", refuse)
+    with pytest.raises(ValueError, match=f"^scale exceeded: matrix side d\\*\\*n for d=2, n={k} "):
+        iv.pt_matrix((1,) * k, (0,) * k, 2)
 
 
 def test_pt_matrix_kron_structure():
