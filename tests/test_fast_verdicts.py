@@ -156,8 +156,7 @@ def _points(d, k, seed):
     for sigma in _sigmas(k, gen):
         yield StateDescriptor(d, sigma, gen.dirichlet(np.ones(2**k)))
         yield StateDescriptor(d, sigma, gen.dirichlet(np.full(2**k, 0.2)))
-        if k <= 5:
-            yield StateDescriptor(d, sigma, iv.extremal_fidelities(sigma, gen.uniform(0, 1, k), d))
+        yield StateDescriptor(d, sigma, iv.extremal_fidelities(sigma, gen.uniform(0, 1, k), d))
         yield StateDescriptor(d, sigma, np.full(2**k, 2.0**-k))
         yield StateDescriptor(d, sigma, np.eye(2**k)[-1])
         bound = 0.5**k * (2.0 / d) ** sum(sigma)
@@ -235,11 +234,17 @@ def test_verdicts_are_bitwise_the_plain_routes(k, d):
         assert got.failures == want.failures
         assert got.biseparable.failures == want.biseparable.failures
         assert formats.dumps_verdict(got) == reference_dumps_verdict(want)
-        got, want = iv.check_polytope(desc), reference_polytope(desc)
-        assert got.failures == want.failures
-        assert formats.dumps_verdict(got) == reference_dumps_verdict(want)
         mu = (1,) + desc.sigma[1:]
         got, want = iv.check_ppt(desc, mu), reference_ppt(desc, mu)
+        assert got.failures == want.failures
+        assert formats.dumps_verdict(got) == reference_dumps_verdict(want)
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("k", range(1, 8))
+def test_polytope_is_bitwise_the_loop_reference(k, d):
+    for desc in _points(d, k, seed=1000 * k + d):
+        got, want = iv.check_polytope(desc), reference_polytope(desc)
         assert got.failures == want.failures
         assert formats.dumps_verdict(got) == reference_dumps_verdict(want)
 
