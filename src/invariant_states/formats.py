@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import struct
 from contextlib import contextmanager
@@ -63,32 +62,6 @@ def canonical_json(value) -> str:
 
 
 _FLOAT = ".17g"  # the format spec of every float
-
-
-def _column(items: tuple) -> list[str]:
-    # canonical_json of each item of a nonempty column: written once for a
-    # column of one object, as the bounds of PPT failures are, and in one
-    # pass over a column of finite floats or of strings; any other column
-    # is written leaf by leaf.  A finite sum means finite items.  Where 64
-    # items spread over a longer column repeat a float object, as the
-    # failures of check_polytope do, each distinct object is formatted
-    # once; objects, not values, so that 0.0 and -0.0 keep their own texts.
-    # Otherwise finding the distinct objects would cost about half as much
-    # as formatting them all.
-    if all(map(operator.is_, items, repeat(items[0]))):
-        return [canonical_json(items[0])] * len(items)
-    kinds = set(map(type, items))
-    if kinds == {float} and math.isfinite(sum(items)):
-        sample = items[:: len(items) // 64 or len(items)]
-        if len(set(map(id, sample))) == len(sample):
-            return list(map(float.__format__, items, repeat(_FLOAT)))
-        ids = list(map(id, items))
-        distinct = dict(zip(ids, items))
-        text = dict(zip(distinct, map(float.__format__, distinct.values(), repeat(_FLOAT))))
-        return list(map(text.__getitem__, ids))
-    if kinds == {str}:
-        return list(map(encode_basestring, items))
-    return list(map(canonical_json, items))
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +124,21 @@ def dumps_verdict(verdict: SeparabilityVerdict) -> str:
 
     Written directly, with no dict per failure, as pieces joined once at
     the end; the bytes are those of :func:`canonical_json` on the
-    equivalent nested dict.  The failures are written as three columns:
-    a column of finite floats, or of strings, is formatted in one pass by
-    the rules of :func:`canonical_json`, each distinct float object once,
-    and any other column leaf by leaf through it."""
+    equivalent nested dict.  The failures of a checker's verdict are read
+    from its columns, never as :class:`.simplex.ConstraintFailure` tuples:
+    each float of its table is formatted once, and one template of the
+    pieces of a failure, repeated, gets its slots filled column by column.
+    The failures of a verdict built from a tuple are written leaf by leaf
+    through :func:`canonical_json`."""
     pieces: list[str] = []
     _verdict_pieces(verdict, pieces)
     pieces.append("\n")
     return "".join(pieces)
+
+
+# the pieces of one failure of a checker's verdict, with slots for its
+# bound, the head and label of its name, and its value
+_FAILURE = [',{"bound":', None, ',"constraint":"', None, None, '","value":', None, "}"]
 
 
 def _verdict_pieces(verdict: SeparabilityVerdict, pieces: list[str]) -> None:
@@ -168,12 +148,24 @@ def _verdict_pieces(verdict: SeparabilityVerdict, pieces: list[str]) -> None:
         _verdict_pieces(verdict.biseparable, pieces)
         pieces.append(",")
     pieces.append(f'"criterion":{canonical_json(verdict.criterion)},"failures":[')
-    if verdict.failures:
-        constraints, values, bounds = zip(*verdict.failures)
-        # the pieces of every failure, then its three leaves in their slots
-        row = [',{"bound":', None, ',"constraint":', None, ',"value":', None, "}"] * len(bounds)
+    columns = verdict._columns
+    if columns is not None:
+        row = _FAILURE * len(columns.cols)
+        if row:
+            # the floats of a checker's verdict are finite, and a table
+            # float is shared by many failures in a polytope verdict
+            texts = list(map(float.__format__, columns.table, repeat(_FLOAT)))
+            row[1::8] = map(texts.__getitem__, columns.bounds)
+            row[3::8] = map(columns.heads.__getitem__, columns.rows)
+            row[4::8] = map(columns.labels.__getitem__, columns.cols)
+            row[6::8] = map(texts.__getitem__, columns.values)
+    else:
+        row = [',{"bound":', None, ',"constraint":', None, ',"value":', None, "}"] * len(verdict.failures)
+        if row:
+            constraints, values, bounds = zip(*verdict.failures)
+            row[1::7], row[3::7], row[5::7] = (list(map(canonical_json, c)) for c in (bounds, constraints, values))
+    if row:
         row[0] = '{"bound":'
-        row[1::7], row[3::7], row[5::7] = _column(bounds), _column(constraints), _column(values)
         pieces += row
     pieces.append("]")
     if verdict.necessary_only:

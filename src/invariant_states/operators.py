@@ -96,7 +96,8 @@ class Operator:
     Attributes:
         d: local dimension of each subsystem, at least 2.
         n: number of subsystems, at least 1.
-        mat: complex matrix of shape (d**n, d**n), read-only.
+        mat: complex matrix of shape (d**n, d**n), read-only, with finite
+            entries (ValueError otherwise).
     """
 
     d: int
@@ -110,6 +111,8 @@ class Operator:
         m = _readonly(self.mat, np.complex128)
         if m.shape != (side, side):
             raise ValueError(f"matrix shape {m.shape} does not match d**n = {side} for d={self.d}, n={self.n}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has non-finite entries")
         object.__setattr__(self, "mat", m)
 
     def __eq__(self, other):
@@ -247,11 +250,9 @@ def partial_transpose(a: Operator, subsystems: Iterable[int]) -> Operator:
 def min_eigenvalue(a: Operator, herm_atol: float = HERMITICITY_ATOL) -> float:
     """Smallest eigenvalue of a Hermitian operator.
 
-    Raises ValueError if an entry is not finite, or if the input deviates
-    from Hermiticity by more than ``herm_atol`` in any entry.
+    Raises ValueError if the input deviates from Hermiticity by more than
+    ``herm_atol`` in any entry.
     """
-    if not np.isfinite(a.mat).all():
-        raise ValueError("matrix has non-finite entries")
     deviation = float(np.max(np.abs(a.mat - a.mat.conj().T)))
     if deviation > herm_atol:
         raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")

@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -366,6 +366,42 @@ class ConstraintFailure(NamedTuple):
     bound: float
 
 
+class _Columns(NamedTuple):
+    # the failures of a checker's verdict as columns: failure i is named
+    # heads[rows[i]] + labels[cols[i]], its value is table[values[i]] and
+    # its bound table[bounds[i]].  Names need no JSON escaping and every
+    # float in table is finite.
+    heads: list[str]
+    rows: list[int]
+    labels: list[str]
+    cols: list[int]
+    table: list[float]
+    values: Sequence[int]
+    bounds: Sequence[int]
+
+    def failures(self) -> tuple[ConstraintFailure, ...]:
+        # C-level maps over the columns and one tuple per failure, no
+        # Python frame each
+        names = map(operator.add, map(self.heads.__getitem__, self.rows), map(self.labels.__getitem__, self.cols))
+        leaves = zip(names, map(self.table.__getitem__, self.values), map(self.table.__getitem__, self.bounds))
+        return tuple(map(tuple.__new__, repeat(ConstraintFailure), leaves))
+
+
+class _Failures:
+    # the failures field of SeparabilityVerdict.  A verdict made by a
+    # checker holds _Columns in place of the tuple, which is built on first
+    # read and kept in the instance dict; a tuple given to the constructor
+    # goes there directly.  A non-data descriptor, so a kept tuple shadows
+    # it.  Two threads reading first at once each build an equal tuple.
+
+    def __get__(self, verdict, owner=None):
+        if verdict is None:
+            raise AttributeError("failures")  # so that the field has no default
+        failures = verdict._columns.failures()
+        verdict.__dict__["failures"] = failures
+        return failures
+
+
 @dataclass(frozen=True)
 class SeparabilityVerdict:
     """Outcome of one criterion: satisfied iff no constraint failed.
@@ -373,20 +409,39 @@ class SeparabilityVerdict:
     ``failures`` lists each violated inequality with its raw margin, so
     callers can apply their own thresholds.  ``necessary_only`` marks
     criteria that can only certify non-separability, never separability.
+
+    The checkers of this module keep their failures as columns (names,
+    values and bounds indexed by pattern and fidelity), which
+    :func:`.formats.dumps_verdict` prints without making a
+    :class:`ConstraintFailure`; the tuple is built on the first read of
+    ``failures``.  Verdicts compare, hash and print by their fields, so a
+    checker's verdict equals the one built from its ``failures``.
     """
 
     criterion: str
-    failures: tuple[ConstraintFailure, ...]
+    failures: tuple[ConstraintFailure, ...] = _Failures()
     necessary_only: bool = False
     biseparable: Optional["SeparabilityVerdict"] = None
 
+    _columns = None  # a checker's _Columns; not a field
+
     @property
     def satisfied(self) -> bool:
-        return not self.failures
+        return not (self.failures if self._columns is None else self._columns.cols)
 
     @property
     def outcome(self) -> str:
         return "satisfied" if self.satisfied else "violated"
+
+
+def _verdict(criterion: str, columns: _Columns, necessary_only=False, biseparable=None) -> SeparabilityVerdict:
+    # a verdict holding its failures as columns, without the constructor,
+    # which would store a tuple
+    verdict = object.__new__(SeparabilityVerdict)
+    verdict.__dict__.update(
+        criterion=criterion, necessary_only=necessary_only, biseparable=biseparable, _columns=columns
+    )
+    return verdict
 
 
 def _labels(k: int) -> list[str]:
@@ -394,27 +449,31 @@ def _labels(k: int) -> list[str]:
     return list(map(label, range(2**k), repeat(k)))
 
 
-def _failures(heads, rows, labels, cols, values, bounds) -> tuple[ConstraintFailure, ...]:
-    # one failure per position of the columns rows and cols, named
-    # heads[row] + labels[col], with its value and bound: C-level maps
-    # over the columns and one tuple per failure, no Python frame each
-    names = map(operator.add, map(heads.__getitem__, rows), map(labels.__getitem__, cols))
-    return tuple(map(tuple.__new__, repeat(ConstraintFailure), zip(names, values, bounds)))
+def _ppt_columns(heads: list[str], rows: list[int], labels: list[str], cols: list[int], values: list) -> _Columns:
+    # PPT failures: values has one per failure, and gains their bound 0.0
+    # at its end
+    n = len(values)
+    values.append(0.0)
+    return _Columns(heads, rows, labels, cols, values, range(n), [n] * n)
 
 
 def check_ppt(desc: StateDescriptor, mu: Iterable[int]) -> SeparabilityVerdict:
     """Positivity of the mu-partial transpose, decided on fidelities.
 
     The transposed state is positive semidefinite exactly when every
-    transformed fidelity is nonnegative; entries below -1e-12 fail.
+    transformed fidelity is nonnegative; entries below -1e-12 fail.  The
+    verdict keeps its failures as columns until ``failures`` is read.
     """
     mu = as_bits(mu, desc.K, "mu")
     name = bits_str(mu)
     t = transform_fidelities(desc, mu)
     cols = np.flatnonzero(t < -PPT_ATOL)
-    heads = [f"mu={name},alpha="]
-    failures = _failures(heads, repeat(0), _labels(desc.K), cols.tolist(), t[cols].tolist(), repeat(0.0))
-    return SeparabilityVerdict(f"ppt:{name}", failures)
+    columns = _ppt_columns([f"mu={name},alpha="], [0] * cols.size, _labels(desc.K), cols.tolist(), t[cols].tolist())
+    return _verdict(f"ppt:{name}", columns)
+
+
+# entries of the largest product that check_ppt_all makes in one step (2 MiB)
+_STEP_ENTRIES = 2**18
 
 
 def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
@@ -432,9 +491,12 @@ def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
     patterns in :func:`.bits.all_vectors` order, bit for bit.  The patterns
     grow one pair at a time: at pair i, each pattern keeps its row for
     mu_i = 0 and gains, for mu_i = 1, the step along axis i that
-    :func:`transform_fidelities` takes.  The rows are scanned for
-    non-finite values only where the all-ones pattern's peak product, the
-    largest, is above 2^1022, which takes a d near the float range.
+    :func:`transform_fidelities` takes, by blocks of patterns so that no
+    step holds more than a bounded product beside the (2^K, 2^K) rows.
+    The rows are scanned for non-finite values only where the all-ones
+    pattern's peak product, the largest, is above 2^1022, which takes a d
+    near the float range.  Both verdicts keep their failures as columns
+    until ``failures`` is read.
     """
     k, f = desc.K, desc.fidelities
     size = 2**k
@@ -443,10 +505,12 @@ def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
     # before pair i, the row of pattern p is rows[p * 2^(k - i)]
     rows = np.empty((size, size))
     rows[0] = f
+    chunk = max(1, _STEP_ENTRIES >> k)  # patterns per step, 2^k entries each
     with np.errstate(over="ignore", invalid="ignore"):
         for i, s in enumerate(desc.sigma):
             grid = rows.reshape(2**i, 2, 2 ** (k - i - 1), 2**i, 2, -1)
-            _step(grid[:, 0, 0], blocks[s], grid[:, 1, 0])
+            for p in range(0, 2**i, chunk):
+                _step(grid[p : p + chunk, 0, 0], blocks[s], grid[p : p + chunk, 1, 0])
     if math.prod(peaks[s] for s in desc.sigma) > _SAFE_PEAK:
         finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
@@ -454,10 +518,14 @@ def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
     mask = rows < -PPT_ATOL
     patterns, cols = np.nonzero(mask)
     heads = [f"mu={name},alpha=" for name in labels]
-    failures = _failures(heads, patterns.tolist(), labels, cols.tolist(), rows[mask].tolist(), repeat(0.0))
+    values = rows[mask].tolist()
     # labels ends with the all-ones pattern, the biseparability test
-    last = failures[len(failures) - int(np.count_nonzero(mask[-1])) :]
-    return SeparabilityVerdict("ppt-all", failures, biseparable=SeparabilityVerdict("bisep", last))
+    last = len(values) - int(np.count_nonzero(mask[-1]))
+    patterns, cols = patterns.tolist(), cols.tolist()
+    # the slice first: the whole list gains the bound at its end
+    bisep = _ppt_columns(heads, patterns[last:], labels, cols[last:], values[last:])
+    columns = _ppt_columns(heads, patterns, labels, cols, values)
+    return _verdict("ppt-all", columns, biseparable=_verdict("bisep", bisep))
 
 
 def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:
@@ -467,10 +535,13 @@ def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:
     (2/d)^|sigma*alpha| and the monotonicity f_alpha <= f_beta whenever
     |alpha| > |beta|.  These conditions are necessary for full
     separability; they can hold for states that fail a PPT test, so the
-    verdict is flagged ``necessary_only``.
+    verdict is flagged ``necessary_only``.  It keeps its failures as
+    columns until ``failures`` is read: the values and bounds index one
+    table of the 2^K fidelities and the 2^K hull bounds.
     """
     k, f = desc.K, desc.fidelities
-    vectors = np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1) & 1
+    size = 2**k
+    vectors = np.arange(size)[:, None] >> np.arange(k - 1, -1, -1) & 1
     weight = vectors.sum(axis=1)
     overlap = vectors @ np.array(desc.sigma)
     # Python float powers: numpy's array ** can differ from them in the last
@@ -478,18 +549,23 @@ def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:
     halves = np.array([0.5**w for w in range(k + 1)])
     ratios = np.array([(2.0 / desc.d) ** o for o in range(k + 1)])
     bound = halves[weight] * ratios[overlap]
-    labels, values, bounds = _labels(k), f.tolist(), bound.tolist()
-    # one float object per fidelity and per bound, shared by every failure
-    # that prints it
-    cols = np.flatnonzero(f > bound + PPT_ATOL).tolist()
-    failures = _failures(
-        ["bound,alpha="], repeat(0), labels, cols, map(values.__getitem__, cols), map(bounds.__getitem__, cols)
-    )
+    above = np.flatnonzero(f > bound + PPT_ATOL)
     order = (weight[:, None] > weight[None, :]) & (f[:, None] > f[None, :] + PPT_ATOL)
-    rows, cols = (a.tolist() for a in np.nonzero(order))
-    heads = [f"order,alpha={name},beta=" for name in labels]
-    failures += _failures(heads, rows, labels, cols, map(values.__getitem__, rows), map(values.__getitem__, cols))
-    return SeparabilityVerdict("polytope", failures, necessary_only=True)
+    alphas, betas = np.nonzero(order)
+    # head 0 names the bound failures, head 1 + alpha the order failures
+    # of alpha, each against a beta
+    labels = _labels(k)
+    heads = ["bound,alpha="] + [f"order,alpha={name},beta=" for name in labels]
+    columns = _Columns(
+        heads,
+        [0] * above.size + (alphas + 1).tolist(),
+        labels,
+        np.concatenate([above, betas]).tolist(),
+        f.tolist() + bound.tolist(),
+        np.concatenate([above, alphas]).tolist(),
+        np.concatenate([above + size, betas]).tolist(),
+    )
+    return _verdict("polytope", columns, necessary_only=True)
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,21 @@ def test_twirl_rejects_non_hermitian_moments(tmp_path, capsys):
     assert code == 2 and out == "" and err.count("\n") == 1 and "not Hermitian" in err
 
 
+@pytest.mark.parametrize("mc", [None, "4"], ids=["exact", "mc"])
+def test_twirl_of_a_non_finite_matrix_fails_with_one_line(tmp_path, capsys, mc):
+    m = np.eye(4, dtype=complex) / 4
+    blob = bytearray(formats.qopb_encode(iv.Operator(2, 2, m)))
+    struct.pack_into("<d", blob, 13 + 16 * 5, float("nan"))  # the real part of entry (1, 1)
+    path = tmp_path / "nan.qopb"
+    path.write_bytes(bytes(blob))
+    mc_args = ["--mc", mc, "--out", str(tmp_path / "e.qopb")] if mc else []
+    code, out, err = run(capsys, "twirl", "--in", str(path), "--sigma", "0", *mc_args)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    if mc:
+        assert err == "error: matrix has non-finite entries\n"
+        assert not (tmp_path / "e.qopb").exists()
+
+
 def test_twirl_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "twirl", "--in", str(tmp_path / "none.qopb"), "--sigma", "0")
     assert code == 2

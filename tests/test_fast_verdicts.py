@@ -13,14 +13,19 @@ bytes.  The Kronecker product with the fidelities, a BLAS product, is the
 oracle within a rounding bound.
 """
 
+import dataclasses
 import gc
 import json
 import math
 import operator
+import os
+import pickle
+import subprocess
 import sys
 import warnings
 from functools import reduce
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +35,7 @@ from hypothesis import strategies as st
 import invariant_states as iv
 from invariant_states import ConstraintFailure, SeparabilityVerdict, StateDescriptor, formats, simplex
 from invariant_states.bits import bits_str
+from invariant_states.cli import main
 from invariant_states.projectors import pair_forms
 from invariant_states.simplex import PPT_ATOL
 
@@ -458,8 +464,7 @@ def test_criteria_and_writer_leave_no_garbage():
     """One call of each at K=7 allocates no reference cycle, so nothing is
     left for the cyclic collector (a recursive closure would leave its
     frames and arrays there): the criteria and their failure builder, the
-    transfer route, and the writer's one-pass, shared-float and
-    leaf-by-leaf columns."""
+    transfer route, and the writer's column and leaf-by-leaf routes."""
     gen = np.random.default_rng(7)
     desc = StateDescriptor(3, (1, 0, 1, 1, 0, 0, 1), gen.dirichlet(np.ones(128)))
     mixed = SeparabilityVerdict("mixed", tuple(ConstraintFailure("é", i, np.float64(-0.5)) for i in range(100)))
@@ -470,11 +475,12 @@ def test_criteria_and_writer_leave_no_garbage():
             verdicts = [iv.check_ppt_all(desc), iv.check_polytope(desc), iv.check_ppt(desc, (1,) * 7), mixed]
             transforms = [iv.transform_fidelities(desc, (1, 0) * 3 + (1,)), iv.pt_matrix((1,) * 7, desc.sigma, 3)]
             printed = [formats.dumps_verdict(v) for v in verdicts]
+            failures = [v.failures for v in verdicts]
             found = gc.collect()
         finally:
             gc.enable()
     assert found == 0
-    assert len(verdicts[0].failures) > 1000 and printed[1].count("order,") > 100
+    assert len(failures[0]) > 1000 and printed[1].count("order,") > 100
     assert verdicts[2].failures and len(transforms) == 2 and printed[3].count('"é"') == 100
 
 
@@ -545,3 +551,126 @@ def test_failure_columns_reject_non_finite_floats(bad):
         ):
             with pytest.raises(ValueError, match="non-finite float"):
                 formats.dumps_verdict(SeparabilityVerdict("bad", failures))
+
+
+# ---------------------------------------------------------------------------
+# verdicts that keep their failures as columns
+
+
+def _violating_point(k=7):
+    # fails many PPT patterns, hull bounds and order constraints
+    return StateDescriptor(3, (1, 0, 1, 1, 0, 0, 1)[:k], np.random.default_rng(7).dirichlet(np.ones(2**k)))
+
+
+def test_checkers_and_writer_make_no_constraint_failure(monkeypatch, tmp_path, capsys):
+    """Each failure the criteria print is made as a ConstraintFailure only
+    when ``failures`` is read: the spy counts every instance freed, so one
+    made and dropped on the way counts too."""
+    made = []
+
+    class Spy(ConstraintFailure):
+        __slots__ = ()
+
+        def __del__(self):
+            made.append(self.constraint)
+
+    monkeypatch.setattr(simplex, "ConstraintFailure", Spy)
+    desc = _violating_point()
+    path = tmp_path / "d.json"
+    path.write_text(formats.dumps_descriptor(desc))
+    verdicts = [iv.check_ppt_all(desc), iv.check_polytope(desc), iv.check_ppt(desc, (1,) * 7)]
+    printed = [formats.dumps_verdict(v) for v in verdicts]
+    assert [v.satisfied for v in verdicts] == [False] * 3 and verdicts[0].biseparable.outcome == "violated"
+    assert main(["check", "--in", str(path), "--criterion", "bisep"]) == 0
+    assert capsys.readouterr().out == formats.dumps_verdict(verdicts[0].biseparable)
+    del verdicts
+    gc.collect()
+    assert made == [] and sum(p.count('"constraint"') for p in printed) > 10_000
+    # the spy sees the failures once they are read
+    verdict = iv.check_ppt(desc, (1,) * 7)
+    assert verdict.failures and all(type(f) is Spy for f in verdict.failures)
+    del verdict
+    assert made
+
+
+def _rebuilt(verdict):
+    # the same verdict through the public constructor, from its failures
+    bisep = None if verdict.biseparable is None else _rebuilt(verdict.biseparable)
+    return SeparabilityVerdict(verdict.criterion, verdict.failures, verdict.necessary_only, bisep)
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_checker_verdicts_equal_the_verdicts_built_from_their_failures(k):
+    for desc in _points(5, k, seed=3000 + k):
+        for check in (iv.check_ppt_all, iv.check_polytope, lambda desc: iv.check_ppt(desc, (1,) + desc.sigma[1:])):
+            # each comparison on a fresh verdict, whose failures are not read yet
+            built = _rebuilt(check(desc))
+            assert check(desc) == built and built == check(desc) and hash(check(desc)) == hash(built)
+            assert repr(check(desc)) == repr(built)
+            verdict = check(desc)
+            assert (verdict.satisfied, verdict.outcome) == (built.satisfied, built.outcome)
+            printed = formats.dumps_verdict(verdict)
+            assert printed == formats.dumps_verdict(built) == reference_dumps_verdict(built)
+            assert verdict.failures == built.failures and formats.dumps_verdict(verdict) == printed
+            copied = pickle.loads(pickle.dumps(check(desc)))
+            assert copied == built and formats.dumps_verdict(copied) == printed
+
+
+def test_checker_verdicts_are_frozen_like_built_ones():
+    verdict = iv.check_ppt_all(_violating_point(3))
+    built = _rebuilt(verdict)
+    names = ["criterion", "failures", "necessary_only", "biseparable"]
+    assert [f.name for f in dataclasses.fields(SeparabilityVerdict)] == names
+    for v in (verdict, built):
+        for name in names + ["satisfied", "other"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(v, name, ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del v.failures
+    assert verdict == built and dataclasses.asdict(verdict) == dataclasses.asdict(built)
+    renamed = dataclasses.replace(verdict, criterion="renamed")
+    assert renamed.failures == verdict.failures and renamed.biseparable is verdict.biseparable
+    # the public constructor: failures is required, positional or keyword
+    with pytest.raises(TypeError):
+        SeparabilityVerdict("x")
+    assert SeparabilityVerdict("x", ()).satisfied
+    assert SeparabilityVerdict(failures=(), criterion="x") == SeparabilityVerdict("x", ())
+    assert repr(SeparabilityVerdict("x", ())) == (
+        "SeparabilityVerdict(criterion='x', failures=(), necessary_only=False, biseparable=None)"
+    )
+
+
+@pytest.mark.parametrize("entries", [1, 2**8, 2**12])
+def test_ppt_all_by_blocks_of_patterns_is_bitwise_one_block(monkeypatch, entries):
+    # one, two and 32 patterns per step at K=7, against all 64 of the last pair at once
+    desc = _violating_point()
+    whole = iv.check_ppt_all(desc)
+    monkeypatch.setattr(simplex, "_STEP_ENTRIES", entries)
+    blocks = iv.check_ppt_all(desc)
+    assert repr(blocks) == repr(whole) and formats.dumps_verdict(blocks) == formats.dumps_verdict(whole)
+
+
+_PPT_ALL_GROWTH = """
+import resource
+import numpy as np
+import invariant_states as iv
+sigma = (0, 1) * 6
+desc = iv.StateDescriptor(3, sigma, iv.extremal_fidelities(sigma, np.linspace(0.1, 0.9, 12), 3))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+verdict = iv.check_ppt_all(desc)
+print(verdict.outcome, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_ppt_all_at_k12_holds_the_rows_and_little_more():
+    """At K=12 the (2^K, 2^K) rows take 128 MiB.  The steps go by blocks of
+    patterns, so the peak grows by less than a quarter more; a whole step
+    at the last pair held half the rows again, 192 MiB in all.  The child
+    is started from a fresh interpreter, whose small peak RSS is all it
+    carries across exec."""
+    env = dict(os.environ, PYTHONPATH=str(Path(iv.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    hop = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"
+    report = subprocess.run([sys.executable, "-c", hop, _PPT_ALL_GROWTH], env=env, capture_output=True, text=True,
+                            check=True, timeout=120)
+    outcome, growth_kib = report.stdout.split()
+    assert outcome == "satisfied" and int(growth_kib) < 160 * 1024

@@ -290,6 +290,27 @@ def test_min_eigenvalue_rejects_non_finite_entries_without_a_warning(row, col, b
             iv.min_eigenvalue(Operator(2, 2, m))
 
 
+@pytest.mark.parametrize("row, col, bad", [(0, 0, np.nan), (0, 0, np.inf), (1, 2, -np.inf), (3, 0, complex(0, np.nan))])
+def test_operator_rejects_non_finite_entries(row, col, bad):
+    # a NaN entry would make an operator unequal to itself and its
+    # Frobenius distance to any operator nan
+    m = np.eye(4, dtype=complex) / 4
+    m[row, col] = bad
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        Operator(2, 2, m)
+    # nor can arithmetic on finite operators make one
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        Operator(2, 2, np.eye(4) * 1e300) * 1e300
+
+
+def test_finite_operators_compare_equal_and_at_distance_zero():
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 3] = np.finfo(float).max
+    a = Operator(2, 2, m)
+    assert a == Operator(2, 2, m) and a == a
+    assert iv.frobenius_distance(a, a) == 0.0
+
+
 def test_min_eigenvalue_certificate_residual():
     rho = random_hermitian(2, 2, 6)
     lam = iv.min_eigenvalue(rho)
