@@ -19,10 +19,10 @@ from .bits import as_bits, parse_bits
 from .operators import Rng, _side
 from .selfcheck import run_checks
 from .simplex import (
+    SeparabilityVerdict,
     StateDescriptor,
     _fidelities,
     _scatter,
-    _verdict,
     check_polytope,
     check_ppt,
     check_ppt_all,
@@ -103,7 +103,7 @@ def _cmd_check(args) -> int:
         verdict = check_ppt_all(desc)
     elif name == "bisep":
         # the all-ones PPT sub-verdict, as embedded in ppt-all verdicts
-        verdict = _verdict("bisep", check_ppt(desc, (1,) * desc.K)._columns)
+        verdict = SeparabilityVerdict("bisep", check_ppt(desc, (1,) * desc.K)._columns)
     elif name.startswith("ppt:"):
         verdict = check_ppt(desc, parse_bits(name[4:]))
     else:

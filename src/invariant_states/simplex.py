@@ -387,21 +387,6 @@ class _Columns(NamedTuple):
         return tuple(map(tuple.__new__, repeat(ConstraintFailure), leaves))
 
 
-class _Failures:
-    # the failures field of SeparabilityVerdict.  A verdict made by a
-    # checker holds _Columns in place of the tuple, which is built on first
-    # read and kept in the instance dict; a tuple given to the constructor
-    # goes there directly.  A non-data descriptor, so a kept tuple shadows
-    # it.  Two threads reading first at once each build an equal tuple.
-
-    def __get__(self, verdict, owner=None):
-        if verdict is None:
-            raise AttributeError("failures")  # so that the field has no default
-        failures = verdict._columns.failures()
-        verdict.__dict__["failures"] = failures
-        return failures
-
-
 @dataclass(frozen=True)
 class SeparabilityVerdict:
     """Outcome of one criterion: satisfied iff no constraint failed.
@@ -410,20 +395,34 @@ class SeparabilityVerdict:
     callers can apply their own thresholds.  ``necessary_only`` marks
     criteria that can only certify non-separability, never separability.
 
-    The checkers of this module keep their failures as columns (names,
-    values and bounds indexed by pattern and fidelity), which
-    :func:`.formats.dumps_verdict` prints without making a
+    The checkers of this module pass their failures to the constructor as
+    columns (names, values and bounds indexed by pattern and fidelity),
+    which :func:`.formats.dumps_verdict` prints without making a
     :class:`ConstraintFailure`; the tuple is built on the first read of
-    ``failures``.  Verdicts compare, hash and print by their fields, so a
-    checker's verdict equals the one built from its ``failures``.
+    ``failures`` and kept.  Verdicts compare, hash and print by their
+    fields, so a checker's verdict equals the one built from its
+    ``failures``.
     """
 
     criterion: str
-    failures: tuple[ConstraintFailure, ...] = _Failures()
+    failures: tuple[ConstraintFailure, ...]
     necessary_only: bool = False
     biseparable: Optional["SeparabilityVerdict"] = None
 
     _columns = None  # a checker's _Columns; not a field
+
+    def __post_init__(self):
+        if isinstance(self.failures, _Columns):
+            self.__dict__["_columns"] = self.__dict__.pop("failures")
+
+    def __getattr__(self, name):
+        # only when the instance dict lacks name: the failures of a checker's
+        # verdict, built on first read and kept there.  Two threads reading
+        # first at once each build an equal tuple.
+        if name != "failures" or self._columns is None:
+            raise AttributeError(name)
+        failures = self.__dict__["failures"] = self._columns.failures()
+        return failures
 
     @property
     def satisfied(self) -> bool:
@@ -432,16 +431,6 @@ class SeparabilityVerdict:
     @property
     def outcome(self) -> str:
         return "satisfied" if self.satisfied else "violated"
-
-
-def _verdict(criterion: str, columns: _Columns, necessary_only=False, biseparable=None) -> SeparabilityVerdict:
-    # a verdict holding its failures as columns, without the constructor,
-    # which would store a tuple
-    verdict = object.__new__(SeparabilityVerdict)
-    verdict.__dict__.update(
-        criterion=criterion, necessary_only=necessary_only, biseparable=biseparable, _columns=columns
-    )
-    return verdict
 
 
 def _labels(k: int) -> list[str]:
@@ -469,7 +458,7 @@ def check_ppt(desc: StateDescriptor, mu: Iterable[int]) -> SeparabilityVerdict:
     t = transform_fidelities(desc, mu)
     cols = np.flatnonzero(t < -PPT_ATOL)
     columns = _ppt_columns([f"mu={name},alpha="], [0] * cols.size, _labels(desc.K), cols.tolist(), t[cols].tolist())
-    return _verdict(f"ppt:{name}", columns)
+    return SeparabilityVerdict(f"ppt:{name}", columns)
 
 
 # entries of the largest product that check_ppt_all makes in one step (2 MiB)
@@ -525,7 +514,7 @@ def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
     # the slice first: the whole list gains the bound at its end
     bisep = _ppt_columns(heads, patterns[last:], labels, cols[last:], values[last:])
     columns = _ppt_columns(heads, patterns, labels, cols, values)
-    return _verdict("ppt-all", columns, biseparable=_verdict("bisep", bisep))
+    return SeparabilityVerdict("ppt-all", columns, biseparable=SeparabilityVerdict("bisep", bisep))
 
 
 def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:
@@ -565,7 +554,7 @@ def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:
         np.concatenate([above, alphas]).tolist(),
         np.concatenate([above + size, betas]).tolist(),
     )
-    return _verdict("polytope", columns, necessary_only=True)
+    return SeparabilityVerdict("polytope", columns, necessary_only=True)
 
 
 # ---------------------------------------------------------------------------

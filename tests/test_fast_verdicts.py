@@ -10,9 +10,11 @@ fidelities with hull bounds from Python float powers, and canonical JSON
 with one ``json.dumps`` per string and a dict per verdict and failure.
 The library's kernels must return the same float bits and print the same
 bytes.  The Kronecker product with the fidelities, a BLAS product, is the
-oracle within a rounding bound.
+oracle within a rounding bound, and the rational transforms of
+``exact.py`` are the oracle of which PPT entries fail.
 """
 
+import copy
 import dataclasses
 import gc
 import json
@@ -32,6 +34,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import exact
 import invariant_states as iv
 from invariant_states import ConstraintFailure, SeparabilityVerdict, StateDescriptor, formats, simplex
 from invariant_states.bits import bits_str
@@ -269,6 +272,38 @@ def test_transforms_are_within_rounding_of_the_kron_oracle(k):
                 bound = (3 * k + 2**k) * eps * (np.abs(desc.fidelities) @ np.abs(m))
                 error = np.abs(iv.transform_fidelities(desc, mu) - desc.fidelities @ m)
                 assert np.all(error <= bound)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_exact_transposition_blocks_round_to_pair_forms(d):
+    # each entry is one correctly rounded quotient, as numpy forms it
+    for s in (0, 1):
+        assert [[float(x) for x in row] for row in exact.transpose_block(d, s)] == pair_forms(d, s)[2].tolist()
+
+
+@pytest.mark.parametrize("seed, k", [(0, 3), (1, 5), (2, 7)])
+def test_ppt_failure_sets_are_the_exact_ones(seed, k):
+    """The failures of ppt-all and of the all-ones pattern are exactly the
+    (mu, alpha) whose transformed entry, in rational arithmetic, is below
+    -PPT_ATOL, and each printed value lies within 3K eps (|f| @ |M|) of
+    that entry, M the Kronecker transfer of mu."""
+    sigma = (1, 0, 1, 1, 0, 0, 1)[:k]
+    desc = StateDescriptor(3, sigma, np.random.default_rng(seed).dirichlet(np.ones(2**k)))
+    want = exact.ppt_failures(desc.fidelities.tolist(), sigma, 3, PPT_ATOL)
+    ones = {key: entry for key, entry in want.items() if key[0] == (1,) * k}
+    scales = {}
+    for verdict, entries in ((iv.check_ppt_all(desc), want), (iv.check_ppt(desc, (1,) * k), ones)):
+        got = {}
+        for name, value, _ in verdict.failures:
+            mu, alpha = name.removeprefix("mu=").split(",alpha=")
+            got[tuple(map(int, mu)), tuple(map(int, alpha))] = value
+        assert got.keys() == entries.keys()
+        for (mu, alpha), value in got.items():
+            if mu not in scales:
+                scales[mu] = np.abs(desc.fidelities) @ np.abs(reference_pt_matrix(mu, sigma, 3))
+            bound = 3 * k * np.finfo(float).eps * scales[mu][int(_name(alpha), 2)]
+            assert abs(value - entries[mu, alpha]) <= bound
+    assert len(want) > 20 * 4 ** (k - 3) and ones
 
 
 @pytest.mark.parametrize("sigma", [(1, 1, 0), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1, 0, 1, 0)])
@@ -612,16 +647,23 @@ def test_checker_verdicts_equal_the_verdicts_built_from_their_failures(k):
             printed = formats.dumps_verdict(verdict)
             assert printed == formats.dumps_verdict(built) == reference_dumps_verdict(built)
             assert verdict.failures == built.failures and formats.dumps_verdict(verdict) == printed
-            copied = pickle.loads(pickle.dumps(check(desc)))
-            assert copied == built and formats.dumps_verdict(copied) == printed
+            for copier in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+                copied = copier(check(desc))
+                assert "failures" not in vars(copied) and copied == built and formats.dumps_verdict(copied) == printed
 
 
 def test_checker_verdicts_are_frozen_like_built_ones():
     verdict = iv.check_ppt_all(_violating_point(3))
+    # a checker's verdict holds no tuple before its first read
+    assert "failures" not in vars(verdict) and "failures" not in vars(verdict.biseparable)
     built = _rebuilt(verdict)
     names = ["criterion", "failures", "necessary_only", "biseparable"]
     assert [f.name for f in dataclasses.fields(SeparabilityVerdict)] == names
     for v in (verdict, built):
+        # only failures is made on demand
+        with pytest.raises(AttributeError) as info:
+            getattr(v, "other")
+        assert info.value.args == ("other",)
         for name in names + ["satisfied", "other"]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(v, name, ())
@@ -638,6 +680,9 @@ def test_checker_verdicts_are_frozen_like_built_ones():
     assert repr(SeparabilityVerdict("x", ())) == (
         "SeparabilityVerdict(criterion='x', failures=(), necessary_only=False, biseparable=None)"
     )
+    # an instance made without the constructor has no failures to build
+    with pytest.raises(AttributeError):
+        object.__new__(SeparabilityVerdict).failures
 
 
 @pytest.mark.parametrize("entries", [1, 2**8, 2**12])
