@@ -14,13 +14,16 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 MAX_SIDE = 4096
+
+# the largest local dimension: every integer up to it is exactly a float, and
+# no per-pair PPT transfer can overflow (see simplex._transposes)
+_MAX_DIMENSION = 2**53
 
 HERMITICITY_ATOL = 1e-10
 
@@ -35,12 +38,12 @@ def _integer(value, name: str) -> int:
 
 
 def dimension(d) -> int:
-    """A local dimension as a Python int: an integer (numpy integers count), >= 2, within the float range."""
+    """A local dimension as a Python int: an integer (numpy integers count), 2 <= d <= 2**53."""
     d = _integer(d, "local dimension")
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
-    if d > sys.float_info.max:
-        raise ValueError(f"local dimension beyond the float range: {d.bit_length()} bits")
+    if d > _MAX_DIMENSION:
+        raise ValueError(f"local dimension must be <= 2**53, got a {d.bit_length()}-bit integer")
     return d
 
 
@@ -293,6 +296,19 @@ class Rng:
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.seed, counter=self.counter << 128))
+
+    def _normals(self, out: np.ndarray) -> np.ndarray:
+        # out[i] = the normals self.at(i).generator() draws, from one Philox
+        # moved in place to each counter c << 128: 64-bit words 2 and 3
+        gen = self.generator()
+        state = gen.bit_generator.state
+        words = state["state"]["counter"]
+        for i, part in enumerate(out):
+            counter = self.counter + i
+            words[2], words[3] = counter & 0xFFFF_FFFF_FFFF_FFFF, counter >> 64
+            gen.bit_generator.state = state  # also empties the buffer of drawn words
+            gen.standard_normal(out=part)
+        return out
 
 
 def _haar_sample(normals: np.ndarray) -> np.ndarray:

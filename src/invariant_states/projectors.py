@@ -52,8 +52,8 @@ def pair_forms(d: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
       P_alpha in family 1 - s.  Its rows sum to 1, and the blocks of the
       two families are mutual inverses.
 
-    Entries are computed in floats, so every d within the float range
-    gives a value (at worst inf) rather than an OverflowError.
+    Entries are computed in floats; every d <= 2**53 is exactly a float,
+    and every entry is finite.
     """
     d = float(dimension(d))
     transpose = np.array(_transpose_entries(d, s)).reshape(2, 2)
@@ -159,8 +159,12 @@ def projector_trace(d: int, sigma: Iterable[int], alpha: Iterable[int]) -> float
     pairs of the traces in :func:`pair_forms`.
 
     Per pair: d(d + (-1)^alpha)/2 for a Werner-split factor, and 1 or
-    d^2 - 1 for the entangled projector or its complement.
+    d^2 - 1 for the entangled projector or its complement.  A count
+    beyond the float range raises ValueError.
     """
     sigma = as_bits(sigma, name="sigma")
     alpha = as_bits(alpha, len(sigma), "alpha")
-    return float(math.prod(pair_forms(d, s)[1][a] for s, a in zip(sigma, alpha)))
+    trace = math.prod(float(pair_forms(d, s)[1][a]) for s, a in zip(sigma, alpha))  # inf without a warning
+    if trace == math.inf:
+        raise ValueError(f"projector trace beyond the float range at d={d}, K={len(sigma)}")
+    return trace

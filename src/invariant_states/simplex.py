@@ -21,7 +21,6 @@ transposition pattern transposes the second member of pair i (slot K+i).
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -204,8 +203,8 @@ def mc_twirl(rho: Operator, sigma: Iterable[int], samples: int, rng: Rng) -> Ope
     B = W_1 (x) ... (x) W_K each have side h = d**K, so A and B act on the
     row index of rho, seen as an (h, h, h, h) tensor, and their adjoints
     on the column index: 4 h**5 operations per sample instead of 2 h**6.
-    Samples go in batches of a bounded working size: one Philox generator
-    is moved to each sample's counter in place, one stacked QR gives the
+    Samples go in batches of a bounded working size: one generator draws
+    the batch's normals, sample by sample, one stacked QR gives the
     batch's unitaries, the products run over the sample axis, and the
     terms are added to the sum in sample order.
     """
@@ -217,11 +216,6 @@ def mc_twirl(rho: Operator, sigma: Iterable[int], samples: int, rng: Rng) -> Ope
     k, d, side = len(sigma), rho.d, rho.side
     h = d**k
     batch = min(samples, max(1, _MC_BATCH_ENTRIES // side**2))
-    gen = rng.generator()
-    state = gen.bit_generator.state
-    # the counter as little-endian 64-bit words: (rng.counter + s) << 128
-    # fills words 2 and 3
-    words = state["state"]["counter"]
     conj = np.array(sigma, dtype=bool)[:, None, None]
     rows = rho.mat.reshape(h, h**3)
     acc = np.zeros((side, side), dtype=np.complex128)
@@ -230,13 +224,7 @@ def mc_twirl(rho: Operator, sigma: Iterable[int], samples: int, rng: Rng) -> Ope
     work = np.empty((2, batch, side * side), dtype=np.complex128)
     for start in range(0, samples, batch):
         n = min(batch, samples - start)
-        normals = np.empty((n, k, 2, d, d))
-        for i in range(n):
-            counter = rng.counter + start + i
-            words[2], words[3] = counter & 0xFFFF_FFFF_FFFF_FFFF, counter >> 64
-            gen.bit_generator.state = state  # also empties the buffer of drawn words
-            gen.standard_normal(out=normals[i])
-        us = _haar_sample(normals)
+        us = _haar_sample(rng.at(start)._normals(np.empty((n, k, 2, d, d))))
         a = _kron_stack(us)
         b = _kron_stack(np.where(conj, us.conj(), us))
         one, two = work[0, :n], work[1, :n]
@@ -257,25 +245,17 @@ def mc_twirl(rho: Operator, sigma: Iterable[int], samples: int, rng: Rng) -> Ope
 # fidelity transfer under partial transposition
 
 
-def _transposes(d: int) -> tuple[np.ndarray, list[float]]:
-    # the transposition block of each family, and its largest magnitude as
-    # a Python float, whose products never warn
+def _transposes(d: int) -> np.ndarray:
+    # the transposition block of each family, Werner first.  No transform
+    # can overflow: a descriptor's fidelities (sum 1 within 1e-10, none below
+    # -1e-12) have magnitudes summing to less than 2, and a step multiplies
+    # that sum by at most its block's largest row sum of magnitudes, d for
+    # an isotropic and at most 2 for a Werner block; so an entry is at most
+    # 2 d^K <= 2^637 at d <= 2^53, K <= 12 (the bound holds to K = 19).  A
+    # pt_matrix entry is at most ((d + 1) / 2)^12, 2^624 in floats, and a
+    # polytope bound at least 2^-636, a normal float.
     d = float(d)
-    werner, isotropic = _transpose_entries(d, 0), _transpose_entries(d, 1)
-    return np.array(werner + isotropic).reshape(2, 2, 2), [max(map(abs, werner)), max(map(abs, isotropic))]
-
-
-# the fidelities of a descriptor sum to 1 within 1e-10 and none is below
-# -1e-12, so their magnitudes sum to less than 2 for every K up to 12, and
-# each step multiplies the largest partial sum by at most its block's peak:
-# where the product of the transposed pairs' peaks is at most this, no step
-# can reach the largest float, so no errstate is entered and no result is
-# scanned for non-finite entries
-_SAFE_PEAK = 2.0**1022
-
-
-def _overflow(name: str, d: int) -> ValueError:
-    return ValueError(f"transfer of mu={name} overflows at d = {float(d):.3g}")
+    return np.array(_transpose_entries(d, 0) + _transpose_entries(d, 1)).reshape(2, 2, 2)
 
 
 def _step(x: np.ndarray, block: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -284,15 +264,6 @@ def _step(x: np.ndarray, block: np.ndarray, out: Optional[np.ndarray] = None) ->
     out = np.multiply(x[..., :1, :], block[0, :, None], out=out)
     out += x[..., 1:, :] * block[1, :, None]
     return out
-
-
-def _kernel(f: np.ndarray, mu: Bits, sigma: Bits, blocks: np.ndarray) -> np.ndarray:
-    # f times the transfer of mu: one step along axis i of f.reshape((2,) * K)
-    # for each i with mu_i = 1, first pair first; f itself if there is none
-    for i, (m, s) in enumerate(zip(mu, sigma)):
-        if m:
-            f = _step(f.reshape(2**i, 2, -1), blocks[s]).reshape(-1)
-    return f
 
 
 def pt_matrix(mu: Iterable[int], nu: Iterable[int], d: int) -> np.ndarray:
@@ -308,20 +279,13 @@ def pt_matrix(mu: Iterable[int], nu: Iterable[int], d: int) -> np.ndarray:
     :func:`transform_fidelities`, which never builds it.
 
     K is at most 12, as for :class:`StateDescriptor`, checked before any
-    allocation.  Overflow is decided before any entry is computed: every
-    entry is a left-to-right product of one entry per block, each block's
-    largest magnitude, its peak, is at least 1 ((d+1)/d for a Werner-split
-    and (d+1)/2 for an isotropic transposition), and rounding is monotone,
-    so the product of the peaks in the same order is one entry's magnitude
-    and bounds every other: ValueError is raised exactly when some entry
-    overflows.
+    allocation.  With d <= 2**53 every entry is finite, at most 2**624 in
+    magnitude.
     """
     mu = as_bits(mu, name="mu")
     nu = as_bits(nu, len(mu), "nu")
     _side(2, len(mu))
-    blocks, peaks = _transposes(dimension(d))
-    if math.prod(peaks[n] for m, n in zip(mu, nu) if m) == math.inf:
-        raise _overflow(bits_str(mu), d)
+    blocks = _transposes(dimension(d))
     mat = reduce(np.kron, [blocks[n] if m else np.eye(2) for m, n in zip(mu, nu)])
     mat.setflags(write=False)
     return mat
@@ -337,19 +301,14 @@ def transform_fidelities(desc: StateDescriptor, mu: Iterable[int]) -> np.ndarray
     rounding, computed pair by pair: each transposed pair's 2 x 2 block
     acts along its own axis of the fidelities seen as a (2,) * K array,
     by elementwise products and sums, so IEEE arithmetic fixes every bit.
-    It raises ValueError exactly when the result has a non-finite entry.
+    With d <= 2**53 no step can overflow: every entry is finite.
     """
     mu = as_bits(mu, desc.K, "mu")
-    f = desc.fidelities
-    blocks, peaks = _transposes(desc.d)
-    if math.prod(peaks[s] for m, s in zip(mu, desc.sigma) if m) <= _SAFE_PEAK:
-        t = _kernel(f, mu, desc.sigma, blocks)
-        return f.copy() if t is f else t
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = _kernel(f, mu, desc.sigma, blocks)
-    if not np.isfinite(t).all():
-        raise _overflow(bits_str(mu), desc.d)
-    return t
+    blocks, t = _transposes(desc.d), desc.fidelities
+    for i, (m, s) in enumerate(zip(mu, desc.sigma)):
+        if m:  # the step along axis i of t.reshape((2,) * K), first pair first
+            t = _step(t.reshape(2**i, 2, -1), blocks[s]).reshape(-1)
+    return t.copy() if t is desc.fidelities else t
 
 
 # ---------------------------------------------------------------------------
@@ -475,35 +434,28 @@ def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
     all-ones sub-verdict doubles as the biseparability test (separability
     across the cut grouping all first members) and is reported alongside.
 
-    The result, and the error of the first pattern whose transformed
-    vector is not finite, equal those of :func:`check_ppt` over the
-    patterns in :func:`.bits.all_vectors` order, bit for bit.  The patterns
-    grow one pair at a time: at pair i, each pattern keeps its row for
-    mu_i = 0 and gains, for mu_i = 1, the step along axis i that
+    The result equals that of :func:`check_ppt` over the patterns in
+    :func:`.bits.all_vectors` order, bit for bit, and every value is
+    finite (see :func:`transform_fidelities`).  The patterns grow one pair
+    at a time: at pair i, each pattern keeps its row for mu_i = 0 and
+    gains, for mu_i = 1, the step along axis i that
     :func:`transform_fidelities` takes, by blocks of patterns so that no
     step holds more than a bounded product beside the (2^K, 2^K) rows.
-    The rows are scanned for non-finite values only where the all-ones
-    pattern's peak product, the largest, is above 2^1022, which takes a d
-    near the float range.  Both verdicts keep their failures as columns
-    until ``failures`` is read.
+    Both verdicts keep their failures as columns until ``failures`` is
+    read.
     """
     k, f = desc.K, desc.fidelities
     size = 2**k
     labels = _labels(k)
-    blocks, peaks = _transposes(desc.d)
+    blocks = _transposes(desc.d)
     # before pair i, the row of pattern p is rows[p * 2^(k - i)]
     rows = np.empty((size, size))
     rows[0] = f
     chunk = max(1, _STEP_ENTRIES >> k)  # patterns per step, 2^k entries each
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, s in enumerate(desc.sigma):
-            grid = rows.reshape(2**i, 2, 2 ** (k - i - 1), 2**i, 2, -1)
-            for p in range(0, 2**i, chunk):
-                _step(grid[p : p + chunk, 0, 0], blocks[s], grid[p : p + chunk, 1, 0])
-    if math.prod(peaks[s] for s in desc.sigma) > _SAFE_PEAK:
-        finite = np.isfinite(rows).all(axis=1)
-        if not finite.all():
-            raise _overflow(labels[int(np.argmin(finite))], desc.d)
+    for i, s in enumerate(desc.sigma):
+        grid = rows.reshape(2**i, 2, 2 ** (k - i - 1), 2**i, 2, -1)
+        for p in range(0, 2**i, chunk):
+            _step(grid[p : p + chunk, 0, 0], blocks[s], grid[p : p + chunk, 1, 0])
     mask = rows < -PPT_ATOL
     patterns, cols = np.nonzero(mask)
     heads = [f"mu={name},alpha=" for name in labels]

@@ -1,5 +1,7 @@
 import json
 import struct
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import invariant_states as iv
 from invariant_states import formats
 from invariant_states.bits import bits_str, parse_bits
 from invariant_states.cli import main
+from invariant_states.simplex import maximally_mixed_pair
 
 
 def run(capsys, *argv):
@@ -247,7 +250,7 @@ def test_twirl_directory_input_fails_closed(tmp_path, capsys):
         pytest.param('"d":2,"K":1,"sigma":[0],"fidelities":[1' + "0" * 400 + ',0]', "finite",
                      id="integer-fidelity-beyond-float-range"),
         pytest.param('"d":1' + "0" * 400 + ',"K":1,"sigma":[0],"fidelities":[0.5,0.5]',
-                     "float range", id="d-beyond-float-range"),
+                     "must be <= 2**53", id="d-beyond-float-range"),
         # json.loads runs out of recursion depth long before the end
         pytest.param('"d":' + "[" * 200000, "invalid descriptor JSON: maximum recursion depth",
                      id="deeply-nested-array"),
@@ -271,29 +274,73 @@ def test_check_malformed_descriptor_fails_closed(tmp_path, capsys, field, expect
 
 @pytest.mark.parametrize("criterion", ["ppt-all", "bisep", "polytope"])
 def test_check_huge_d_fails_closed(tmp_path, capsys, criterion):
-    """A d beyond the float range is rejected; at d = 10**160 the two-pair
-    isotropic transfer overflows and exits 2, while the polytope bounds
-    stay finite."""
+    """A d above 2**53 is rejected by every criterion, whether or not it
+    is within the float range."""
     path = tmp_path / "huge.json"
-    path.write_text('{"version":1,"d":1' + "0" * 400 + ',"K":1,"sigma":[0],"fidelities":[0.5,0.5]}')
-    code, out, err = run(capsys, "check", "--in", str(path), "--criterion", criterion)
-    assert code == 2 and out == "" and err.count("\n") == 1 and "float range" in err
-    desc = iv.StateDescriptor(10**160, (1, 1), np.full(4, 0.25))
-    path.write_text(formats.dumps_descriptor(desc))
-    code, out, err = run(capsys, "check", "--in", str(path), "--criterion", criterion, "--strict")
-    if criterion == "polytope":
-        failures = json.loads(out)["failures"]
-        assert code == 1 and err == "" and failures
-        assert all(np.isfinite([f["value"], f["bound"]]).all() for f in failures)
-    else:
-        assert code == 2 and out == ""
-        assert err == "error: transfer of mu=11 overflows at d = 1e+160\n"
+    for d in ("1" + "0" * 400, "1" + "0" * 160):
+        path.write_text('{"version":1,"d":' + d + ',"K":2,"sigma":[1,1],"fidelities":[0.25,0.25,0.25,0.25]}')
+        code, out, err = run(capsys, "check", "--in", str(path), "--criterion", criterion, "--strict")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: local dimension must be <= 2**53, got a ")
+
+
+# d above the largest, 2**53, up to near the float maximum; among them
+# 2 * float_max**(1/K) for K = 2..7, where K isotropic transposition blocks'
+# largest product would reach the float maximum
+BEYOND = (2**53 + 1, 10**100, 10**150, 10**160, 10**300) + tuple(
+    int(2.0 * sys.float_info.max ** (1.0 / k)) for k in range(2, 8)
+)
+
+
+@pytest.mark.parametrize("d", BEYOND, ids=lambda d: f"{d.bit_length()}-bit")
+def test_every_entry_point_rejects_d_above_2_53(tmp_path, capsys, d):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert iv.StateDescriptor(2**53, (1,), [0.5, 0.5]).d == 2**53
+        for call in (
+            lambda: iv.StateDescriptor(d, (1,), [0.5, 0.5]),
+            lambda: formats.parse_descriptor('{"version":1,"d":%d,"K":1,"sigma":[1],"fidelities":[0.5,0.5]}' % d),
+            lambda: iv.pt_matrix((1,), (1,), d),
+            lambda: iv.extremal_fidelities((1,), [0.5], d),
+            lambda: iv.projectors.pair_forms(d, 1),
+            lambda: maximally_mixed_pair(d),
+            lambda: iv.projector_trace(d, (1,), (0,)),
+        ):
+            with pytest.raises(ValueError, match=r"^local dimension must be <= 2\*\*53, got a \d+-bit integer$"):
+                call()
+        path = tmp_path / "beyond.json"
+        path.write_text('{"version":1,"d":%d,"K":1,"sigma":[1],"fidelities":[0.5,0.5]}' % d)
+        for argv in (
+            ["build", "--d", str(d), "--K", "1", "--sigma", "1", "--fid", "0.5,0.5"],
+            ["check", "--in", str(path), "--criterion", "ppt-all"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: local dimension must be <= 2**53, got a {d.bit_length()}-bit integer\n"
+
+
+def test_every_entry_point_accepts_d_2_53(tmp_path, capsys):
+    d = 2**53
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        desc = iv.StateDescriptor(d, (1,), [0.5, 0.5])
+        assert formats.parse_descriptor(formats.dumps_descriptor(desc)) == desc
+        assert iv.pt_matrix((1,), (1,), d).tolist() == [[0.5, 0.5], [2.0**52, 0.5 - 2.0**52]]
+        assert iv.extremal_fidelities((1,), [1.0], d).tolist() == [1.0 - 2.0**-53, 2.0**-53]
+        assert iv.projectors.pair_forms(d, 1)[1].tolist() == [2.0**106 - 2.0**53, 1.0]  # d + 1.0 rounds to d
+        assert maximally_mixed_pair(d).d == d and iv.projector_trace(d, (1,), (0,)) == 2.0**106 - 2.0**53
+        code, out, err = run(capsys, "build", "--d", str(d), "--K", "1", "--sigma", "1", "--fid", "0.5,0.5")
+        assert (code, err) == (0, "") and formats.parse_descriptor(out) == desc
+        path = tmp_path / "top.json"
+        path.write_text(out)
+        code, out, err = run(capsys, "check", "--in", str(path), "--criterion", "ppt-all", "--strict")
+        assert (code, err) == (1, "") and json.loads(out)["outcome"] == "violated"
 
 
 def test_build_rejects_d_beyond_float_range(capsys):
     code, out, err = run(capsys, "build", "--d", "1" + "0" * 400, "--K", "1", "--sigma", "0",
                          "--fid", "0.5,0.5")
-    assert code == 2 and out == "" and "float range" in err
+    assert code == 2 and out == "" and "must be <= 2**53" in err
 
 
 @pytest.fixture

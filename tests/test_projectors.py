@@ -1,3 +1,5 @@
+import math
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -186,6 +188,16 @@ def test_trace_formula_values():
     assert iv.projector_trace(3, (1, 1), (1, 0)) == 8.0
     assert iv.projector_trace(5, (1, 1), (1, 1)) == 1.0
     assert iv.projector_trace(3, (0, 1), (1, 0)) == 3 * 8.0
+
+
+@pytest.mark.parametrize("d, sigma", [(2, (0,) * 700), (2**53, (1,) * 12)])
+def test_trace_beyond_the_float_range_raises_without_a_warning(d, sigma):
+    # 3**700, and (d**2 - 1)**12 at the largest d
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^projector trace beyond the float range at d={d}, K={len(sigma)}$"):
+            iv.projector_trace(d, sigma, (0,) * len(sigma))
+        assert iv.projector_trace(d, sigma[:2], (0, 0)) < math.inf
 
 
 def _dense_family(d, sigma):

@@ -43,8 +43,8 @@ def test_descriptor_validation():
         StateDescriptor(2, (0, 0), [0.5, 0.5])
     with pytest.raises(ValueError):
         StateDescriptor(1, (0,), [0.5, 0.5])
-    # d must be an integer within the float range; numpy integers count
-    for d in (2.5, np.float64(2.0), "2", 10**400):
+    # d must be an integer of at most 2**53; numpy integers count
+    for d in (2.5, np.float64(2.0), "2", 2**53 + 1, 10**400):
         with pytest.raises(ValueError, match="local dimension"):
             StateDescriptor(d, (0,), [0.5, 0.5])
     d = StateDescriptor(np.int64(3), (0,), [0.5, 0.5]).d
