@@ -292,31 +292,46 @@ BEYOND = (2**53 + 1, 10**100, 10**150, 10**160, 10**300) + tuple(
 )
 
 
+_BEYOND_JSON = '{"version":1,"d":%d,"K":1,"sigma":[1],"fidelities":[0.5,0.5]}'
+# each library entry point, called with a d
+ENTRY_POINTS = {
+    "StateDescriptor": lambda d: iv.StateDescriptor(d, (1,), [0.5, 0.5]),
+    "parse_descriptor": lambda d: formats.parse_descriptor(_BEYOND_JSON % d),
+    "pt_matrix": lambda d: iv.pt_matrix((1,), (1,), d),
+    "extremal_fidelities": lambda d: iv.extremal_fidelities((1,), [0.5], d),
+    "pair_forms": lambda d: iv.projectors.pair_forms(d, 1),
+    "maximally_mixed_pair": lambda d: maximally_mixed_pair(d),
+    "projector_trace": lambda d: iv.projector_trace(d, (1,), (0,)),
+}
+
+
+def _beyond_error(d) -> str:
+    return f"local dimension must be <= 2**53, got a {d.bit_length()}-bit integer"
+
+
 @pytest.mark.parametrize("d", BEYOND, ids=lambda d: f"{d.bit_length()}-bit")
-def test_every_entry_point_rejects_d_above_2_53(tmp_path, capsys, d):
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_rejects_d_above_2_53(entry, d):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert iv.StateDescriptor(2**53, (1,), [0.5, 0.5]).d == 2**53
-        for call in (
-            lambda: iv.StateDescriptor(d, (1,), [0.5, 0.5]),
-            lambda: formats.parse_descriptor('{"version":1,"d":%d,"K":1,"sigma":[1],"fidelities":[0.5,0.5]}' % d),
-            lambda: iv.pt_matrix((1,), (1,), d),
-            lambda: iv.extremal_fidelities((1,), [0.5], d),
-            lambda: iv.projectors.pair_forms(d, 1),
-            lambda: maximally_mixed_pair(d),
-            lambda: iv.projector_trace(d, (1,), (0,)),
-        ):
-            with pytest.raises(ValueError, match=r"^local dimension must be <= 2\*\*53, got a \d+-bit integer$"):
-                call()
-        path = tmp_path / "beyond.json"
-        path.write_text('{"version":1,"d":%d,"K":1,"sigma":[1],"fidelities":[0.5,0.5]}' % d)
-        for argv in (
-            ["build", "--d", str(d), "--K", "1", "--sigma", "1", "--fid", "0.5,0.5"],
-            ["check", "--in", str(path), "--criterion", "ppt-all"],
-        ):
-            code, out, err = run(capsys, *argv)
-            assert (code, out) == (2, "")
-            assert err == f"error: local dimension must be <= 2**53, got a {d.bit_length()}-bit integer\n"
+        with pytest.raises(ValueError) as info:
+            ENTRY_POINTS[entry](d)
+    assert str(info.value) == _beyond_error(d)
+
+
+@pytest.mark.parametrize("d", BEYOND, ids=lambda d: f"{d.bit_length()}-bit")
+@pytest.mark.parametrize("command", ["build", "check"])
+def test_every_command_rejects_d_above_2_53(tmp_path, capsys, command, d):
+    path = tmp_path / "beyond.json"
+    path.write_text(_BEYOND_JSON % d)
+    argv = {
+        "build": ["build", "--d", str(d), "--K", "1", "--sigma", "1", "--fid", "0.5,0.5"],
+        "check": ["check", "--in", str(path), "--criterion", "ppt-all"],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {_beyond_error(d)}\n")
 
 
 def test_every_entry_point_accepts_d_2_53(tmp_path, capsys):

@@ -41,7 +41,8 @@ from invariant_states.projectors import pair_forms
 from invariant_states.simplex import PPT_ATOL
 
 DIMS = (2, 3, 5, 7)
-# the largest local dimension
+# the largest local dimension; TOP - 1, the largest odd one, is the
+# largest where d + 1 is exact
 TOP = 2**53
 
 
@@ -175,7 +176,7 @@ def _points(d, k, seed):
             yield StateDescriptor(d, sigma, [1.0 - t, t])
 
 
-@pytest.mark.parametrize("d", DIMS + (TOP,))
+@pytest.mark.parametrize("d", DIMS + (TOP - 1, TOP))
 @pytest.mark.parametrize("k", range(1, 8))
 def test_pt_matrix_is_bitwise_the_kron_product(k, d):
     gen = np.random.default_rng(k)
@@ -218,7 +219,7 @@ def test_verdicts_are_bitwise_the_plain_routes(k, d):
         assert formats.dumps_verdict(got) == reference_dumps_verdict(want)
 
 
-@pytest.mark.parametrize("d", DIMS + (TOP,))
+@pytest.mark.parametrize("d", DIMS + (TOP - 1, TOP))
 @pytest.mark.parametrize("k", range(1, 8))
 def test_polytope_is_bitwise_the_loop_reference(k, d):
     for desc in _points(d, k, seed=1000 * k + d):
@@ -345,6 +346,61 @@ def test_the_largest_transfer_at_k12_is_finite_without_a_warning():
     assert _bits(t) == _bits(reference_transform(desc, ones))
     assert verdict.biseparable.failures == iv.check_ppt(desc, ones).failures
     assert len(verdict.biseparable.failures) == 2**11
+
+
+def _top_points():
+    # at the two largest d, the largest odd one, where d + 1 is exact, and
+    # 2**53, where d + 1 rounds to d: the uniform point, and the vertex 1...1
+    # with its fidelity just above 1, so that the magnitudes sum above 1
+    for k in range(2, 13):
+        for d in (TOP - 1, TOP):
+            for sigma in ((1,) * k, (0,) + (1,) * (k - 1), (1,) * (k - 1) + (0,)):
+                yield StateDescriptor(d, sigma, np.full(2**k, 2.0**-k))
+                yield StateDescriptor(d, sigma, np.eye(2**k)[-1] * (1.0 + 1e-11))
+
+
+def _top_id(desc) -> str:
+    point = "above-1" if desc.fidelities[-1] > 1.0 else "spread"
+    return f"K={desc.K},d={desc.d},sigma={_name(desc.sigma)},{point}"
+
+
+@pytest.mark.parametrize("desc", _top_points(), ids=_top_id)
+def test_top_d_transforms_are_bitwise_within_the_bound_without_a_warning(desc):
+    """At d near 2**53 and K up to 12, each transform is the per-axis
+    reference bit for bit and within the bound written at
+    simplex._transposes: the magnitudes of the fidelities times d per
+    transposed isotropic pair and 2 per transposed Werner pair, at most
+    2 d^K.  The criteria warn nowhere, and every hull bound is a normal
+    float, 2^-636 at the smallest.  Up to K = 7 every pattern is checked
+    and ppt-all and the polytope test are their loop references; above,
+    8 patterns and 1...1, whose PPT test is its reference.  Above K = 9
+    ppt-all is left to the K=12 test above, and the polytope test is run
+    at the uniform point of the all-isotropic sigma only."""
+    k, d = desc.K, float(desc.d)
+    mus = list(iv.all_vectors(k))
+    if k > 7:
+        mus = mus[:: 2**k // 8] + [(1,) * k]
+    total = float(np.abs(desc.fidelities).sum())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mu in mus:
+            t = iv.transform_fidelities(desc, mu)
+            assert _bits(t) == _bits(reference_transform(desc, mu))
+            bound = total * math.prod(d if s else 2.0 for m, s in zip(mu, desc.sigma) if m)
+            assert np.abs(t).max() <= bound <= 2.0 * d**k
+        if k <= 9:
+            got = iv.check_ppt_all(desc)
+            if k <= 7:
+                want = reference_ppt_all(desc)
+                assert got.failures == want.failures and got.biseparable.failures == want.biseparable.failures
+        if k > 7:
+            assert iv.check_ppt(desc, mus[-1]).failures == reference_ppt(desc, mus[-1]).failures
+        if k <= 9 or desc.fidelities[-1] <= 1.0 and all(desc.sigma):
+            polytope = iv.check_polytope(desc)
+            hull = [f.bound for f in polytope.failures if f.constraint.startswith("bound,")]
+            assert hull and min(hull) == 0.5**k * (2.0 / d) ** sum(desc.sigma) >= np.finfo(float).tiny
+            if k <= 7:
+                assert polytope.failures == reference_polytope(desc).failures
 
 
 # control, escape, non-ASCII, line-separator, lone-surrogate and astral characters
