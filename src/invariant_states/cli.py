@@ -19,8 +19,8 @@ from .bits import as_bits, parse_bits
 from .operators import Rng, _side
 from .selfcheck import run_checks
 from .simplex import (
-    SeparabilityVerdict,
     StateDescriptor,
+    _check_bisep,
     _fidelities,
     _scatter,
     check_polytope,
@@ -102,8 +102,7 @@ def _cmd_check(args) -> int:
     elif name == "ppt-all":
         verdict = check_ppt_all(desc)
     elif name == "bisep":
-        # the all-ones PPT sub-verdict, as embedded in ppt-all verdicts
-        verdict = SeparabilityVerdict("bisep", check_ppt(desc, (1,) * desc.K)._columns)
+        verdict = _check_bisep(desc)
     elif name.startswith("ppt:"):
         verdict = check_ppt(desc, parse_bits(name[4:]))
     else:

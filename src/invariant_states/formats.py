@@ -149,22 +149,18 @@ def _verdict_pieces(verdict: SeparabilityVerdict, pieces: list[str]) -> None:
         pieces.append(",")
     pieces.append(f'"criterion":{canonical_json(verdict.criterion)},"failures":[')
     columns = verdict._columns
-    if columns is not None:
+    if columns is None:
+        failures = ({"bound": b, "constraint": c, "value": v} for c, v, b in verdict.failures)
+        pieces.append(",".join(map(canonical_json, failures)))
+    elif columns.cols:
         row = _FAILURE * len(columns.cols)
-        if row:
-            # the floats of a checker's verdict are finite, and a table
-            # float is shared by many failures in a polytope verdict
-            texts = list(map(float.__format__, columns.table, repeat(_FLOAT)))
-            row[1::8] = map(texts.__getitem__, columns.bounds)
-            row[3::8] = map(columns.heads.__getitem__, columns.rows)
-            row[4::8] = map(columns.labels.__getitem__, columns.cols)
-            row[6::8] = map(texts.__getitem__, columns.values)
-    else:
-        row = [',{"bound":', None, ',"constraint":', None, ',"value":', None, "}"] * len(verdict.failures)
-        if row:
-            constraints, values, bounds = zip(*verdict.failures)
-            row[1::7], row[3::7], row[5::7] = (list(map(canonical_json, c)) for c in (bounds, constraints, values))
-    if row:
+        # the floats of a checker's verdict are finite, and a table float
+        # is shared by many failures in a polytope verdict
+        texts = list(map(float.__format__, columns.table, repeat(_FLOAT)))
+        row[1::8] = map(texts.__getitem__, columns.bounds)
+        row[3::8] = map(columns.heads.__getitem__, columns.rows)
+        row[4::8] = map(columns.labels.__getitem__, columns.cols)
+        row[6::8] = map(texts.__getitem__, columns.values)
         row[0] = '{"bound":'
         pieces += row
     pieces.append("]")

@@ -22,7 +22,7 @@ import numpy as np
 MAX_SIDE = 4096
 
 # the largest local dimension: every integer up to it is exactly a float, and
-# no per-pair PPT transfer can overflow (see simplex._transposes)
+# no per-pair PPT transfer can overflow (see simplex._step)
 _MAX_DIMENSION = 2**53
 
 HERMITICITY_ATOL = 1e-10

@@ -56,7 +56,7 @@ def pair_forms(d: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and every entry is finite.
     """
     d = float(dimension(d))
-    transpose = np.array(_transpose_entries(d, s)).reshape(2, 2)
+    transpose = _transposes(d)[s]
     if s == 0:
         return (
             np.array([[0.5, 0.5], [0.5, -0.5]]),
@@ -70,13 +70,13 @@ def pair_forms(d: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _transpose_entries(d: float, s: int) -> list[float]:
-    # the transpose block of pair_forms, row by row, as Python floats (the
-    # same quotients numpy forms), for a validated d given as a float; on
-    # its own so that the per-pair PPT steps need not build the other forms
-    if s == 0:
-        return [(d - 1.0) / d, 1.0 / d, (d + 1.0) / d, -1.0 / d]
-    return [1.0 / 2, 1.0 / 2, (1.0 + d) / 2, (1.0 - d) / 2]
+def _transposes(d: int) -> np.ndarray:
+    # the transpose blocks of pair_forms for both families, Werner first, as
+    # one (2, 2, 2) array, for a validated d; on its own so that the per-pair
+    # PPT steps need not build the other forms
+    d = float(d)
+    entries = [(d - 1.0) / d, 1.0 / d, (d + 1.0) / d, -1.0 / d, 0.5, 0.5, (1.0 + d) / 2, (1.0 - d) / 2]
+    return np.array(entries).reshape(2, 2, 2)
 
 
 def _pair_block(d: int, s: int, a: int) -> Operator:

@@ -42,7 +42,7 @@ from .operators import (
     dimension,
     partial_trace,
 )
-from .projectors import _transpose_entries, moment_expansion, pair_forms
+from .projectors import _transposes, moment_expansion, pair_forms
 
 FIDELITY_NEG_ATOL = 1e-12
 FIDELITY_SUM_ATOL = 1e-10
@@ -245,8 +245,9 @@ def mc_twirl(rho: Operator, sigma: Iterable[int], samples: int, rng: Rng) -> Ope
 # fidelity transfer under partial transposition
 
 
-def _transposes(d: int) -> np.ndarray:
-    # the transposition block of each family, Werner first.  No transform
+def _step(x: np.ndarray, block: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    # one pair's block along the next-to-last axis, elementwise: out[..., c, :]
+    # = x[..., 0, :] * block[0, c] + x[..., 1, :] * block[1, c].  No step
     # can overflow: a descriptor's fidelities (sum 1 within 1e-10, none below
     # -1e-12) have magnitudes summing to less than 2, and a step multiplies
     # that sum by at most its block's largest row sum of magnitudes, d for
@@ -254,13 +255,6 @@ def _transposes(d: int) -> np.ndarray:
     # 2 d^K <= 2^637 at d <= 2^53, K <= 12 (the bound holds to K = 19).  A
     # pt_matrix entry is at most ((d + 1) / 2)^12, 2^624 in floats, and a
     # polytope bound at least 2^-636, a normal float.
-    d = float(d)
-    return np.array(_transpose_entries(d, 0) + _transpose_entries(d, 1)).reshape(2, 2, 2)
-
-
-def _step(x: np.ndarray, block: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    # one pair's block along the next-to-last axis, elementwise: out[..., c, :]
-    # = x[..., 0, :] * block[0, c] + x[..., 1, :] * block[1, c]
     out = np.multiply(x[..., :1, :], block[0, :, None], out=out)
     out += x[..., 1:, :] * block[1, :, None]
     return out
@@ -418,6 +412,12 @@ def check_ppt(desc: StateDescriptor, mu: Iterable[int]) -> SeparabilityVerdict:
     cols = np.flatnonzero(t < -PPT_ATOL)
     columns = _ppt_columns([f"mu={name},alpha="], [0] * cols.size, _labels(desc.K), cols.tolist(), t[cols].tolist())
     return SeparabilityVerdict(f"ppt:{name}", columns)
+
+
+def _check_bisep(desc: StateDescriptor) -> SeparabilityVerdict:
+    # the biseparability test on its own: the all-ones PPT verdict under the
+    # name of the copy that check_ppt_all embeds
+    return SeparabilityVerdict("bisep", check_ppt(desc, (1,) * desc.K)._columns)
 
 
 # entries of the largest product that check_ppt_all makes in one step (2 MiB)

@@ -368,7 +368,7 @@ def _top_id(desc) -> str:
 def test_top_d_transforms_are_bitwise_within_the_bound_without_a_warning(desc):
     """At d near 2**53 and K up to 12, each transform is the per-axis
     reference bit for bit and within the bound written at
-    simplex._transposes: the magnitudes of the fidelities times d per
+    simplex._step: the magnitudes of the fidelities times d per
     transposed isotropic pair and 2 per transposed Werner pair, at most
     2 d^K.  The criteria warn nowhere, and every hull bound is a normal
     float, 2^-636 at the smallest.  Up to K = 7 every pattern is checked
