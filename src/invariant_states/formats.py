@@ -122,14 +122,14 @@ def dumps_verdict(verdict: SeparabilityVerdict) -> str:
     ``failures`` (each ``bound``, ``constraint``, ``value``),
     ``necessary_only`` (if set) and ``outcome``, in that sorted key order.
 
-    Written directly, with no dict per failure, as pieces joined once at
-    the end; the bytes are those of :func:`canonical_json` on the
-    equivalent nested dict.  The failures of a checker's verdict are read
-    from its columns, never as :class:`.simplex.ConstraintFailure` tuples:
-    each float of its table is formatted once, and one template of the
-    pieces of a failure, repeated, gets its slots filled column by column.
-    The failures of a verdict built from a tuple are written leaf by leaf
-    through :func:`canonical_json`."""
+    Written as pieces joined once at the end; the bytes are those of
+    :func:`canonical_json` on the equivalent nested dict.  The failures of
+    a checker's verdict are read from its columns, with no dict per
+    failure and never as :class:`.simplex.ConstraintFailure` tuples: each
+    float of its table is formatted once, and one template of the pieces
+    of a failure, repeated, gets its slots filled column by column.  Each
+    failure of a verdict built from a tuple is written as
+    :func:`canonical_json` writes its dict."""
     pieces: list[str] = []
     _verdict_pieces(verdict, pieces)
     pieces.append("\n")

@@ -250,14 +250,14 @@ def partial_transpose(a: Operator, subsystems: Iterable[int]) -> Operator:
     return Operator(a.d, a.n, out)
 
 
-def min_eigenvalue(a: Operator, herm_atol: float = HERMITICITY_ATOL) -> float:
+def min_eigenvalue(a: Operator) -> float:
     """Smallest eigenvalue of a Hermitian operator.
 
     Raises ValueError if the input deviates from Hermiticity by more than
-    ``herm_atol`` in any entry.
+    ``HERMITICITY_ATOL`` (1e-10) in any entry.
     """
     deviation = float(np.max(np.abs(a.mat - a.mat.conj().T)))
-    if deviation > herm_atol:
+    if deviation > HERMITICITY_ATOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
     return float(np.linalg.eigvalsh(a.mat)[0])
 

@@ -56,21 +56,14 @@ def pair_forms(d: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and every entry is finite.
     """
     d = float(dimension(d))
-    transpose = _transposes(d)[s]
     if s == 0:
-        return (
-            np.array([[0.5, 0.5], [0.5, -0.5]]),
-            np.array([d * (d + 1.0) / 2, d * (d - 1.0) / 2]),
-            transpose,
-        )
-    return (
-        np.array([[1.0, -1.0 / d], [0.0, 1.0 / d]]),
-        np.array([(d - 1.0) * (d + 1.0), 1.0]),
-        transpose,
-    )
+        moments, traces = [[0.5, 0.5], [0.5, -0.5]], [d * (d + 1.0) / 2, d * (d - 1.0) / 2]
+    else:
+        moments, traces = [[1.0, -1.0 / d], [0.0, 1.0 / d]], [(d - 1.0) * (d + 1.0), 1.0]
+    return np.array(moments), np.array(traces), _transposes(d)[s]
 
 
-def _transposes(d: int) -> np.ndarray:
+def _transposes(d: float) -> np.ndarray:
     # the transpose blocks of pair_forms for both families, Werner first, as
     # one (2, 2, 2) array, for a validated d; on its own so that the per-pair
     # PPT steps need not build the other forms

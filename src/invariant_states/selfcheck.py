@@ -195,7 +195,7 @@ def check_biseparable_construction() -> CheckResult:
     return CheckResult("biseparable-construction", passed, detail)
 
 
-def check_transform_dense(seed: int = 0, per_combo: int = 50) -> CheckResult:
+def check_transform_dense(seed: int = 0) -> CheckResult:
     """Transformed fidelities against dense partial transposition.
 
     For random simplex points in every family, transposing the
@@ -210,7 +210,7 @@ def check_transform_dense(seed: int = 0, per_combo: int = 50) -> CheckResult:
             for sigma in all_vectors(k):
                 gen = Rng(seed).at(1_000 + block).generator()
                 block += 1
-                for _ in range(per_combo):
+                for _ in range(50):
                     f = gen.dirichlet(np.ones(2**k))
                     desc = StateDescriptor(d, sigma, f)
                     rho = synthesize(desc)
@@ -223,7 +223,7 @@ def check_transform_dense(seed: int = 0, per_combo: int = 50) -> CheckResult:
     return CheckResult("transform-dense-oracle", worst <= 1e-10, f"max deviation = {worst:.3e}")
 
 
-def check_extremal_formula(seed: int = 0, per_combo: int = 200) -> CheckResult:
+def check_extremal_formula(seed: int = 0) -> CheckResult:
     """Extremal product-state fidelities against the dense construction,
     plus necessity: every extremal point passes both separability checks."""
     worst = 0.0
@@ -234,7 +234,7 @@ def check_extremal_formula(seed: int = 0, per_combo: int = 200) -> CheckResult:
         for sigma in all_vectors(2):
             gen = Rng(seed).at(3_000 + block).generator()
             block += 1
-            for _ in range(per_combo):
+            for _ in range(200):
                 overlaps = gen.uniform(0.0, 1.0, size=2)
                 fast = extremal_fidelities(sigma, overlaps, d)
                 dense = _dense_fidelities(
@@ -249,7 +249,7 @@ def check_extremal_formula(seed: int = 0, per_combo: int = 200) -> CheckResult:
     return CheckResult("extremal-formula-oracle", passed, detail)
 
 
-def check_ppt_sign_agreement(seed: int = 0, draws: int = 1000) -> CheckResult:
+def check_ppt_sign_agreement(seed: int = 0) -> CheckResult:
     """Fidelity-space PPT verdicts against dense eigenvalue verdicts.
 
     Random Werner-family points for two pairs, all three nontrivial
@@ -261,7 +261,7 @@ def check_ppt_sign_agreement(seed: int = 0, draws: int = 1000) -> CheckResult:
     patterns = [(0, 1), (1, 0), (1, 1)]
     for block, d in enumerate((2, 3)):
         gen = Rng(seed).at(5_000 + block).generator()
-        for _ in range(draws):
+        for _ in range(1000):
             q = gen.dirichlet(np.ones(4))
             desc = StateDescriptor(d, (0, 0), q)
             rho = synthesize(desc)
@@ -275,7 +275,7 @@ def check_ppt_sign_agreement(seed: int = 0, draws: int = 1000) -> CheckResult:
     )
 
 
-def check_reductions(seed: int = 0, per_combo: int = 50) -> CheckResult:
+def check_reductions(seed: int = 0) -> CheckResult:
     """Pair reductions against dense partial traces.
 
     Marginalizing fidelities over a pair must match tracing out that
@@ -289,7 +289,7 @@ def check_reductions(seed: int = 0, per_combo: int = 50) -> CheckResult:
     for sigma in all_vectors(k):
         gen = Rng(seed).at(7_000 + block).generator()
         block += 1
-        for _ in range(per_combo):
+        for _ in range(50):
             desc = StateDescriptor(d, sigma, gen.dirichlet(np.ones(2**k)))
             rho = synthesize(desc)
             for i in (1, 2):

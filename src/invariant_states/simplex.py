@@ -354,7 +354,8 @@ class SeparabilityVerdict:
     :class:`ConstraintFailure`; the tuple is built on the first read of
     ``failures`` and kept.  Verdicts compare, hash and print by their
     fields, so a checker's verdict equals the one built from its
-    ``failures``.
+    ``failures``.  ``dataclasses.replace`` reads ``failures``, so it
+    builds every :class:`ConstraintFailure` of a checker's verdict.
     """
 
     criterion: str
@@ -415,9 +416,9 @@ def check_ppt(desc: StateDescriptor, mu: Iterable[int]) -> SeparabilityVerdict:
 
 
 def _check_bisep(desc: StateDescriptor) -> SeparabilityVerdict:
-    # the biseparability test on its own: the all-ones PPT verdict under the
-    # name of the copy that check_ppt_all embeds
-    return SeparabilityVerdict("bisep", check_ppt(desc, (1,) * desc.K)._columns)
+    # the biseparability test on its own: the all-ones PPT verdict as the
+    # copy that check_ppt_all embeds, flagged as that copy is
+    return SeparabilityVerdict("bisep", check_ppt(desc, (1,) * desc.K)._columns, necessary_only=True)
 
 
 # entries of the largest product that check_ppt_all makes in one step (2 MiB)
@@ -431,8 +432,9 @@ def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
     2^K patterns pass: its coordinate at vertex alpha of the simplex of
     twirled fully product states is a positive multiple of the all-ones
     entry of pattern not(alpha), and a separable state is PPT.  The
-    all-ones sub-verdict doubles as the biseparability test (separability
-    across the cut grouping all first members) and is reported alongside.
+    all-ones sub-verdict, PPT across the cut grouping all first members,
+    is reported alongside as the biseparability test.  It is flagged
+    ``necessary_only``: a state entangled across that cut can pass it.
 
     The result equals that of :func:`check_ppt` over the patterns in
     :func:`.bits.all_vectors` order, bit for bit, and every value is
@@ -466,7 +468,7 @@ def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
     # the slice first: the whole list gains the bound at its end
     bisep = _ppt_columns(heads, patterns[last:], labels, cols[last:], values[last:])
     columns = _ppt_columns(heads, patterns, labels, cols, values)
-    return SeparabilityVerdict("ppt-all", columns, biseparable=SeparabilityVerdict("bisep", bisep))
+    return SeparabilityVerdict("ppt-all", columns, biseparable=SeparabilityVerdict("bisep", bisep, necessary_only=True))
 
 
 def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:
@@ -474,11 +476,13 @@ def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:
 
     Checks every fidelity against its hull bound (1/2^|alpha|) *
     (2/d)^|sigma*alpha| and the monotonicity f_alpha <= f_beta whenever
-    |alpha| > |beta|.  These conditions are necessary for full
+    |alpha| > |beta|.  At K <= 2 these conditions are necessary for full
     separability; they can hold for states that fail a PPT test, so the
-    verdict is flagged ``necessary_only``.  It keeps its failures as
-    columns until ``failures`` is read: the values and bounds index one
-    table of the 2^K fidelities and the 2^K hull bounds.
+    verdict is flagged ``necessary_only``.  At K >= 3 the order rule also
+    compares labels that are not nested and rejects some separable
+    points (README, "Known limitations").  The verdict keeps its failures
+    as columns until ``failures`` is read: the values and bounds index
+    one table of the 2^K fidelities and the 2^K hull bounds.
     """
     k, f = desc.K, desc.fidelities
     size = 2**k
@@ -530,9 +534,9 @@ def extremal_fidelities(sigma: Iterable[int], overlaps, d: int) -> np.ndarray:
     states of pair i.  The vector is the Kronecker product over pairs of
     (1 + a_i, 1 - a_i) / 2 for a Werner-split pair and (1 - a_i / d,
     a_i / d) for an isotropic one.  The output is a valid fidelity vector
-    and, being a projection of a separable state, satisfies every
-    separability criterion in this module.  K is at most 12, as for
-    :class:`StateDescriptor`.
+    and, being a projection of a separable state, satisfies every PPT
+    test; :func:`check_polytope` can reject it at K >= 3 (README, "Known
+    limitations").  K is at most 12, as for :class:`StateDescriptor`.
     """
     sigma = as_bits(sigma, name="sigma")
     _side(2, len(sigma))

@@ -401,6 +401,21 @@ def test_check_bisep_vs_ppt_all(tmp_path, capsys):
     assert bisep == formats.canonical_json(json.loads(full)["biseparable"]) + "\n"
 
 
+def test_bisep_is_only_necessary_on_a_state_entangled_across_the_cut(tmp_path, capsys):
+    """d=3, sigma 01: f_11 = 0.2 exceeds 1/(2d) = 1/6, the largest f_11 of a
+    product across the cut, so the state is entangled across it.  The
+    all-ones PPT test passes, so bisep reads satisfied, flagged as a
+    necessary test only, in its own verdict and in ppt-all's, which is
+    violated."""
+    path = tmp_path / "c.json"
+    path.write_text('{"version":1,"d":3,"K":2,"sigma":[0,1],"fidelities":[0.8,0,0,0.2]}')
+    code, bisep, _ = run(capsys, "check", "--in", str(path), "--criterion", "bisep", "--strict")
+    assert code == 0 and bisep == '{"criterion":"bisep","failures":[],"necessary_only":true,"outcome":"satisfied"}\n'
+    code, full, _ = run(capsys, "check", "--in", str(path), "--criterion", "ppt-all")
+    assert code == 0 and json.loads(full)["outcome"] == "violated"
+    assert formats.canonical_json(json.loads(full)["biseparable"]) + "\n" == bisep
+
+
 def test_check_every_criterion_on_separable_vertex(tmp_path, capsys):
     desc = iv.StateDescriptor(2, (0,), [1.0, 0.0])
     path = tmp_path / "v.json"

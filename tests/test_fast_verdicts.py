@@ -92,7 +92,7 @@ def reference_ppt_all(desc):
         verdict = reference_ppt(desc, mu)
         failures.extend(verdict.failures)
     return SeparabilityVerdict(
-        "ppt-all", tuple(failures), biseparable=SeparabilityVerdict("bisep", verdict.failures)
+        "ppt-all", tuple(failures), biseparable=SeparabilityVerdict("bisep", verdict.failures, necessary_only=True)
     )
 
 

@@ -591,6 +591,19 @@ def test_extremal_points_satisfy_both_criteria():
                     assert iv.check_ppt_all(desc).satisfied
 
 
+@pytest.mark.xfail(strict=True, reason="polytope's order rule compares labels that are not nested at K >= 3")
+def test_polytope_holds_on_a_separable_point_at_k3():
+    """The extremal point of overlaps (0, 0, 1) at d=2, sigma 000, is the
+    projection of a product state, and every PPT test holds on it; the
+    polytope test fails order,alpha=110,beta=001, whose labels are not
+    nested (README, "Known limitations")."""
+    f = iv.extremal_fidelities((0, 0, 0), (0, 0, 1), 2)
+    assert f.tolist() == [0.25, 0.0] * 4
+    desc = StateDescriptor(2, (0, 0, 0), f)
+    assert iv.check_ppt_all(desc).satisfied
+    assert iv.check_polytope(desc).failures == ()
+
+
 def test_extremal_product_state_matches_formula():
     for d in (2, 3):
         for sigma in all_vectors(2):
