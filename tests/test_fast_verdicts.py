@@ -433,7 +433,8 @@ def test_criteria_and_writer_leave_no_garbage():
     """One call of each at K=7 allocates no reference cycle, so nothing is
     left for the cyclic collector (a recursive closure would leave its
     frames and arrays there): the criteria and their failure builder, the
-    transfer route, and the writer's column and leaf-by-leaf routes."""
+    transfer route, and the writer's routes for checker and hand-built
+    verdicts."""
     gen = np.random.default_rng(7)
     desc = StateDescriptor(3, (1, 0, 1, 1, 0, 0, 1), gen.dirichlet(np.ones(128)))
     mixed = SeparabilityVerdict("mixed", tuple(ConstraintFailure("é", i, np.float64(-0.5)) for i in range(100)))
