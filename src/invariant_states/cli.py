@@ -168,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("twirl", help="project a dense state onto an invariant family")
     p.add_argument("--in", dest="inp", required=True, help="input matrix (QOPB)")
     p.add_argument("--sigma", required=True, help="family bits")
-    p.add_argument("--mc", type=int, help="Monte-Carlo sample count (default: exact)")
+    mc_help = "exact, which reads and checks only the entries its moments use; --mc reads and checks every entry"
+    p.add_argument("--mc", type=int, help=f"Monte-Carlo sample count (default: {mc_help})")
     p.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
     p.add_argument("--out", help="output path (descriptor JSON, or QOPB with --mc)")
     p.set_defaults(handler=_cmd_twirl)

@@ -206,10 +206,7 @@ def qopb_write(path, op: Operator) -> None:
     """Write the bytes of :func:`qopb_encode` to a QOPB file at ``path``,
     the header and then the matrix's own buffer, without joining them
     into a second copy.  A write that fails removes the file."""
-    payload = np.ascontiguousarray(op.mat, dtype=_ENTRY)
-    with _created(path) as fd:
-        _pwrite(fd, _HEADER.pack(QOPB_MAGIC, QOPB_VERSION, op.d, op.n), 0)
-        _pwrite(fd, payload, _offset(0))
+    _write(path, op.d, op.n, [(0, np.ascontiguousarray(op.mat, dtype=_ENTRY))])
 
 
 def qopb_decode(data: bytes) -> Operator:
@@ -228,24 +225,23 @@ def qopb_write_entries(path, d: int, n: int, positions: np.ndarray, values: np.n
     entries read as all-zero bytes and stay holes on file systems that
     support them.  A write that fails removes the file.
     """
-    side = _side(d, n)
     entries = np.asarray(values, dtype=_ENTRY).reshape(-1, 1)
-    with _created(path) as fd:
-        _pwrite(fd, _HEADER.pack(QOPB_MAGIC, QOPB_VERSION, d, n), 0)
-        os.ftruncate(fd, _offset(side * side))
-        # the entries of a moment expansion are hardly ever adjacent, so
-        # runs of them are not worth coalescing into one write
-        for position, entry in zip(positions.tolist(), entries):
-            _pwrite(fd, entry, _offset(position))
+    # one run per entry: those of a moment expansion are hardly ever adjacent
+    _write(path, d, n, zip(positions.tolist(), entries))
 
 
-@contextmanager
-def _created(path):
-    # the descriptor of a new (or emptied) file at path, which is removed
-    # if the block raises OSError
+def _write(path, d: int, n: int, runs) -> None:
+    # a QOPB file at path, zero but for each run (position, entries) of
+    # entries from flat row-major position on; extended to full size before
+    # the runs, so none moves the file's end.  A failed write removes the file
+    side = _side(d, n)
     with open(path, "wb") as f:
+        fd = f.fileno()
         try:
-            yield f.fileno()
+            _pwrite(fd, _HEADER.pack(QOPB_MAGIC, QOPB_VERSION, d, n), 0)
+            os.ftruncate(fd, _offset(side * side))
+            for position, entries in runs:
+                _pwrite(fd, entries, _offset(position))
         except OSError:
             os.unlink(path)
             raise
@@ -266,6 +262,8 @@ def qopb_entries(path):
     yields ``(d, n, take)``: ``take(positions)`` returns the complex entries
     at flat row-major positions, in the shape of ``positions``, with one
     positioned read per distinct position, so the matrix is never held.
+    Only those entries are read, so a non-finite entry elsewhere in the
+    file goes unnoticed; :func:`qopb_decode` reads and checks every entry.
     """
     with open(path, "rb") as f:
         fd = f.fileno()

@@ -263,8 +263,7 @@ def min_eigenvalue(a: Operator) -> float:
 
 
 def frobenius_distance(a: Operator, b: Operator) -> float:
-    if a.mat.shape != b.mat.shape:
-        raise ValueError(f"shape mismatch: {a.mat.shape} vs {b.mat.shape}")
+    a._check_same_space(b)
     return float(np.linalg.norm(a.mat - b.mat))
 
 

@@ -203,23 +203,20 @@ def check_transform_dense(seed: int = 0) -> CheckResult:
     must agree with the per-pair steps of :func:`.simplex.transform_fidelities`.
     """
     worst = 0.0
-    block = 0
     families: dict = {}
-    for d in (2, 3):
-        for k in (1, 2):
-            for sigma in all_vectors(k):
-                gen = Rng(seed).at(1_000 + block).generator()
-                block += 1
-                for _ in range(50):
-                    f = gen.dirichlet(np.ones(2**k))
-                    desc = StateDescriptor(d, sigma, f)
-                    rho = synthesize(desc)
-                    for mu in all_vectors(k):
-                        fast = transform_fidelities(desc, mu)
-                        dense = _dense_fidelities(
-                            partial_transpose(rho, _bob_slots(mu)), xor(mu, sigma), families
-                        )
-                        worst = max(worst, float(np.max(np.abs(fast - dense))))
+    cells = [(d, k, sigma) for d in (2, 3) for k in (1, 2) for sigma in all_vectors(k)]
+    for block, (d, k, sigma) in enumerate(cells):
+        gen = Rng(seed).at(1_000 + block).generator()
+        for _ in range(50):
+            f = gen.dirichlet(np.ones(2**k))
+            desc = StateDescriptor(d, sigma, f)
+            rho = synthesize(desc)
+            for mu in all_vectors(k):
+                fast = transform_fidelities(desc, mu)
+                dense = _dense_fidelities(
+                    partial_transpose(rho, _bob_slots(mu)), xor(mu, sigma), families
+                )
+                worst = max(worst, float(np.max(np.abs(fast - dense))))
     return CheckResult("transform-dense-oracle", worst <= 1e-10, f"max deviation = {worst:.3e}")
 
 
@@ -228,22 +225,20 @@ def check_extremal_formula(seed: int = 0) -> CheckResult:
     plus necessity: every extremal point passes both separability checks."""
     worst = 0.0
     necessary = True
-    block = 0
     families: dict = {}
-    for d in (2, 3):
-        for sigma in all_vectors(2):
-            gen = Rng(seed).at(3_000 + block).generator()
-            block += 1
-            for _ in range(200):
-                overlaps = gen.uniform(0.0, 1.0, size=2)
-                fast = extremal_fidelities(sigma, overlaps, d)
-                dense = _dense_fidelities(
-                    extremal_product_state(d, sigma, overlaps), sigma, families
-                )
-                worst = max(worst, float(np.max(np.abs(fast - dense))))
-                desc = StateDescriptor(d, sigma, fast)
-                necessary = necessary and check_polytope(desc).satisfied
-                necessary = necessary and check_ppt_all(desc).satisfied
+    cells = [(d, sigma) for d in (2, 3) for sigma in all_vectors(2)]
+    for block, (d, sigma) in enumerate(cells):
+        gen = Rng(seed).at(3_000 + block).generator()
+        for _ in range(200):
+            overlaps = gen.uniform(0.0, 1.0, size=2)
+            fast = extremal_fidelities(sigma, overlaps, d)
+            dense = _dense_fidelities(
+                extremal_product_state(d, sigma, overlaps), sigma, families
+            )
+            worst = max(worst, float(np.max(np.abs(fast - dense))))
+            desc = StateDescriptor(d, sigma, fast)
+            necessary = necessary and check_polytope(desc).satisfied
+            necessary = necessary and check_ppt_all(desc).satisfied
     passed = worst <= 1e-10 and necessary
     detail = f"max deviation = {worst:.3e}, necessity {'held' if necessary else 'FAILED'}"
     return CheckResult("extremal-formula-oracle", passed, detail)
@@ -284,11 +279,9 @@ def check_reductions(seed: int = 0) -> CheckResult:
     """
     d, k = 2, 2
     worst = 0.0
-    block = 0
     families: dict = {}
-    for sigma in all_vectors(k):
+    for block, sigma in enumerate(all_vectors(k)):
         gen = Rng(seed).at(7_000 + block).generator()
-        block += 1
         for _ in range(50):
             desc = StateDescriptor(d, sigma, gen.dirichlet(np.ones(2**k)))
             rho = synthesize(desc)

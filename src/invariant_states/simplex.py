@@ -392,12 +392,16 @@ def _labels(k: int) -> list[str]:
     return list(map(label, range(2**k), repeat(k)))
 
 
-def _ppt_columns(heads: list[str], rows: list[int], labels: list[str], cols: list[int], values: list) -> _Columns:
-    # PPT failures: values has one per failure, and gains their bound 0.0
-    # at its end
+def _ppt(criterion, rows, heads, labels, necessary_only=False, biseparable=None) -> SeparabilityVerdict:
+    # the PPT verdict on 2-D transformed rows, row p named heads[p]: each
+    # entry below -PPT_ATOL fails against the bound 0.0, which ends the table
+    mask = rows < -PPT_ATOL
+    patterns, cols = np.nonzero(mask)
+    values = rows[mask].tolist()
     n = len(values)
     values.append(0.0)
-    return _Columns(heads, rows, labels, cols, values, range(n), [n] * n)
+    columns = _Columns(heads, patterns.tolist(), labels, cols.tolist(), values, range(n), [n] * n)
+    return SeparabilityVerdict(criterion, columns, necessary_only, biseparable)
 
 
 def check_ppt(desc: StateDescriptor, mu: Iterable[int]) -> SeparabilityVerdict:
@@ -409,16 +413,14 @@ def check_ppt(desc: StateDescriptor, mu: Iterable[int]) -> SeparabilityVerdict:
     """
     mu = as_bits(mu, desc.K, "mu")
     name = bits_str(mu)
-    t = transform_fidelities(desc, mu)
-    cols = np.flatnonzero(t < -PPT_ATOL)
-    columns = _ppt_columns([f"mu={name},alpha="], [0] * cols.size, _labels(desc.K), cols.tolist(), t[cols].tolist())
-    return SeparabilityVerdict(f"ppt:{name}", columns)
+    return _ppt(f"ppt:{name}", transform_fidelities(desc, mu)[None], [f"mu={name},alpha="], _labels(desc.K))
 
 
 def _check_bisep(desc: StateDescriptor) -> SeparabilityVerdict:
-    # the biseparability test on its own: the all-ones PPT verdict as the
-    # copy that check_ppt_all embeds, flagged as that copy is
-    return SeparabilityVerdict("bisep", check_ppt(desc, (1,) * desc.K)._columns, necessary_only=True)
+    # the biseparability test on its own: the all-ones PPT row, named and
+    # flagged as in the copy that check_ppt_all embeds
+    rows = transform_fidelities(desc, (1,) * desc.K)[None]
+    return _ppt("bisep", rows, [f"mu={'1' * desc.K},alpha="], _labels(desc.K), necessary_only=True)
 
 
 # entries of the largest product that check_ppt_all makes in one step (2 MiB)
@@ -458,17 +460,10 @@ def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
         grid = rows.reshape(2**i, 2, 2 ** (k - i - 1), 2**i, 2, -1)
         for p in range(0, 2**i, chunk):
             _step(grid[p : p + chunk, 0, 0], blocks[s], grid[p : p + chunk, 1, 0])
-    mask = rows < -PPT_ATOL
-    patterns, cols = np.nonzero(mask)
     heads = [f"mu={name},alpha=" for name in labels]
-    values = rows[mask].tolist()
-    # labels ends with the all-ones pattern, the biseparability test
-    last = len(values) - int(np.count_nonzero(mask[-1]))
-    patterns, cols = patterns.tolist(), cols.tolist()
-    # the slice first: the whole list gains the bound at its end
-    bisep = _ppt_columns(heads, patterns[last:], labels, cols[last:], values[last:])
-    columns = _ppt_columns(heads, patterns, labels, cols, values)
-    return SeparabilityVerdict("ppt-all", columns, biseparable=SeparabilityVerdict("bisep", bisep, necessary_only=True))
+    # the last row is the all-ones pattern's, the biseparability test
+    bisep = _ppt("bisep", rows[-1:], heads[-1:], labels, necessary_only=True)
+    return _ppt("ppt-all", rows, heads, labels, biseparable=bisep)
 
 
 def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:

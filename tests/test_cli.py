@@ -159,19 +159,28 @@ def test_twirl_rejects_non_hermitian_moments(tmp_path, capsys):
     assert code == 2 and out == "" and err.count("\n") == 1 and "not Hermitian" in err
 
 
-@pytest.mark.parametrize("mc", [None, "4"], ids=["exact", "mc"])
-def test_twirl_of_a_non_finite_matrix_fails_with_one_line(tmp_path, capsys, mc):
+# the exact twirl reads the entries of its moments: the diagonal, the
+# swap entries (1, 2) and (2, 1) for sigma 0 and the entries (0, 3) and
+# (3, 0) for sigma 1; --mc reads every entry
+@pytest.mark.parametrize(
+    "mc, entry, sigma",
+    [(None, 5, "0"), ("4", 5, "0"), (None, 6, "0"), (None, 3, "1")],
+    ids=["exact", "mc", "exact-swap-entry", "exact-isotropic-entry"],
+)
+def test_twirl_of_a_non_finite_matrix_fails_with_one_line(tmp_path, capsys, mc, entry, sigma):
     m = np.eye(4, dtype=complex) / 4
     blob = bytearray(formats.qopb_encode(iv.Operator(2, 2, m)))
-    struct.pack_into("<d", blob, 13 + 16 * 5, float("nan"))  # the real part of entry (1, 1)
+    struct.pack_into("<d", blob, 13 + 16 * entry, float("nan"))  # the real part of flat entry `entry`
     path = tmp_path / "nan.qopb"
     path.write_bytes(bytes(blob))
     mc_args = ["--mc", mc, "--out", str(tmp_path / "e.qopb")] if mc else []
-    code, out, err = run(capsys, "twirl", "--in", str(path), "--sigma", "0", *mc_args)
+    code, out, err = run(capsys, "twirl", "--in", str(path), "--sigma", sigma, *mc_args)
     assert code == 2 and out == "" and err.count("\n") == 1
     if mc:
         assert err == "error: matrix has non-finite entries\n"
         assert not (tmp_path / "e.qopb").exists()
+    else:
+        assert err.startswith("error: fidelities must be finite")
 
 
 def test_twirl_missing_file(tmp_path, capsys):

@@ -213,6 +213,8 @@ def test_verdicts_are_bitwise_the_plain_routes(k, d):
         assert got.failures == want.failures
         assert got.biseparable.failures == want.biseparable.failures
         assert formats.dumps_verdict(got) == reference_dumps_verdict(want)
+        # the standalone bisep verdict is the copy that ppt-all embeds
+        assert formats.dumps_verdict(simplex._check_bisep(desc)) == reference_dumps_verdict(want.biseparable)
         mu = (1,) + desc.sigma[1:]
         got, want = iv.check_ppt(desc, mu), reference_ppt(desc, mu)
         assert got.failures == want.failures

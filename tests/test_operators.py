@@ -333,6 +333,11 @@ def test_frobenius_distance():
     assert abs(d - 2.0) < 1e-14
     with pytest.raises(ValueError):
         iv.frobenius_distance(iv.identity(2, 1), iv.identity(2, 2))
+    # equal shapes on different spaces differ, as for a - b
+    with pytest.raises(ValueError, match=r"^operator spaces differ: d=4,n=1 vs d=2,n=2$"):
+        iv.frobenius_distance(Operator(4, 1, np.eye(4)), Operator(2, 2, np.eye(4)))
+    with pytest.raises(TypeError, match=r"^expected Operator, got ndarray$"):
+        iv.frobenius_distance(iv.identity(2, 1), np.eye(2))
 
 
 # --- haar sampling --------------------------------------------------------
