@@ -27,7 +27,7 @@ def as_bits(bits: Iterable[int], k: Optional[int] = None, name: str = "bit vecto
         raise ValueError(f"{name} must have length >= 1")
     if k is not None and len(raw) != k:
         raise ValueError(f"{name} has {len(raw)} bits, expected {k}")
-    return tuple(1 if b else 0 for b in raw)
+    return tuple(map(int, map(bool, raw)))
 
 
 def parse_bits(text: str) -> Bits:

@@ -17,7 +17,6 @@ import numpy as np
 from . import formats
 from .bits import as_bits, parse_bits
 from .operators import Rng, _side
-from .selfcheck import run_checks
 from .simplex import (
     StateDescriptor,
     _check_bisep,
@@ -38,10 +37,6 @@ def _write_text(path: str | None, text: str):
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
-
-
-def _read_descriptor(path: str) -> StateDescriptor:
-    return formats.parse_descriptor(Path(path).read_text())
 
 
 def _cmd_build(args) -> int:
@@ -95,28 +90,20 @@ def _cmd_twirl(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    desc = _read_descriptor(args.inp)
-    name = args.criterion
-    if name == "polytope":
-        verdict = check_polytope(desc)
-    elif name == "ppt-all":
-        verdict = check_ppt_all(desc)
-    elif name == "bisep":
-        verdict = _check_bisep(desc)
-    elif name.startswith("ppt:"):
+    desc = formats.parse_descriptor(Path(args.inp).read_text())
+    name, checkers = args.criterion, {"polytope": check_polytope, "ppt-all": check_ppt_all, "bisep": _check_bisep}
+    if name.startswith("ppt:"):
         verdict = check_ppt(desc, parse_bits(name[4:]))
+    elif name in checkers:
+        verdict = checkers[name](desc)
     else:
-        raise ValueError(
-            f"unknown criterion {name!r}; use ppt:<bits>, ppt-all, polytope or bisep"
-        )
+        raise ValueError(f"unknown criterion {name!r}; use ppt:<bits>, ppt-all, polytope or bisep")
     sys.stdout.write(formats.dumps_verdict(verdict))
-    if args.strict and not verdict.satisfied:
-        return 1
-    return 0
+    return 1 if args.strict and not verdict.satisfied else 0
 
 
 def _cmd_reduce(args) -> int:
-    desc = _read_descriptor(args.inp)
+    desc = formats.parse_descriptor(Path(args.inp).read_text())
     if args.pair is not None:
         reduced = reduce_pair(desc, args.pair)
     else:
@@ -129,6 +116,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .selfcheck import run_checks  # here, so that the other commands never load the checks
     results = run_checks(level=args.level, seed=args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"

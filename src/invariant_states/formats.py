@@ -69,14 +69,11 @@ _FLOAT = ".17g"  # the format spec of every float
 
 
 def dumps_descriptor(desc: StateDescriptor) -> str:
-    data = {
-        "version": DESCRIPTOR_VERSION,
-        "d": desc.d,
-        "K": desc.K,
-        "sigma": desc.sigma,
-        "fidelities": desc.fidelities.tolist(),
-    }
-    return canonical_json(data) + "\n"
+    # canonical_json of the descriptor's dict, keys in sorted order, and "\n"
+    fidelities = ",".join(map(float.__format__, desc.fidelities.tolist(), repeat(_FLOAT)))
+    sigma = ",".join(map(str, desc.sigma))
+    head = f'{{"K":{desc.K},"d":{desc.d},"fidelities":['
+    return f'{head}{fidelities}],"sigma":[{sigma}],"version":{DESCRIPTOR_VERSION}}}\n'
 
 
 def parse_descriptor(text: str) -> StateDescriptor:
@@ -90,7 +87,7 @@ def parse_descriptor(text: str) -> StateDescriptor:
         raise ValueError(f"invalid descriptor JSON: {reason}") from exc
     if not isinstance(data, dict):
         raise ValueError("descriptor JSON must be an object")
-    missing = {"version", "d", "K", "sigma", "fidelities"} - set(data)
+    missing = {"version", "d", "K", "sigma", "fidelities"}.difference(data)
     if missing:
         raise ValueError(f"descriptor JSON missing keys: {sorted(missing)}")
     if type(data["version"]) is not int or data["version"] != DESCRIPTOR_VERSION:
@@ -99,12 +96,12 @@ def parse_descriptor(text: str) -> StateDescriptor:
         if type(data[key]) is not int:
             raise ValueError(f"descriptor {key} must be an integer, got {data[key]!r}")
     sigma = data["sigma"]
-    if not isinstance(sigma, list) or any(type(b) is not int for b in sigma):
+    if not isinstance(sigma, list) or not set(map(type, sigma)) <= {int}:
         raise ValueError(f"descriptor sigma must be a list of 0/1 integers, got {sigma!r}")
     sigma = as_bits(sigma, data["K"], "descriptor sigma")
     fidelities = data["fidelities"]
     # json yields int, float or bool for scalars; bool is rejected like nesting
-    if not isinstance(fidelities, list) or any(type(x) not in (int, float) for x in fidelities):
+    if not isinstance(fidelities, list) or not set(map(type, fidelities)) <= {int, float}:
         raise ValueError("descriptor fidelities must be a flat list of numbers")
     try:
         fidelities = np.array(fidelities, dtype=float)

@@ -72,24 +72,28 @@ class _Fresh:
         self.array = array
 
 
-def _readonly(values, dtype) -> np.ndarray:
-    """``values`` as a read-only C-contiguous ``dtype`` array that no caller
+def _readonly(values) -> np.ndarray:
+    """``values`` as a read-only C-contiguous complex array that no caller
     can write: always a copy, since even a read-only array can be made
     writable again by its owner, except for the array in a :class:`_Fresh`
-    of that dtype and layout, which is frozen and kept.  Complex input to
-    a real dtype is rejected."""
+    of that dtype and layout, which is frozen and kept."""
     if type(values) is _Fresh:
         a = values.array
-        if a.dtype == dtype and a.flags.c_contiguous and a.flags.owndata:
+        if a.dtype == np.complex128 and a.flags.c_contiguous and a.flags.owndata:
             a.setflags(write=False)
             return a
         values = a
-    a = np.asarray(values)
-    if np.iscomplexobj(a) and not np.issubdtype(dtype, np.complexfloating):
-        raise ValueError(f"expected real values, got {a.dtype} entries")
-    out = np.array(a, dtype=dtype, order="C")
+    out = np.array(values, dtype=np.complex128, order="C")
     out.setflags(write=False)
     return out
+
+
+def _real(values) -> np.ndarray:
+    """``values`` as a float array, copied only to convert them; complex input is rejected."""
+    a = np.asarray(values)
+    if a.dtype.kind == "c":
+        raise ValueError(f"expected real values, got {a.dtype} entries")
+    return a.astype(float, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +115,7 @@ class Operator:
         object.__setattr__(self, "d", dimension(self.d))
         object.__setattr__(self, "n", _integer(self.n, "subsystem count"))
         side = _side(self.d, self.n)
-        m = _readonly(self.mat, np.complex128)
+        m = _readonly(self.mat)
         if m.shape != (side, side):
             raise ValueError(f"matrix shape {m.shape} does not match d**n = {side} for d={self.d}, n={self.n}")
         if not np.isfinite(m).all():
@@ -154,13 +158,15 @@ class Operator:
         return Operator(self.d, self.n, self.mat @ other.mat)
 
     def _check_same_space(self, other: "Operator"):
-        if not isinstance(other, Operator):
-            raise TypeError(f"expected Operator, got {type(other).__name__}")
-        if (self.d, self.n) != (other.d, other.n):
-            raise ValueError(
-                f"operator spaces differ: d={self.d},n={self.n} vs "
-                f"d={other.d},n={other.n}"
-            )
+        if (self.d, self.n) != (_operator(other).d, other.n):
+            raise ValueError(f"operator spaces differ: d={self.d},n={self.n} vs d={other.d},n={other.n}")
+
+
+def _operator(a) -> Operator:
+    # a itself if it is an Operator, the rule for every operator argument
+    if not isinstance(a, Operator):
+        raise TypeError(f"expected Operator, got {type(a).__name__}")
+    return a
 
 
 def identity(d: int, n: int = 1) -> Operator:
@@ -197,7 +203,7 @@ def projector_onto(d: int, vector: np.ndarray) -> Operator:
 
 def tensor_product(a: Operator, b: Operator) -> Operator:
     """Kronecker product with a's subsystems leading."""
-    if a.d != b.d:
+    if _operator(a).d != _operator(b).d:
         raise ValueError(f"local dimension mismatch: {a.d} vs {b.d}")
     _side(a.d, a.n + b.n)  # before np.kron allocates the product
     return Operator(a.d, a.n + b.n, np.kron(a.mat, b.mat))
@@ -221,7 +227,7 @@ def partial_trace(a: Operator, subsystems: Iterable[int]) -> Operator:
     The result acts on the complement subsystems in their original order
     and has the same total trace as the input.
     """
-    subs = _check_subsystems(subsystems, a.n)
+    subs = _check_subsystems(subsystems, _operator(a).n)
     keep = [s for s in range(1, a.n + 1) if s not in subs]
     if not keep:
         raise ValueError("cannot trace out every subsystem; use .trace()")
@@ -240,7 +246,7 @@ def partial_transpose(a: Operator, subsystems: Iterable[int]) -> Operator:
     An empty subsystem set is allowed and returns the operator unchanged.
     Applying the same transposition twice restores the input exactly.
     """
-    subs = _check_subsystems(subsystems, a.n, allow_empty=True)
+    subs = _check_subsystems(subsystems, _operator(a).n, allow_empty=True)
     if not subs:
         return a
     axes = list(range(2 * a.n))
@@ -256,14 +262,14 @@ def min_eigenvalue(a: Operator) -> float:
     Raises ValueError if the input deviates from Hermiticity by more than
     ``HERMITICITY_ATOL`` (1e-10) in any entry.
     """
-    deviation = float(np.max(np.abs(a.mat - a.mat.conj().T)))
+    deviation = float(np.max(np.abs(_operator(a).mat - a.mat.conj().T)))
     if deviation > HERMITICITY_ATOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
     return float(np.linalg.eigvalsh(a.mat)[0])
 
 
 def frobenius_distance(a: Operator, b: Operator) -> float:
-    a._check_same_space(b)
+    _operator(a)._check_same_space(b)
     return float(np.linalg.norm(a.mat - b.mat))
 
 

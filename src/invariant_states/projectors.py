@@ -60,16 +60,16 @@ def pair_forms(d: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         moments, traces = [[0.5, 0.5], [0.5, -0.5]], [d * (d + 1.0) / 2, d * (d - 1.0) / 2]
     else:
         moments, traces = [[1.0, -1.0 / d], [0.0, 1.0 / d]], [(d - 1.0) * (d + 1.0), 1.0]
-    return np.array(moments), np.array(traces), _transposes(d)[s]
+    return np.array(moments), np.array(traces), _transposes(d)[s, ..., 0]
 
 
 def _transposes(d: float) -> np.ndarray:
-    # the transpose blocks of pair_forms for both families, Werner first, as
-    # one (2, 2, 2) array, for a validated d; on its own so that the per-pair
-    # PPT steps need not build the other forms
+    # the transpose blocks of pair_forms for both families, Werner first, for
+    # a validated d, each shaped (2, 2, 1) as simplex._step takes it; on its
+    # own so that the per-pair PPT steps need not build the other forms
     d = float(d)
     entries = [(d - 1.0) / d, 1.0 / d, (d + 1.0) / d, -1.0 / d, 0.5, 0.5, (1.0 + d) / 2, (1.0 - d) / 2]
-    return np.array(entries).reshape(2, 2, 2)
+    return np.array(entries).reshape(2, 2, 2, 1)
 
 
 def _pair_block(d: int, s: int, a: int) -> Operator:

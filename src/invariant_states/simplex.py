@@ -21,15 +21,17 @@ transposition pattern transposes the second member of pair i (slot K+i).
 
 from __future__ import annotations
 
+import math
 import operator
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
+from itertools import product, repeat
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bits import Bits, as_bits, bits_str, label
+from .bits import Bits, as_bits, bits_str
 from .operators import (
     HERMITICITY_ATOL,
     Operator,
@@ -37,7 +39,8 @@ from .operators import (
     _Fresh,
     _haar_sample,
     _integer,
-    _readonly,
+    _operator,
+    _real,
     _side,
     dimension,
     partial_trace,
@@ -66,20 +69,21 @@ class StateDescriptor:
     sigma: Bits
     fidelities: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "d", dimension(self.d))
-        object.__setattr__(self, "sigma", as_bits(self.sigma, name="sigma"))
+    def __init__(self, d: int, sigma: Bits, fidelities: np.ndarray):
+        object.__setattr__(self, "d", dimension(d))
+        object.__setattr__(self, "sigma", as_bits(sigma, name="sigma"))
         _side(2, len(self.sigma))
-        f = _readonly(np.ravel(self.fidelities), float) + 0.0
+        f = _real(fidelities).reshape(-1) + 0.0
         if f.size != 2 ** len(self.sigma):
             raise ValueError(f"need 2**K = {2 ** len(self.sigma)} fidelities, got {f.size}")
-        if not np.all(np.isfinite(f)):
+        values = f.tolist()
+        if not all(map(math.isfinite, values)):
             raise ValueError(f"fidelities must be finite, got {f}")
-        # written so that a NaN fails each comparison
-        if not float(f.min()) >= -FIDELITY_NEG_ATOL:
-            raise ValueError(f"fidelities must be nonnegative, got min {f.min():.3e}")
-        with np.errstate(over="ignore"):  # finite entries may sum to inf, which fails
-            total = float(f.sum())
+        if not min(values) >= -FIDELITY_NEG_ATOL:
+            raise ValueError(f"fidelities must be nonnegative, got min {min(values):.3e}")
+        # 2^12 entries of at most 2 cannot sum to inf; larger ones, which fail, can
+        with np.errstate(over="ignore") if max(values) > 2.0 else nullcontext():
+            total = float(np.add.reduce(f))
         if not abs(total - 1.0) <= FIDELITY_SUM_ATOL:
             raise ValueError(f"fidelities must sum to 1, got {total:.12g}")
         f.setflags(write=False)
@@ -143,7 +147,7 @@ def fidelities_of(rho: Operator, sigma: Iterable[int]) -> StateDescriptor:
     rho, or ValueError is raised.  The part of rho outside the invariant
     algebra is not read, so neither its Hermiticity nor positivity is checked.
     """
-    return _fidelities(rho.mat.reshape(-1).take, rho.d, rho.n, sigma)
+    return _fidelities(_operator(rho).mat.reshape(-1).take, rho.d, rho.n, sigma)
 
 
 def _scatter(desc: StateDescriptor) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +212,7 @@ def mc_twirl(rho: Operator, sigma: Iterable[int], samples: int, rng: Rng) -> Ope
     batch's unitaries, the products run over the sample axis, and the
     terms are added to the sum in sample order.
     """
-    sigma = _check_state_shape(rho.n, sigma)
+    sigma = _check_state_shape(_operator(rho).n, sigma)
     samples = _integer(samples, "sample count")
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
@@ -246,18 +250,17 @@ def mc_twirl(rho: Operator, sigma: Iterable[int], samples: int, rng: Rng) -> Ope
 
 
 def _step(x: np.ndarray, block: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    # one pair's block along the next-to-last axis, elementwise: out[..., c, :]
-    # = x[..., 0, :] * block[0, c] + x[..., 1, :] * block[1, c].  No step
-    # can overflow: a descriptor's fidelities (sum 1 within 1e-10, none below
-    # -1e-12) have magnitudes summing to less than 2, and a step multiplies
-    # that sum by at most its block's largest row sum of magnitudes, d for
-    # an isotropic and at most 2 for a Werner block; so an entry is at most
-    # 2 d^K <= 2^637 at d <= 2^53, K <= 12 (the bound holds to K = 19).  A
-    # pt_matrix entry is at most ((d + 1) / 2)^12, 2^624 in floats, and a
-    # polytope bound at least 2^-636, a normal float.
-    out = np.multiply(x[..., :1, :], block[0, :, None], out=out)
-    out += x[..., 1:, :] * block[1, :, None]
-    return out
+    # one pair's (2, 2, 1) block along axis -3 of x, whose axis -2 has length
+    # 1: out[..., c, :] = x[..., 0, 0, :] * block[0, c] + x[..., 1, 0, :] *
+    # block[1, c], elementwise.  No step can overflow: a descriptor's
+    # fidelities (sum 1 within 1e-10, none below -1e-12) have magnitudes
+    # summing to less than 2, and a step multiplies that sum by at most its
+    # block's largest row sum of magnitudes, d for an isotropic and at most 2
+    # for a Werner block; so an entry is at most 2 d^K <= 2^637 at d <= 2^53,
+    # K <= 12 (the bound holds to K = 19).  A pt_matrix entry is at most ((d
+    # + 1) / 2)^12, 2^624 in floats, and a polytope bound at least 2^-636.
+    products = x * block  # [..., r, c, :] = x[..., r, 0, :] * block[r, c]
+    return np.add(products[..., 0, :, :], products[..., 1, :, :], out=out)
 
 
 def pt_matrix(mu: Iterable[int], nu: Iterable[int], d: int) -> np.ndarray:
@@ -279,7 +282,7 @@ def pt_matrix(mu: Iterable[int], nu: Iterable[int], d: int) -> np.ndarray:
     mu = as_bits(mu, name="mu")
     nu = as_bits(nu, len(mu), "nu")
     _side(2, len(mu))
-    blocks = _transposes(dimension(d))
+    blocks = _transposes(dimension(d))[..., 0]
     mat = reduce(np.kron, [blocks[n] if m else np.eye(2) for m, n in zip(mu, nu)])
     mat.setflags(write=False)
     return mat
@@ -301,8 +304,8 @@ def transform_fidelities(desc: StateDescriptor, mu: Iterable[int]) -> np.ndarray
     blocks, t = _transposes(desc.d), desc.fidelities
     for i, (m, s) in enumerate(zip(mu, desc.sigma)):
         if m:  # the step along axis i of t.reshape((2,) * K), first pair first
-            t = _step(t.reshape(2**i, 2, -1), blocks[s]).reshape(-1)
-    return t.copy() if t is desc.fidelities else t
+            t = _step(t.reshape(2**i, 2, 1, -1), blocks[s])
+    return t.copy() if t is desc.fidelities else t.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +368,10 @@ class SeparabilityVerdict:
 
     _columns = None  # a checker's _Columns; not a field
 
-    def __post_init__(self):
-        if isinstance(self.failures, _Columns):
-            self.__dict__["_columns"] = self.__dict__.pop("failures")
+    def __init__(self, criterion: str, failures, necessary_only: bool = False, biseparable=None):
+        fields = self.__dict__  # past the frozen __setattr__; a checker's _Columns goes aside
+        fields["criterion"], fields["necessary_only"], fields["biseparable"] = criterion, necessary_only, biseparable
+        fields["_columns" if isinstance(failures, _Columns) else "failures"] = failures
 
     def __getattr__(self, name):
         # only when the instance dict lacks name: the failures of a checker's
@@ -388,19 +392,22 @@ class SeparabilityVerdict:
 
 
 def _labels(k: int) -> list[str]:
-    # the bit label of every fidelity index, in index order
-    return list(map(label, range(2**k), repeat(k)))
+    # the bit label of every fidelity index, in index order (.bits.label)
+    return list(map("".join, product("01", repeat=k)))
 
 
-def _ppt(criterion, rows, heads, labels, necessary_only=False, biseparable=None) -> SeparabilityVerdict:
-    # the PPT verdict on 2-D transformed rows, row p named heads[p]: each
-    # entry below -PPT_ATOL fails against the bound 0.0, which ends the table
+def _failing(rows: np.ndarray) -> tuple[list[int], list[int], list[float]]:
+    # the entries of 2-D rows below -PPT_ATOL, row-major: rows, columns, values and the bound 0.0
     mask = rows < -PPT_ATOL
-    patterns, cols = np.nonzero(mask)
-    values = rows[mask].tolist()
-    n = len(values)
-    values.append(0.0)
-    columns = _Columns(heads, patterns.tolist(), labels, cols.tolist(), values, range(n), [n] * n)
+    patterns, cols = mask.nonzero()
+    return patterns.tolist(), cols.tolist(), rows[mask].tolist() + [0.0]
+
+
+def _ppt(criterion, heads, labels, failing, necessary_only=False, biseparable=None) -> SeparabilityVerdict:
+    # the PPT verdict whose failure i of _failing is heads[patterns[i]] + labels[cols[i]]
+    patterns, cols, table = failing
+    n = len(patterns)
+    columns = _Columns(heads, patterns, labels, cols, table, range(n), [n] * n)
     return SeparabilityVerdict(criterion, columns, necessary_only, biseparable)
 
 
@@ -413,14 +420,14 @@ def check_ppt(desc: StateDescriptor, mu: Iterable[int]) -> SeparabilityVerdict:
     """
     mu = as_bits(mu, desc.K, "mu")
     name = bits_str(mu)
-    return _ppt(f"ppt:{name}", transform_fidelities(desc, mu)[None], [f"mu={name},alpha="], _labels(desc.K))
+    return _ppt(f"ppt:{name}", [f"mu={name},alpha="], _labels(desc.K), _failing(transform_fidelities(desc, mu)[None]))
 
 
 def _check_bisep(desc: StateDescriptor) -> SeparabilityVerdict:
     # the biseparability test on its own: the all-ones PPT row, named and
     # flagged as in the copy that check_ppt_all embeds
     rows = transform_fidelities(desc, (1,) * desc.K)[None]
-    return _ppt("bisep", rows, [f"mu={'1' * desc.K},alpha="], _labels(desc.K), necessary_only=True)
+    return _ppt("bisep", [f"mu={'1' * desc.K},alpha="], _labels(desc.K), _failing(rows), necessary_only=True)
 
 
 # entries of the largest product that check_ppt_all makes in one step (2 MiB)
@@ -455,15 +462,17 @@ def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
     # before pair i, the row of pattern p is rows[p * 2^(k - i)]
     rows = np.empty((size, size))
     rows[0] = f
-    chunk = max(1, _STEP_ENTRIES >> k)  # patterns per step, 2^k entries each
+    chunk = max(1, _STEP_ENTRIES >> (k + 1))  # patterns per step, 2^(k + 1) products each
     for i, s in enumerate(desc.sigma):
         grid = rows.reshape(2**i, 2, 2 ** (k - i - 1), 2**i, 2, -1)
         for p in range(0, 2**i, chunk):
-            _step(grid[p : p + chunk, 0, 0], blocks[s], grid[p : p + chunk, 1, 0])
+            _step(grid[p : p + chunk, 0, 0, ..., None, :], blocks[s], grid[p : p + chunk, 1, 0])
     heads = [f"mu={name},alpha=" for name in labels]
-    # the last row is the all-ones pattern's, the biseparability test
-    bisep = _ppt("bisep", rows[-1:], heads[-1:], labels, necessary_only=True)
-    return _ppt("ppt-all", rows, heads, labels, biseparable=bisep)
+    failing = _failing(rows)
+    # the last row's failures, the all-ones pattern's, end the lists: the biseparability test
+    tail = len(failing[0]) - failing[0].count(size - 1)
+    bisep = _ppt("bisep", heads, labels, [part[tail:] for part in failing], necessary_only=True)
+    return _ppt("ppt-all", heads, labels, failing, biseparable=bisep)
 
 
 def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:
@@ -477,33 +486,33 @@ def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:
     compares labels that are not nested and rejects some separable
     points (README, "Known limitations").  The verdict keeps its failures
     as columns until ``failures`` is read: the values and bounds index
-    one table of the 2^K fidelities and the 2^K hull bounds.
+    one table of the 2^K fidelities and the hull bounds that fail.
     """
     k, f = desc.K, desc.fidelities
-    size = 2**k
-    vectors = np.arange(size)[:, None] >> np.arange(k - 1, -1, -1) & 1
-    weight = vectors.sum(axis=1)
-    overlap = vectors @ np.array(desc.sigma)
+    size, values, sigma = 2**k, f.tolist(), int("".join(map(str, desc.sigma)), 2)
+    weight = list(map(int.bit_count, range(size)))
+    overlap = list(map(int.bit_count, map(sigma.__and__, range(size))))
     # Python float powers: numpy's array ** can differ from them in the last
     # bit, and bounds are printed with 17 digits
-    halves = np.array([0.5**w for w in range(k + 1)])
-    ratios = np.array([(2.0 / desc.d) ** o for o in range(k + 1)])
-    bound = halves[weight] * ratios[overlap]
-    above = np.flatnonzero(f > bound + PPT_ATOL)
-    order = (weight[:, None] > weight[None, :]) & (f[:, None] > f[None, :] + PPT_ATOL)
-    alphas, betas = np.nonzero(order)
+    halves = [0.5**w for w in range(k + 1)]
+    ratios = [(2.0 / desc.d) ** o for o in range(k + 1)]
+    bound = list(map(operator.mul, map(halves.__getitem__, weight), map(ratios.__getitem__, overlap)))
+    above = [alpha for alpha, (x, b) in enumerate(zip(values, bound)) if x > b + PPT_ATOL]
+    weight = np.array(weight)
+    alphas, betas = (np.greater.outer(weight, weight) & np.greater.outer(f, f + PPT_ATOL)).nonzero()
+    betas = betas.tolist()
     # head 0 names the bound failures, head 1 + alpha the order failures
     # of alpha, each against a beta
     labels = _labels(k)
     heads = ["bound,alpha="] + [f"order,alpha={name},beta=" for name in labels]
     columns = _Columns(
         heads,
-        [0] * above.size + (alphas + 1).tolist(),
+        [0] * len(above) + (alphas + 1).tolist(),
         labels,
-        np.concatenate([above, betas]).tolist(),
-        f.tolist() + bound.tolist(),
-        np.concatenate([above, alphas]).tolist(),
-        np.concatenate([above + size, betas]).tolist(),
+        above + betas,
+        values + [bound[alpha] for alpha in above],
+        above + alphas.tolist(),
+        list(range(size, size + len(above))) + betas,
     )
     return SeparabilityVerdict("polytope", columns, necessary_only=True)
 
@@ -513,7 +522,7 @@ def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:
 
 
 def _check_overlaps(overlaps, k: int) -> np.ndarray:
-    a = _readonly(np.ravel(overlaps), float)
+    a = _real(overlaps).reshape(-1)
     if a.size != k:
         raise ValueError(f"need {k} overlaps, got {a.size}")
     # written so that a NaN fails the comparison
@@ -562,7 +571,7 @@ def biseparable_fidelities(proj_a: Operator, proj_b: Operator) -> np.ndarray:
     states are separable across the (1,2)|(3,4) cut by construction, so q
     always passes the all-ones PPT test, yet q can fail other patterns.
     """
-    if proj_a.n != 2 or proj_b.n != 2:
+    if _operator(proj_a).n != 2 or _operator(proj_b).n != 2:
         raise ValueError("both operators must act on exactly two subsystems")
     if proj_a.d != proj_b.d:
         raise ValueError(f"local dimension mismatch: {proj_a.d} vs {proj_b.d}")
@@ -600,7 +609,7 @@ def reduce_pair(desc: StateDescriptor, i: int) -> StateDescriptor:
     if desc.K < 2:
         raise ValueError("reduction needs at least two pairs")
     i = _pair_index(desc, i)
-    marginal = desc.fidelities.reshape((2,) * desc.K).sum(axis=i - 1).reshape(-1)
+    marginal = np.add.reduce(desc.fidelities.reshape(2 ** (i - 1), 2, -1), axis=1)
     sigma = desc.sigma[: i - 1] + desc.sigma[i:]
     return StateDescriptor(desc.d, sigma, marginal)
 

@@ -1,7 +1,10 @@
 import json
+import os
 import struct
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -494,6 +497,15 @@ def test_verify_reports_every_named_check(capsys):
     for name in ("transfer-inverse", "flip-partial-transpose", "trace-formulas",
                  "pair-thresholds", "criterion-disagreement", "biseparable-construction"):
         assert f"PASS {name}" in out
+
+
+def test_only_verify_imports_the_checks():
+    # build, twirl, check and reduce never compile or run selfcheck.py
+    env = dict(os.environ, PYTHONPATH=str(Path(iv.__file__).parents[1]))
+    code = "import sys, invariant_states.cli; print('invariant_states.selfcheck' in sys.modules)"
+    report = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                            timeout=60)
+    assert report.stdout == "False\n"
 
 
 # --- pipeline round trip -------------------------------------------------------

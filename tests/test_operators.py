@@ -340,6 +340,35 @@ def test_frobenius_distance():
         iv.frobenius_distance(iv.identity(2, 1), np.eye(2))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: iv.frobenius_distance(m, iv.identity(2, 1)),
+        lambda m: iv.partial_trace(m, {1}),
+        lambda m: iv.partial_transpose(m, {1}),
+        lambda m: iv.min_eigenvalue(m),
+        lambda m: iv.tensor_product(m, iv.identity(2, 1)),
+        lambda m: iv.fidelities_of(m, (0,)),
+        lambda m: iv.mc_twirl(m, (0,), 3, Rng(0)),
+        lambda m: iv.biseparable_fidelities(m, m),
+    ],
+    ids=[
+        "frobenius_distance",
+        "partial_trace",
+        "partial_transpose",
+        "min_eigenvalue",
+        "tensor_product",
+        "fidelities_of",
+        "mc_twirl",
+        "biseparable_fidelities",
+    ],
+)
+def test_a_matrix_in_place_of_an_operator_is_a_type_error(call):
+    # the rule of Operator._check_same_space, for the first argument too
+    with pytest.raises(TypeError, match=r"^expected Operator, got ndarray$"):
+        call(np.eye(4) / 4)
+
+
 # --- haar sampling --------------------------------------------------------
 
 

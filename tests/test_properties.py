@@ -1,11 +1,13 @@
 """Property tests: transfer matrices over random (d, mu, nu), twirl
-idempotence, and fail-closed parsing and argument checks.
+idempotence, fail-closed parsing and argument checks, and the bytes of
+the JSON writers at the edges of the descriptor rule and of .17g.
 
 Deterministic (derandomized, no example database), so a run writes no
 files and every run draws the same examples.
 """
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -80,6 +82,78 @@ def test_parse_descriptor_fails_closed(text):
         return
     canonical = formats.dumps_descriptor(desc)
     assert formats.dumps_descriptor(formats.parse_descriptor(canonical)) == canonical
+
+
+# entries at the edges of the descriptor rule and of float formatting:
+# exact zeros, the smallest subnormal, other subnormals, the smallest
+# normal, the most negative entry allowed, and exponents where .17g
+# prints in e-notation
+EDGE_ENTRIES = (0.0, 5e-324, -5e-324, 1e-310, -3e-320, 2.2250738585072014e-308, -1e-12, 1e-5, 9.5e-5, 0.1)
+
+
+@st.composite
+def edge_descriptors(draw):
+    """A valid descriptor at K = 1..12: a few entries drawn from
+    EDGE_ENTRIES or from [0, 0.1], and one entry holding the rest of the
+    mass."""
+    k = draw(st.integers(1, 12))
+    sigma = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    entries = st.sampled_from(EDGE_ENTRIES) | st.floats(0.0, 0.1)
+    f = np.zeros(2**k)
+    for i, x in draw(st.lists(st.tuples(st.integers(0, 2**k - 1), entries), max_size=8)):
+        f[i] = x
+    rest = draw(st.integers(0, 2**k - 1))
+    f[rest] = 0.0
+    f[rest] = 1.0 - f.sum()
+    return iv.StateDescriptor(draw(st.sampled_from([2, 3, 2**53])), sigma, f)
+
+
+@PROPERTY
+@given(desc=edge_descriptors())
+def test_dumps_descriptor_is_canonical_json_of_its_dict(desc):
+    data = {"version": 1, "d": desc.d, "K": desc.K, "sigma": list(desc.sigma), "fidelities": desc.fidelities.tolist()}
+    text = formats.dumps_descriptor(desc)
+    assert text == formats.canonical_json(data) + "\n"
+    back = formats.parse_descriptor(text)
+    assert back == desc
+    assert formats.dumps_descriptor(back) == text
+
+
+huge = 10**4300  # 4,301 digits, past Python's default limit for int-to-str
+
+
+@PROPERTY
+@given(
+    value=st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**53, -(2**63), 2**64, 10**4299, -(10**4299), huge, -huge, huge * 10**50])
+)
+def test_canonical_json_writes_scalars_as_json_dumps(value):
+    try:
+        expected = json.dumps(value)
+    except ValueError as exc:  # the digit limit, where Python has one
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            formats.canonical_json(value)
+    else:
+        assert formats.canonical_json(value) == expected
+
+
+near_notation_switch = st.sampled_from([1e16, 1e17]).flatmap(
+    lambda x: st.floats(x / 1.01, x * 1.01) | st.sampled_from([np.nextafter(x, 0.0), x, np.nextafter(x, 2 * x)])
+)
+
+
+@PROPERTY
+@given(x=near_notation_switch, sign=st.sampled_from([1.0, -1.0]))
+def test_canonical_json_floats_either_side_of_the_notation_switch(x, sign):
+    # .17g, which every float writer uses, prints up to 17 integer digits
+    # before it turns to e-notation; repr turns at 16
+    x = float(sign * x)
+    text = formats.canonical_json(x)
+    assert text == format(x, ".17g")
+    assert ("e+" in text) == (abs(x) >= 99999999999999999.5)
+    assert json.loads(text) == x
 
 
 @st.composite
