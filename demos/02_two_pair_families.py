@@ -13,6 +13,7 @@ import numpy as np
 import invariant_states as iv
 from invariant_states import all_vectors, formats
 from invariant_states.bits import bits_str
+from invariant_states.selfcheck import invariant_projector
 
 d = 2
 print(f"local dimension d = {d}, two pairs on slots (1,3) and (2,4)\n")
@@ -27,16 +28,16 @@ for sigma in all_vectors(2):
 
 # dense confirmation for one family
 sigma = (0, 1)
-dense = [iv.invariant_projector(d, sigma, a).trace().real for a in all_vectors(2)]
+dense = [invariant_projector(d, sigma, a).trace().real for a in all_vectors(2)]
 print(f"\ndense traces for sigma = {bits_str(sigma)}:", dense)
 
 # a simplex vertex is a normalized projector; the all-ones vertex of the
 # isotropic family is the product of two maximally entangled pairs
 vertex = iv.StateDescriptor(d, (1, 1), [0, 0, 0, 1.0])
 rho = iv.synthesize(vertex)
-ent = iv.invariant_projector(d, (1,), (1,))
+ent = invariant_projector(d, (1,), (1,))
 print("\nvertex 11 of family 11 equals the embedded entangled product:",
-      iv.frobenius_distance(rho, iv.invariant_projector(d, (1, 1), (1, 1))) < 1e-12)
+      iv.frobenius_distance(rho, invariant_projector(d, (1, 1), (1, 1))) < 1e-12)
 print("its single-pair marginals are the entangled projector itself:",
       np.allclose(iv.partial_trace(rho, {2, 4}).mat, ent.mat))
 

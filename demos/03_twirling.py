@@ -11,10 +11,11 @@ import numpy as np
 
 import invariant_states as iv
 from invariant_states import Rng
+from invariant_states.selfcheck import basis_ket, projector_onto
 
 d = 2
 sigma = (0,)
-rho = iv.projector_onto(d, iv.basis_ket(d, "01"))
+rho = projector_onto(d, basis_ket(d, "01"))
 print("input: the product basis state |01><01| of one qubit pair\n")
 
 desc = iv.fidelities_of(rho, sigma)

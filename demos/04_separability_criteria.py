@@ -18,6 +18,7 @@ import numpy as np
 import invariant_states as iv
 from invariant_states import StateDescriptor, formats
 from invariant_states.bits import bits_str
+from invariant_states.selfcheck import biseparable_fidelities, invariant_projector
 
 d = 2
 print(f"two qubit pairs (d = {d})\n")
@@ -44,8 +45,8 @@ print("  so the polytope bounds alone cannot certify separability here")
 
 # --- biseparable but not fully separable ------------------------------------
 print("\nproduct of two maximally entangled pair projectors across the cut:")
-ent = iv.invariant_projector(d, (1,), (1,))
-q = iv.biseparable_fidelities(ent, ent)
+ent = invariant_projector(d, (1,), (1,))
+q = biseparable_fidelities(ent, ent)
 print("twirled fidelities:", q)
 bisep_desc = StateDescriptor(d, (0, 0), q)
 full = iv.check_ppt_all(bisep_desc)

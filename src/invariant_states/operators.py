@@ -7,15 +7,15 @@ basis label |i_1 i_2 ... i_n> from left to right.
 
 All values are immutable after construction: an Operator holds a
 read-only matrix that no caller can write (see :func:`_readonly`), so
-operators can be shared freely between threads.
+operators can be shared freely between threads.  The dense builders that
+only the independent oracle needs live in :mod:`.selfcheck`.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -89,9 +89,11 @@ def _readonly(values) -> np.ndarray:
 
 
 def _real(values) -> np.ndarray:
-    """``values`` as a float array, copied only to convert them; complex input is rejected."""
+    """``values`` as a float array, copied only to convert them; only bool,
+    integer and float input is accepted, never complex, string, bytes or
+    object input, which numpy would cast or parse."""
     a = np.asarray(values)
-    if a.dtype.kind == "c":
+    if a.dtype.kind not in "biuf":
         raise ValueError(f"expected real values, got {a.dtype} entries")
     return a.astype(float, copy=False)
 
@@ -173,42 +175,6 @@ def identity(d: int, n: int = 1) -> Operator:
     return Operator(d, n, np.eye(_side(d, n)))
 
 
-def basis_ket(d: int, digits: str | Sequence[int]) -> np.ndarray:
-    """Computational basis vector |i_1 ... i_n> as a length d**n array."""
-    d = dimension(d)
-    if isinstance(digits, str):
-        digits = [int(c) for c in digits]
-    digits = [_integer(i, "digit") for i in digits]
-    side = _side(d, len(digits))
-    if any(not 0 <= i < d for i in digits):
-        raise ValueError(f"digits must lie in [0, {d}), got {digits}")
-    ket = np.zeros(side, dtype=np.complex128)
-    ket[np.ravel_multi_index(digits, (d,) * len(digits))] = 1.0
-    return ket
-
-
-def projector_onto(d: int, vector: np.ndarray) -> Operator:
-    """Rank-1 projector |v><v| onto a (normalized) vector of length d**n."""
-    d = dimension(d)
-    v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-    n = max(1, round(math.log(v.size or 1, d)))
-    if _side(d, n) != v.size:
-        raise ValueError(f"vector length {v.size} is not a power of d={d}")
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ValueError("cannot project onto the zero vector")
-    v = v / norm
-    return Operator(d, n, np.outer(v, v.conj()))
-
-
-def tensor_product(a: Operator, b: Operator) -> Operator:
-    """Kronecker product with a's subsystems leading."""
-    if _operator(a).d != _operator(b).d:
-        raise ValueError(f"local dimension mismatch: {a.d} vs {b.d}")
-    _side(a.d, a.n + b.n)  # before np.kron allocates the product
-    return Operator(a.d, a.n + b.n, np.kron(a.mat, b.mat))
-
-
 def _check_subsystems(subsystems: Iterable[int], n: int, allow_empty=False) -> tuple[int, ...]:
     subs = [_integer(s, "subsystem index") for s in subsystems]
     out = tuple(sorted(set(subs)))
@@ -238,34 +204,6 @@ def partial_trace(a: Operator, subsystems: Iterable[int]) -> Operator:
     reduced = np.einsum(a.mat.reshape((a.d,) * (2 * a.n)), list(range(a.n)) + cols, out)
     side = a.d ** len(keep)
     return Operator(a.d, len(keep), reduced.reshape(side, side))
-
-
-def partial_transpose(a: Operator, subsystems: Iterable[int]) -> Operator:
-    """Transpose the listed tensor factors in the computational basis.
-
-    An empty subsystem set is allowed and returns the operator unchanged.
-    Applying the same transposition twice restores the input exactly.
-    """
-    subs = _check_subsystems(subsystems, _operator(a).n, allow_empty=True)
-    if not subs:
-        return a
-    axes = list(range(2 * a.n))
-    for s in subs:
-        axes[s - 1], axes[a.n + s - 1] = axes[a.n + s - 1], axes[s - 1]
-    out = a.mat.reshape((a.d,) * (2 * a.n)).transpose(axes).reshape(a.side, a.side)
-    return Operator(a.d, a.n, out)
-
-
-def min_eigenvalue(a: Operator) -> float:
-    """Smallest eigenvalue of a Hermitian operator.
-
-    Raises ValueError if the input deviates from Hermiticity by more than
-    ``HERMITICITY_ATOL`` (1e-10) in any entry.
-    """
-    deviation = float(np.max(np.abs(_operator(a).mat - a.mat.conj().T)))
-    if deviation > HERMITICITY_ATOL:
-        raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
-    return float(np.linalg.eigvalsh(a.mat)[0])
 
 
 def frobenius_distance(a: Operator, b: Operator) -> float:
@@ -328,13 +266,3 @@ def _haar_sample(normals: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
-
-
-def haar_unitary(d: int, rng: Rng) -> Operator:
-    """A Haar-random unitary on a single d-dimensional system.
-
-    Deterministic in ``rng``: the same (seed, counter) yields the same
-    matrix bit for bit.  Draw sequences with ``haar_unitary(d, rng.at(i))``.
-    """
-    d = _side(d, 1)  # before the normals are drawn
-    return Operator(d, 1, _haar_sample(rng.generator().standard_normal((2, d, d))))

@@ -22,8 +22,8 @@ Kronecker product of 2 x 2 blocks (:func:`moment_expansion`).  Every X_S
 is a 0/1 matrix with exactly d^(2K) nonzero entries, so overlaps
 Tr(rho P) and mixtures of family members reduce to gathers and scatters
 on those entries; no dense projector is formed.  The independent dense
-oracle :func:`invariant_projector` fills F and E entry by entry and takes
-Kronecker products; at K = 1 it is the one-pair family member itself.
+oracle, :func:`.selfcheck.invariant_projector`, fills F and E entry by
+entry and takes Kronecker products.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Iterable
 import numpy as np
 
 from .bits import all_vectors, as_bits
-from .operators import Operator, _side, dimension, identity
+from .operators import _side, dimension
 
 
 def pair_forms(d: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -70,44 +70,6 @@ def _transposes(d: float) -> np.ndarray:
     d = float(d)
     entries = [(d - 1.0) / d, 1.0 / d, (d + 1.0) / d, -1.0 / d, 0.5, 0.5, (1.0 + d) / 2, (1.0 - d) / 2]
     return np.array(entries).reshape(2, 2, 2, 1)
-
-
-def _pair_block(d: int, s: int, a: int) -> Operator:
-    # member a of one pair's family from F or E, filled entry by entry and so
-    # independent of pair_forms: (I + (1 - 2a) F) / 2 if s = 0, else E or I - E
-    x = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            if s:
-                x[i * d + i, j * d + j] = 1.0 / d  # E = |phi><phi|, phi = sum |ii> / sqrt(d)
-            else:
-                x[i * d + j, j * d + i] = 1.0  # F |ij> = |ji>
-    x = Operator(d, 2, x)
-    if s == 0:
-        return (identity(d, 2) + (1 - 2 * a) * x) * 0.5
-    return x if a else identity(d, 2) - x
-
-
-def invariant_projector(d: int, sigma: Iterable[int], alpha: Iterable[int]) -> Operator:
-    """K-pair family projector on the 2K-slot space, as a dense matrix.
-
-    Pair i of the tensor product acts on slots (i, K+i).  For fixed sigma
-    the 2^K projectors over alpha are mutually orthogonal and sum to the
-    identity.  Built by Kronecker products and a slot permutation, this is
-    the brute-force reference for :func:`moment_expansion`.
-    """
-    sigma = as_bits(sigma, name="sigma")
-    alpha = as_bits(alpha, len(sigma), "alpha")
-    d, k = dimension(d), len(sigma)
-    side = _side(d, 2 * k)
-    mat = reduce(np.kron, [_pair_block(d, s, a).mat for s, a in zip(sigma, alpha)])
-    if k > 1:
-        # the kron above lives on slot order (1, K+1, 2, K+2, ...); the
-        # canonical layout puts all first members before all second ones
-        pos = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
-        axes = pos + [2 * k + p for p in pos]
-        mat = mat.reshape((d,) * (4 * k)).transpose(axes).reshape(side, side)
-    return Operator(d, 2 * k, mat)
 
 
 def moment_expansion(d: int, sigma: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -148,8 +110,8 @@ def moment_expansion(d: int, sigma: Iterable[int]) -> tuple[np.ndarray, np.ndarr
 
 
 def projector_trace(d: int, sigma: Iterable[int], alpha: Iterable[int]) -> float:
-    """Closed-form trace of :func:`invariant_projector`: the product over
-    pairs of the traces in :func:`pair_forms`.
+    """Closed-form trace of the dense :func:`.selfcheck.invariant_projector`:
+    the product over pairs of the traces in :func:`pair_forms`.
 
     Per pair: d(d + (-1)^alpha)/2 for a Werner-split factor, and 1 or
     d^2 - 1 for the entangled projector or its complement.  A count

@@ -4,8 +4,10 @@ Each check exercises one closed-form claim of the library against an
 independent brute-force route (dense matrices, eigenvalues, Monte Carlo)
 and reports a pass/fail result with a deterministic detail string, so a
 verification run with a fixed seed produces byte-identical output.  The
-dense oracles :func:`_dense_fidelities` and :func:`extremal_product_state`
-are defined here, beside the checks that use them; the tests use them too.
+dense oracles (basis kets, rank-1 projectors, Kronecker products, partial
+transposition, eigenvalues, the family projectors, overlaps and product
+states) are defined here, beside the checks that use them; the tests and
+demos import them from here, and no library module does.
 
 The ``quick`` level covers the deterministic algebraic identities; the
 ``full`` level adds the randomized dense-oracle sweeps and the
@@ -14,32 +16,34 @@ Monte-Carlo convergence study.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .bits import all_vectors, as_bits, xor
 from .operators import (
+    HERMITICITY_ATOL,
     Operator,
     Rng,
+    _check_subsystems,
+    _integer,
+    _operator,
+    _side,
+    dimension,
     frobenius_distance,
     identity,
-    min_eigenvalue,
     partial_trace,
-    partial_transpose,
-    projector_onto,
-    basis_ket,
-    tensor_product,
 )
-from .projectors import invariant_projector, projector_trace
+from .projectors import projector_trace
 from .simplex import (
     StateDescriptor,
     _check_overlaps,
     check_polytope,
     check_ppt,
     check_ppt_all,
-    biseparable_fidelities,
     extremal_fidelities,
     fidelities_of,
     maximally_mixed_pair,
@@ -64,6 +68,144 @@ def _bob_slots(mu) -> list[int]:
     return [k + i for i in range(1, k + 1) if mu[i - 1] == 1]
 
 
+def basis_ket(d: int, digits: str | Sequence[int]) -> np.ndarray:
+    """Computational basis vector |i_1 ... i_n> as a length d**n array."""
+    d = dimension(d)
+    if isinstance(digits, str):
+        digits = [int(c) for c in digits]
+    digits = [_integer(i, "digit") for i in digits]
+    side = _side(d, len(digits))
+    if any(not 0 <= i < d for i in digits):
+        raise ValueError(f"digits must lie in [0, {d}), got {digits}")
+    ket = np.zeros(side, dtype=np.complex128)
+    ket[np.ravel_multi_index(digits, (d,) * len(digits))] = 1.0
+    return ket
+
+
+def projector_onto(d: int, vector: np.ndarray) -> Operator:
+    """Rank-1 projector |v><v| onto a (normalized) vector of length d**n."""
+    d = dimension(d)
+    v = np.asarray(vector, dtype=np.complex128).reshape(-1)
+    n = max(1, round(math.log(v.size or 1, d)))
+    if _side(d, n) != v.size:
+        raise ValueError(f"vector length {v.size} is not a power of d={d}")
+    norm = np.linalg.norm(v)
+    if norm == 0:
+        raise ValueError("cannot project onto the zero vector")
+    v = v / norm
+    return Operator(d, n, np.outer(v, v.conj()))
+
+
+def tensor_product(a: Operator, b: Operator) -> Operator:
+    """Kronecker product with a's subsystems leading."""
+    if _operator(a).d != _operator(b).d:
+        raise ValueError(f"local dimension mismatch: {a.d} vs {b.d}")
+    _side(a.d, a.n + b.n)  # before np.kron allocates the product
+    return Operator(a.d, a.n + b.n, np.kron(a.mat, b.mat))
+
+
+def partial_transpose(a: Operator, subsystems: Iterable[int]) -> Operator:
+    """Transpose the listed tensor factors in the computational basis.
+
+    An empty subsystem set is allowed and returns the operator unchanged.
+    Applying the same transposition twice restores the input exactly.
+    """
+    subs = _check_subsystems(subsystems, _operator(a).n, allow_empty=True)
+    if not subs:
+        return a
+    axes = list(range(2 * a.n))
+    for s in subs:
+        axes[s - 1], axes[a.n + s - 1] = axes[a.n + s - 1], axes[s - 1]
+    out = a.mat.reshape((a.d,) * (2 * a.n)).transpose(axes).reshape(a.side, a.side)
+    return Operator(a.d, a.n, out)
+
+
+def min_eigenvalue(a: Operator) -> float:
+    """Smallest eigenvalue of a Hermitian operator.
+
+    Raises ValueError if the input deviates from Hermiticity by more than
+    ``HERMITICITY_ATOL`` (1e-10) in any entry.
+    """
+    deviation = float(np.max(np.abs(_operator(a).mat - a.mat.conj().T)))
+    if deviation > HERMITICITY_ATOL:
+        raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
+    return float(np.linalg.eigvalsh(a.mat)[0])
+
+
+def _pair_block(d: int, s: int, a: int) -> Operator:
+    # member a of one pair's family from F or E, filled entry by entry and so
+    # independent of pair_forms: (I + (1 - 2a) F) / 2 if s = 0, else E or I - E
+    x = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            if s:
+                x[i * d + i, j * d + j] = 1.0 / d  # E = |phi><phi|, phi = sum |ii> / sqrt(d)
+            else:
+                x[i * d + j, j * d + i] = 1.0  # F |ij> = |ji>
+    x = Operator(d, 2, x)
+    if s == 0:
+        return (identity(d, 2) + (1 - 2 * a) * x) * 0.5
+    return x if a else identity(d, 2) - x
+
+
+def invariant_projector(d: int, sigma: Iterable[int], alpha: Iterable[int]) -> Operator:
+    """K-pair family projector on the 2K-slot space, as a dense matrix.
+
+    Pair i of the tensor product acts on slots (i, K+i).  For fixed sigma
+    the 2^K projectors over alpha are mutually orthogonal and sum to the
+    identity.  Built by Kronecker products and a slot permutation, this is
+    the brute-force reference for :func:`.projectors.moment_expansion`.
+    """
+    sigma = as_bits(sigma, name="sigma")
+    alpha = as_bits(alpha, len(sigma), "alpha")
+    d, k = dimension(d), len(sigma)
+    side = _side(d, 2 * k)
+    mat = reduce(np.kron, [_pair_block(d, s, a).mat for s, a in zip(sigma, alpha)])
+    if k > 1:
+        # the kron above lives on slot order (1, K+1, 2, K+2, ...); the
+        # canonical layout puts all first members before all second ones
+        pos = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
+        axes = pos + [2 * k + p for p in pos]
+        mat = mat.reshape((d,) * (4 * k)).transpose(axes).reshape(side, side)
+    return Operator(d, 2 * k, mat)
+
+
+def biseparable_fidelities(proj_a: Operator, proj_b: Operator) -> np.ndarray:
+    """Werner-family fidelities of the twirled product of two pair projectors.
+
+    proj_a and proj_b are projectors on two-qudit spaces, placed on slots
+    (1, 2) and (3, 4); the pairs of the four-slot space are then (1, 3)
+    and (2, 4).  The four fidelities have the closed form
+
+        q = 1/4 * (1 +- s1 +- s2 +- s12)
+
+    with s1, s2 the overlaps of the single-slot marginals and s12 the full
+    overlap Tr(proj_a proj_b); the signs follow the fidelity index.  These
+    states are separable across the (1,2)|(3,4) cut by construction, so q
+    always passes the all-ones PPT test, yet q can fail other patterns.
+    """
+    if _operator(proj_a).n != 2 or _operator(proj_b).n != 2:
+        raise ValueError("both operators must act on exactly two subsystems")
+    if proj_a.d != proj_b.d:
+        raise ValueError(f"local dimension mismatch: {proj_a.d} vs {proj_b.d}")
+    for name, p in (("first", proj_a), ("second", proj_b)):
+        dev = float(np.max(np.abs((p @ p - p).mat)))
+        if dev > 1e-10:
+            raise ValueError(f"{name} operator is not a projector (deviation {dev:.3e})")
+    s0 = (proj_a.trace() * proj_b.trace()).real  # equals 1 for rank-1 inputs
+    s1 = (partial_trace(proj_a, {1}) @ partial_trace(proj_b, {1})).trace().real
+    s2 = (partial_trace(proj_a, {2}) @ partial_trace(proj_b, {2})).trace().real
+    s12 = (proj_a @ proj_b).trace().real
+    return 0.25 * np.array(
+        [
+            s0 + s1 + s2 + s12,
+            s0 - s1 + s2 - s12,
+            s0 + s1 - s2 - s12,
+            s0 - s1 - s2 + s12,
+        ]
+    )
+
+
 def _dense_fidelities(rho: Operator, sigma, families: dict) -> np.ndarray:
     """Overlaps Tr(rho P) with dense family projectors: the brute-force
     counterpart of the library's fidelity extraction.
@@ -73,9 +215,7 @@ def _dense_fidelities(rho: Operator, sigma, families: dict) -> np.ndarray:
     """
     key = (rho.d, tuple(sigma))
     if key not in families:
-        families[key] = [
-            invariant_projector(rho.d, sigma, alpha).mat for alpha in all_vectors(len(sigma))
-        ]
+        families[key] = [invariant_projector(rho.d, sigma, alpha).mat for alpha in all_vectors(len(sigma))]
     return np.array([np.einsum("ij,ji->", rho.mat, p).real for p in families[key]])
 
 

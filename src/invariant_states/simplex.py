@@ -43,7 +43,6 @@ from .operators import (
     _real,
     _side,
     dimension,
-    partial_trace,
 )
 from .projectors import _transposes, moment_expansion, pair_forms
 
@@ -555,42 +554,6 @@ def extremal_fidelities(sigma: Iterable[int], overlaps, d: int) -> np.ndarray:
         for s, a_i in zip(sigma, a)
     ]
     return reduce(np.kron, factors)
-
-
-def biseparable_fidelities(proj_a: Operator, proj_b: Operator) -> np.ndarray:
-    """Werner-family fidelities of the twirled product of two pair projectors.
-
-    proj_a and proj_b are projectors on two-qudit spaces, placed on slots
-    (1, 2) and (3, 4); the pairs of the four-slot space are then (1, 3)
-    and (2, 4).  The four fidelities have the closed form
-
-        q = 1/4 * (1 +- s1 +- s2 +- s12)
-
-    with s1, s2 the overlaps of the single-slot marginals and s12 the full
-    overlap Tr(proj_a proj_b); the signs follow the fidelity index.  These
-    states are separable across the (1,2)|(3,4) cut by construction, so q
-    always passes the all-ones PPT test, yet q can fail other patterns.
-    """
-    if _operator(proj_a).n != 2 or _operator(proj_b).n != 2:
-        raise ValueError("both operators must act on exactly two subsystems")
-    if proj_a.d != proj_b.d:
-        raise ValueError(f"local dimension mismatch: {proj_a.d} vs {proj_b.d}")
-    for name, p in (("first", proj_a), ("second", proj_b)):
-        dev = float(np.max(np.abs((p @ p - p).mat)))
-        if dev > 1e-10:
-            raise ValueError(f"{name} operator is not a projector (deviation {dev:.3e})")
-    s0 = (proj_a.trace() * proj_b.trace()).real  # equals 1 for rank-1 inputs
-    s1 = (partial_trace(proj_a, {1}) @ partial_trace(proj_b, {1})).trace().real
-    s2 = (partial_trace(proj_a, {2}) @ partial_trace(proj_b, {2})).trace().real
-    s12 = (proj_a @ proj_b).trace().real
-    return 0.25 * np.array(
-        [
-            s0 + s1 + s2 + s12,
-            s0 - s1 + s2 - s12,
-            s0 + s1 - s2 - s12,
-            s0 - s1 - s2 + s12,
-        ]
-    )
 
 
 # ---------------------------------------------------------------------------

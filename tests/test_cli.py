@@ -13,6 +13,7 @@ import invariant_states as iv
 from invariant_states import formats
 from invariant_states.bits import bits_str, parse_bits
 from invariant_states.cli import main
+from invariant_states.selfcheck import basis_ket, projector_onto
 from invariant_states.simplex import maximally_mixed_pair
 
 
@@ -112,7 +113,7 @@ def test_usage_error_exits_2(capsys):
 
 @pytest.fixture
 def basis_state_file(tmp_path):
-    rho = iv.projector_onto(2, iv.basis_ket(2, "01"))
+    rho = projector_onto(2, basis_ket(2, "01"))
     path = tmp_path / "rho.qopb"
     path.write_bytes(formats.qopb_encode(rho))
     return path

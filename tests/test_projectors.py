@@ -7,11 +7,13 @@ import pytest
 
 import invariant_states as iv
 from invariant_states import Rng, all_vectors
+from invariant_states.operators import _haar_sample
+from invariant_states.selfcheck import basis_ket, invariant_projector, min_eigenvalue, partial_transpose
 
 
 def _member(d, s, a):
     # member a of the one-pair family s
-    return iv.invariant_projector(d, (s,), (a,))
+    return invariant_projector(d, (s,), (a,))
 
 
 def _flip(d):
@@ -37,9 +39,9 @@ def _loop_entangled(d):
 
 def test_flip_swaps_basis_states():
     f = _flip(2)
-    np.testing.assert_array_equal(f.mat @ iv.basis_ket(2, "01"), iv.basis_ket(2, "10"))
+    np.testing.assert_array_equal(f.mat @ basis_ket(2, "01"), basis_ket(2, "10"))
     f3 = _flip(3)
-    np.testing.assert_array_equal(f3.mat @ iv.basis_ket(3, "12"), iv.basis_ket(3, "21"))
+    np.testing.assert_array_equal(f3.mat @ basis_ket(3, "12"), basis_ket(3, "21"))
 
 
 def test_flip_involution_and_trace():
@@ -54,7 +56,7 @@ def test_max_entangled_projector():
         p = _member(d, 1, 1)
         assert np.max(np.abs((p @ p - p).mat)) <= 1e-12
         assert abs(p.trace() - 1.0) < 1e-14
-        pt_flip = iv.partial_transpose(_flip(d), {2})
+        pt_flip = partial_transpose(_flip(d), {2})
         np.testing.assert_allclose((d * p).mat, pt_flip.mat, atol=1e-15)
 
 
@@ -97,14 +99,14 @@ def test_invariant_projector_single_pair():
         np.testing.assert_array_equal(_member(d, 1, 0).mat, eye - e)
         np.testing.assert_array_equal(_member(d, 1, 1).mat, e)
         np.testing.assert_array_equal(_flip(d).mat, f)
-    assert abs(iv.invariant_projector(2, (1,), (1,)).trace() - 1.0) < 1e-15
+    assert abs(invariant_projector(2, (1,), (1,)).trace() - 1.0) < 1e-15
 
 
 def test_invariant_projector_argument_checks():
     with pytest.raises(ValueError):
-        iv.invariant_projector(2, (0, 0), (0,))
+        invariant_projector(2, (0, 0), (0,))
     with pytest.raises(ValueError):
-        iv.invariant_projector(3, (0,) * 4, (0,) * 4)  # side 6561 over the cap
+        invariant_projector(3, (0,) * 4, (0,) * 4)  # side 6561 over the cap
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -113,12 +115,12 @@ def test_family_algebra(d, k):
     """Idempotent, mutually orthogonal, complete, for every family."""
     side = d ** (2 * k)
     for sigma in all_vectors(k):
-        projs = [iv.invariant_projector(d, sigma, a) for a in all_vectors(k)]
+        projs = [invariant_projector(d, sigma, a) for a in all_vectors(k)]
         total = reduce(lambda x, y: x + y, projs)
         assert np.max(np.abs(total.mat - np.eye(side))) <= 1e-12
         for i, p in enumerate(projs):
             assert np.max(np.abs((p @ p - p).mat)) <= 1e-12
-            assert iv.min_eigenvalue(p) >= -1e-10
+            assert min_eigenvalue(p) >= -1e-10
             for j, q in enumerate(projs):
                 if i != j:
                     # Tr(PQ) = |QP|_F^2 vanishes iff the product does
@@ -130,7 +132,7 @@ def test_family_algebra_three_pairs():
     d, k = 2, 3
     side = d ** (2 * k)
     for sigma in [(0, 0, 0), (1, 1, 1), (0, 1, 0), (1, 0, 1)]:
-        projs = [iv.invariant_projector(d, sigma, a) for a in all_vectors(k)]
+        projs = [invariant_projector(d, sigma, a) for a in all_vectors(k)]
         total = reduce(lambda x, y: x + y, projs)
         assert np.max(np.abs(total.mat - np.eye(side))) <= 1e-12
         for i, p in enumerate(projs):
@@ -139,8 +141,13 @@ def test_family_algebra_three_pairs():
                 assert abs(np.einsum("ij,ji->", p.mat, q.mat).real) <= 1e-12
 
 
+def haar(d, rng):
+    # one Haar unitary from the kernel that mc_twirl samples with
+    return _haar_sample(rng.generator().standard_normal((2, d, d)))
+
+
 def _conjugation(d, sigma, rng):
-    us = [iv.haar_unitary(d, rng.at(10 * i)).mat for i in range(len(sigma))]
+    us = [haar(d, rng.at(10 * i)) for i in range(len(sigma))]
     ws = [u if s == 0 else u.conj() for u, s in zip(us, sigma)]
     return reduce(np.kron, us + ws)
 
@@ -153,7 +160,7 @@ def test_projector_invariance(d, k):
     base = Rng(202)
     for sigma in all_vectors(k):
         for alpha in all_vectors(k):
-            p = iv.invariant_projector(d, sigma, alpha).mat
+            p = invariant_projector(d, sigma, alpha).mat
             for t in range(20):
                 v = _conjugation(d, sigma, base.at(100_000 * t))
                 assert np.linalg.norm(v @ p @ v.conj().T - p) <= 1e-10
@@ -162,7 +169,7 @@ def test_projector_invariance(d, k):
 def test_projector_invariance_three_pairs():
     base = Rng(203)
     for sigma in [(0, 1, 1), (1, 0, 0)]:
-        p = iv.invariant_projector(2, sigma, (1, 0, 1)).mat
+        p = invariant_projector(2, sigma, (1, 0, 1)).mat
         for t in range(5):
             v = _conjugation(2, sigma, base.at(100_000 * t))
             assert np.linalg.norm(v @ p @ v.conj().T - p) <= 1e-10
@@ -174,7 +181,7 @@ def test_trace_formula_matches_dense(d, k):
     for sigma in all_vectors(k):
         total = 0.0
         for alpha in all_vectors(k):
-            dense = iv.invariant_projector(d, sigma, alpha).trace().real
+            dense = invariant_projector(d, sigma, alpha).trace().real
             closed = iv.projector_trace(d, sigma, alpha)
             assert abs(dense - closed) <= 1e-9
             total += closed
@@ -201,7 +208,7 @@ def test_trace_beyond_the_float_range_raises_without_a_warning(d, sigma):
 
 
 def _dense_family(d, sigma):
-    return [iv.invariant_projector(d, sigma, a) for a in all_vectors(len(sigma))]
+    return [invariant_projector(d, sigma, a) for a in all_vectors(len(sigma))]
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -235,13 +242,12 @@ def test_synthesize_matches_dense_oracle(d, k):
 
 
 def test_structured_route_never_builds_projectors(monkeypatch):
-    from invariant_states import projectors, simplex
+    from invariant_states import selfcheck
 
     def forbidden(*args, **kwargs):
         raise AssertionError("dense projector built")
 
-    monkeypatch.setattr(projectors, "invariant_projector", forbidden)
-    monkeypatch.setattr(simplex, "invariant_projector", forbidden, raising=False)
+    monkeypatch.setattr(selfcheck, "invariant_projector", forbidden)
     sigma = (0, 1, 0)
     desc = iv.StateDescriptor(2, sigma, np.arange(1, 9) / 36)
     rho = iv.synthesize(desc)

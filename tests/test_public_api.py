@@ -10,34 +10,26 @@ PUBLIC = {
     "StateDescriptor",
     "all_vectors",
     "as_bits",
-    "basis_ket",
-    "biseparable_fidelities",
     "check_polytope",
     "check_ppt",
     "check_ppt_all",
     "extremal_fidelities",
     "fidelities_of",
     "frobenius_distance",
-    "haar_unitary",
     "identity",
-    "invariant_projector",
     "mc_twirl",
-    "min_eigenvalue",
     "partial_trace",
-    "partial_transpose",
-    "projector_onto",
     "projector_trace",
     "pt_matrix",
     "reduce_mixed_pair",
     "reduce_pair",
     "synthesize",
-    "tensor_product",
     "transform_fidelities",
 }
 
 
 def test_all_is_exactly_the_public_names():
-    assert len(PUBLIC) == 30
+    assert len(PUBLIC) == 22
     assert len(iv.__all__) == len(set(iv.__all__))
     assert set(iv.__all__) == PUBLIC
     for name in iv.__all__:
@@ -52,12 +44,29 @@ def test_helpers_stay_importable_from_their_modules():
     assert maximally_mixed_pair(2).K == 1
 
 
+MOVED = (
+    "basis_ket",
+    "projector_onto",
+    "tensor_product",
+    "partial_transpose",
+    "min_eigenvalue",
+    "invariant_projector",
+    "_pair_block",
+    "biseparable_fidelities",
+)
+
+
 def test_dense_oracles_live_in_selfcheck():
     from invariant_states import selfcheck
 
     assert callable(selfcheck.extremal_product_state) and callable(selfcheck._dense_fidelities)
     for name in ("extract_fidelities", "extremal_product_state"):
         assert not hasattr(iv, name) and not hasattr(iv.simplex, name)
+    library = (iv, iv.operators, iv.projectors, iv.simplex)
+    for name in MOVED:
+        assert callable(getattr(selfcheck, name)), name
+        assert not any(hasattr(module, name) for module in library), name
+    assert not any(hasattr(module, "haar_unitary") for module in library + (selfcheck,))
 
 
 def test_one_pair_builders_are_gone():

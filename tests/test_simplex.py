@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -7,7 +8,18 @@ import pytest
 import invariant_states as iv
 from invariant_states import Rng, StateDescriptor, all_vectors, simplex
 from invariant_states.bits import bits_str, xor
-from invariant_states.selfcheck import _dense_fidelities, extremal_product_state
+from invariant_states.operators import _haar_sample
+from invariant_states.selfcheck import (
+    _dense_fidelities,
+    basis_ket,
+    biseparable_fidelities,
+    extremal_product_state,
+    invariant_projector,
+    min_eigenvalue,
+    partial_transpose,
+    projector_onto,
+    tensor_product,
+)
 from invariant_states.simplex import PPT_ATOL, maximally_mixed_pair
 
 
@@ -22,6 +34,11 @@ def random_state(d, n, seed):
     m = gen.standard_normal((side, side)) + 1j * gen.standard_normal((side, side))
     rho = m @ m.conj().T
     return iv.Operator(d, n, rho / np.trace(rho))
+
+
+def haar(d, rng):
+    # one Haar unitary from the kernel that mc_twirl samples with
+    return _haar_sample(rng.generator().standard_normal((2, d, d)))
 
 
 def bob_slots(mu):
@@ -63,8 +80,8 @@ PAIRS = StateDescriptor(2, (0, 1), np.full(4, 0.25))
         lambda: iv.as_bits([0.5, 1.7]),
         lambda: StateDescriptor(2, [0.5], [0.5, 0.5]),
         lambda: iv.check_ppt(StateDescriptor(2, [0], [0.5, 0.5]), [1.9]),
-        lambda: iv.invariant_projector(2, (0,), (2,)),
-        lambda: iv.invariant_projector(2.9, (0,), (1,)),
+        lambda: invariant_projector(2, (0,), (2,)),
+        lambda: invariant_projector(2.9, (0,), (1,)),
         lambda: iv.projectors.moment_expansion(3.7, (1,)),
         lambda: iv.pt_matrix((1,), (1,), 2.5),
         lambda: iv.pt_matrix((0,), (1,), 2.5),
@@ -80,19 +97,24 @@ PAIRS = StateDescriptor(2, (0, 1), np.full(4, 0.25))
         lambda: iv.reduce_mixed_pair(PAIRS, 1, 2.0),
         lambda: bits_str([0.5]),
         lambda: iv.partial_trace(iv.identity(2, 4) / 16, [1.5]),
-        lambda: iv.partial_transpose(iv.identity(2, 2), [2.7]),
+        lambda: partial_transpose(iv.identity(2, 2), [2.7]),
         lambda: iv.mc_twirl(iv.identity(2, 2) / 4, (0,), 2.5, Rng(0)),
         lambda: Rng(0).at(2.5),
         lambda: Rng(1.5),
         lambda: Rng(-1),
         lambda: Rng(0, 2**128),
         lambda: iv.Operator(2, 2.0, np.eye(4)),
-        lambda: iv.basis_ket(2, [0.5]),
+        lambda: basis_ket(2, [0.5]),
         lambda: StateDescriptor(2, (0,), [0.5 + 5j, 0.5 - 5j]),
         lambda: iv.extremal_fidelities((0,), [0.5 + 3j], 2),
-        lambda: iv.projector_onto(0, np.ones(4)),
-        lambda: iv.projector_onto(1, np.ones(4)),
-        lambda: iv.projector_onto(True, np.ones(4)),
+        # strings, bytes and objects are rejected, not parsed or cast by numpy
+        lambda: StateDescriptor(2, (0,), ["0.5", "0.5"]),
+        lambda: StateDescriptor(2, (0,), np.array([b"0.5", b"0.5"])),
+        lambda: iv.extremal_fidelities((0,), ["0.25"], 2),
+        lambda: StateDescriptor(2, (0,), [Fraction(1, 2), Fraction(1, 2)]),
+        lambda: projector_onto(0, np.ones(4)),
+        lambda: projector_onto(1, np.ones(4)),
+        lambda: projector_onto(True, np.ones(4)),
         lambda: iv.extremal_fidelities((0,) * 40, [0.5] * 40, 2),  # K beyond the scale cap
     ],
 )
@@ -140,7 +162,7 @@ def test_fidelities_of_family_members():
     for d in (2, 3):
         for sigma in all_vectors(2):
             for idx, beta in enumerate(all_vectors(2)):
-                member = iv.invariant_projector(d, sigma, beta) / iv.projector_trace(
+                member = invariant_projector(d, sigma, beta) / iv.projector_trace(
                     d, sigma, beta
                 )
                 f = iv.fidelities_of(member, sigma).fidelities
@@ -163,7 +185,7 @@ def test_fidelities_of_maximally_mixed():
 def test_fidelities_of_max_entangled_pair():
     # the maximally entangled vector is symmetric under exchange, so it
     # sits entirely in the symmetric sector of the Werner split
-    f = iv.fidelities_of(iv.invariant_projector(2, (1,), (1,)), (0,)).fidelities
+    f = iv.fidelities_of(invariant_projector(2, (1,), (1,)), (0,)).fidelities
     np.testing.assert_allclose(f, [1.0, 0.0], atol=1e-14)
 
 
@@ -183,7 +205,7 @@ def test_fidelities_of_validation():
 
 def test_synthesize_vertex():
     desc = StateDescriptor(2, (0,), [1.0, 0.0])
-    expected = iv.invariant_projector(2, (0,), (0,)) / 3.0
+    expected = invariant_projector(2, (0,), (0,)) / 3.0
     assert iv.frobenius_distance(iv.synthesize(desc), expected) <= 1e-14
 
 
@@ -191,7 +213,7 @@ def test_synthesize_isotropic_corner_is_entangled_product():
     # fidelity vector (0,0,0,1) is the product of the two maximally
     # entangled pair projectors, embedded on pairs (1,3) and (2,4)
     desc = StateDescriptor(2, (1, 1), [0.0, 0.0, 0.0, 1.0])
-    direct = iv.invariant_projector(2, (1, 1), (1, 1))
+    direct = invariant_projector(2, (1, 1), (1, 1))
     assert iv.frobenius_distance(iv.synthesize(desc), direct) <= 1e-14
 
 
@@ -210,9 +232,9 @@ def test_synthesized_states_are_states_and_invariant():
         desc = random_descriptor(d, k, sigma, seed=d * 7 + k)
         rho = iv.synthesize(desc)
         assert abs(rho.trace() - 1.0) <= 1e-12
-        assert iv.min_eigenvalue(rho) >= -1e-10
+        assert min_eigenvalue(rho) >= -1e-10
         for t in range(10):
-            us = [iv.haar_unitary(d, base.at(1000 * t + i)).mat for i in range(k)]
+            us = [haar(d, base.at(1000 * t + i)) for i in range(k)]
             ws = [u if s == 0 else u.conj() for u, s in zip(us, sigma)]
             v = reduce(np.kron, us + ws)
             assert np.linalg.norm(v @ rho.mat @ v.conj().T - rho.mat) <= 1e-10
@@ -228,7 +250,7 @@ def test_exact_twirl_fixes_invariant_states():
 
 
 def test_exact_twirl_product_basis_state():
-    rho = iv.projector_onto(2, iv.basis_ket(2, "01"))
+    rho = projector_onto(2, basis_ket(2, "01"))
     q = iv.fidelities_of(rho, (0,)).fidelities
     np.testing.assert_allclose(q, [0.5, 0.5], atol=1e-14)
 
@@ -248,7 +270,7 @@ def test_exact_twirl_matches_extremal_formula():
 
 
 def test_mc_twirl_fixes_invariant_state():
-    q0 = iv.invariant_projector(2, (0,), (0,)) / 3.0
+    q0 = invariant_projector(2, (0,), (0,)) / 3.0
     est = iv.mc_twirl(q0, (0,), 10, Rng(3))
     assert iv.frobenius_distance(est, q0) <= 1e-10
 
@@ -260,21 +282,21 @@ def test_mc_twirl_preserves_trace():
 
 
 def test_mc_twirl_deterministic():
-    rho = iv.projector_onto(2, iv.basis_ket(2, "01"))
+    rho = projector_onto(2, basis_ket(2, "01"))
     a = iv.mc_twirl(rho, (0,), 40, Rng(5))
     b = iv.mc_twirl(rho, (0,), 40, Rng(5))
     assert np.array_equal(a.mat, b.mat)
 
 
 def test_mc_twirl_converges():
-    rho = iv.projector_onto(2, iv.basis_ket(2, "01"))
+    rho = projector_onto(2, basis_ket(2, "01"))
     target = iv.synthesize(iv.fidelities_of(rho, (0,)))
     dist = iv.frobenius_distance(iv.mc_twirl(rho, (0,), 5000, Rng(0)), target)
     assert dist <= 0.05
 
 
 def test_mc_twirl_validation():
-    rho = iv.projector_onto(2, iv.basis_ket(2, "01"))
+    rho = projector_onto(2, basis_ket(2, "01"))
     with pytest.raises(ValueError):
         iv.mc_twirl(rho, (0,), 0, Rng(0))
 
@@ -306,13 +328,13 @@ def test_single_pair_dense_transfer_identities(d):
     family with the transfer-matrix rows as coefficients."""
     x = iv.pt_matrix((1,), (0,), d)
     y = iv.pt_matrix((1,), (1,), d)
-    q = [iv.invariant_projector(d, (0,), (b,)) / iv.projector_trace(d, (0,), (b,)) for b in (0, 1)]
-    p = [iv.invariant_projector(d, (1,), (b,)) / iv.projector_trace(d, (1,), (b,)) for b in (0, 1)]
+    q = [invariant_projector(d, (0,), (b,)) / iv.projector_trace(d, (0,), (b,)) for b in (0, 1)]
+    p = [invariant_projector(d, (1,), (b,)) / iv.projector_trace(d, (1,), (b,)) for b in (0, 1)]
     for a in (0, 1):
-        lhs = iv.partial_transpose(q[a], {2})
+        lhs = partial_transpose(q[a], {2})
         rhs = x[a, 0] * p[0] + x[a, 1] * p[1]
         assert iv.frobenius_distance(lhs, rhs) <= 1e-12
-        lhs = iv.partial_transpose(p[a], {2})
+        lhs = partial_transpose(p[a], {2})
         rhs = y[a, 0] * q[0] + y[a, 1] * q[1]
         assert iv.frobenius_distance(lhs, rhs) <= 1e-12
 
@@ -399,7 +421,7 @@ def test_transform_matches_dense_transpose(d, k):
             for mu in all_vectors(k):
                 fast = iv.transform_fidelities(desc, mu)
                 dense = _dense_fidelities(
-                    iv.partial_transpose(rho, bob_slots(mu)), xor(mu, sigma), {}
+                    partial_transpose(rho, bob_slots(mu)), xor(mu, sigma), {}
                 )
                 np.testing.assert_allclose(fast, dense, atol=1e-10)
                 assert abs(fast.sum() - 1.0) <= 1e-12
@@ -566,12 +588,12 @@ def test_extremal_fidelities_against_haar_products():
         for s_idx, sigma in enumerate(all_vectors(2)):
             for rep in range(10):
                 off = 10_000 * s_idx + 100 * rep
-                psis = [iv.haar_unitary(d, base.at(off + i)).mat[:, 0] for i in range(2)]
-                phis = [iv.haar_unitary(d, base.at(off + 50 + i)).mat[:, 0] for i in range(2)]
+                psis = [haar(d, base.at(off + i))[:, 0] for i in range(2)]
+                phis = [haar(d, base.at(off + 50 + i))[:, 0] for i in range(2)]
                 overlaps = [abs(np.vdot(p, q)) ** 2 for p, q in zip(psis, phis)]
-                factors = [iv.projector_onto(d, v) for v in psis + phis]
-                rho = reduce(iv.tensor_product, factors)
-                rho_s = iv.partial_transpose(rho, bob_slots(sigma))
+                factors = [projector_onto(d, v) for v in psis + phis]
+                rho = reduce(tensor_product, factors)
+                rho_s = partial_transpose(rho, bob_slots(sigma))
                 dense = _dense_fidelities(rho_s, sigma, {})
                 fast = iv.extremal_fidelities(sigma, overlaps, d)
                 np.testing.assert_allclose(fast, dense, atol=1e-10)
@@ -628,16 +650,16 @@ def test_extremal_overlap_validation():
 
 def test_biseparable_fidelities_entangled_pair():
     for d in (2, 3):
-        ent = iv.invariant_projector(d, (1,), (1,))
-        q = iv.biseparable_fidelities(ent, ent)
+        ent = invariant_projector(d, (1,), (1,))
+        q = biseparable_fidelities(ent, ent)
         expected = [(1 + 1 / d) / 2, 0.0, 0.0, (1 - 1 / d) / 2]
         np.testing.assert_allclose(q, expected, atol=1e-14)
 
 
 def test_biseparable_fidelities_basis_product():
-    p00 = iv.projector_onto(2, iv.basis_ket(2, "00"))
+    p00 = projector_onto(2, basis_ket(2, "00"))
     np.testing.assert_allclose(
-        iv.biseparable_fidelities(p00, p00), [1, 0, 0, 0], atol=1e-14
+        biseparable_fidelities(p00, p00), [1, 0, 0, 0], atol=1e-14
     )
 
 
@@ -645,12 +667,12 @@ def test_biseparable_fidelities_match_dense_twirl():
     base = Rng(91)
     for d in (2, 3):
         for rep in range(10):
-            va = iv.haar_unitary(d * d, base.at(100 * rep)).mat[:, 0]
-            vb = iv.haar_unitary(d * d, base.at(100 * rep + 1)).mat[:, 0]
+            va = haar(d * d, base.at(100 * rep))[:, 0]
+            vb = haar(d * d, base.at(100 * rep + 1))[:, 0]
             pa = iv.Operator(d, 2, np.outer(va, va.conj()))
             pb = iv.Operator(d, 2, np.outer(vb, vb.conj()))
-            q = iv.biseparable_fidelities(pa, pb)
-            dense = iv.fidelities_of(iv.tensor_product(pa, pb), (0, 0)).fidelities
+            q = biseparable_fidelities(pa, pb)
+            dense = iv.fidelities_of(tensor_product(pa, pb), (0, 0)).fidelities
             np.testing.assert_allclose(q, dense, atol=1e-10)
             # hull inequalities for states separable across the cut
             assert q[1] <= q[0] + 1e-12 and q[2] <= q[0] + 1e-12 and q[3] <= q[0] + 1e-12
@@ -661,18 +683,18 @@ def test_biseparable_fidelities_match_dense_twirl():
 def test_biseparable_fidelities_rank2_projector():
     # the closed form holds for projectors of any rank
     d = 2
-    sym = iv.invariant_projector(d, (0,), (0,))
-    vb = iv.haar_unitary(d * d, Rng(17)).mat[:, 0]
+    sym = invariant_projector(d, (0,), (0,))
+    vb = haar(d * d, Rng(17))[:, 0]
     pb = iv.Operator(d, 2, np.outer(vb, vb.conj()))
-    q = iv.biseparable_fidelities(sym, pb)
-    dense = _dense_fidelities(iv.tensor_product(sym, pb), (0, 0), {})
+    q = biseparable_fidelities(sym, pb)
+    dense = _dense_fidelities(tensor_product(sym, pb), (0, 0), {})
     np.testing.assert_allclose(q, dense, atol=1e-12)
 
 
 def test_biseparable_fidelities_rejects_non_projector():
     bad = iv.identity(2, 2) * 0.5
     with pytest.raises(ValueError):
-        iv.biseparable_fidelities(bad, iv.invariant_projector(2, (1,), (1,)))
+        biseparable_fidelities(bad, invariant_projector(2, (1,), (1,)))
 
 
 # --- reductions ---------------------------------------------------------------
