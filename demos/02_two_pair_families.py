@@ -13,7 +13,7 @@ import numpy as np
 import invariant_states as iv
 from invariant_states import all_vectors, formats
 from invariant_states.bits import bits_str
-from invariant_states.selfcheck import invariant_projector
+from invariant_states.selfcheck import frobenius_distance, invariant_projector, partial_trace
 
 d = 2
 print(f"local dimension d = {d}, two pairs on slots (1,3) and (2,4)\n")
@@ -37,9 +37,9 @@ vertex = iv.StateDescriptor(d, (1, 1), [0, 0, 0, 1.0])
 rho = iv.synthesize(vertex)
 ent = invariant_projector(d, (1,), (1,))
 print("\nvertex 11 of family 11 equals the embedded entangled product:",
-      iv.frobenius_distance(rho, invariant_projector(d, (1, 1), (1, 1))) < 1e-12)
+      frobenius_distance(rho, invariant_projector(d, (1, 1), (1, 1))) < 1e-12)
 print("its single-pair marginals are the entangled projector itself:",
-      np.allclose(iv.partial_trace(rho, {2, 4}).mat, ent.mat))
+      np.allclose(partial_trace(rho, {2, 4}).mat, ent.mat))
 
 # generic point: fidelities round trip through the dense matrix
 desc = iv.StateDescriptor(d, (0, 1), [0.42, 0.18, 0.3, 0.1])
@@ -54,10 +54,10 @@ print(" ", formats.dumps_descriptor(desc).strip())
 reduced = iv.reduce_pair(desc, 2)
 print("drop pair 2 -> family", bits_str(reduced.sigma),
       "with fidelities", reduced.fidelities)
-dense = iv.fidelities_of(iv.partial_trace(iv.synthesize(desc), {2, 4}), (0,)).fidelities
+dense = iv.fidelities_of(partial_trace(iv.synthesize(desc), {2, 4}), (0,)).fidelities
 print("dense partial trace agrees:", np.allclose(reduced.fidelities, dense))
 
 # tracing two slots that are not a matched pair destroys all structure
-mixed = iv.partial_trace(iv.synthesize(desc), {1, 4})
+mixed = partial_trace(iv.synthesize(desc), {1, 4})
 print("tracing slots 1 and 4 leaves the maximally mixed pair:",
       np.allclose(mixed.mat, np.eye(d * d) / d**2))

@@ -11,7 +11,7 @@ import numpy as np
 
 import invariant_states as iv
 from invariant_states import Rng
-from invariant_states.selfcheck import basis_ket, projector_onto
+from invariant_states.selfcheck import basis_ket, frobenius_distance, projector_onto
 
 d = 2
 sigma = (0,)
@@ -27,7 +27,7 @@ print("\nMonte-Carlo average vs sample count (seed 0):")
 print(f"  {'N':>6}  distance to exact   sqrt(N) * distance")
 for n in (100, 400, 1600, 6400):
     estimate = iv.mc_twirl(rho, sigma, n, Rng(0))
-    dist = iv.frobenius_distance(estimate, target)
+    dist = frobenius_distance(estimate, target)
     print(f"  {n:>6}  {dist:.6f}            {np.sqrt(n) * dist:.3f}")
 print("the scaled column is flat: the error shrinks like 1/sqrt(N)")
 
@@ -40,11 +40,11 @@ print("\nsame seed twice gives bit-identical averages:", np.array_equal(a.mat, b
 fixed = iv.synthesize(iv.StateDescriptor(d, sigma, [0.7, 0.3]))
 est = iv.mc_twirl(fixed, sigma, 8, Rng(7))
 print("invariant input passes through unchanged:",
-      iv.frobenius_distance(est, fixed) < 1e-12)
+      frobenius_distance(est, fixed) < 1e-12)
 
 # the isotropic-family twirl conjugates the second slot
 iso = iv.fidelities_of(rho, (1,))
 print("\nisotropic-family projection of the same input:", iso.fidelities)
 est_iso = iv.mc_twirl(rho, (1,), 4000, Rng(1))
 print("Monte-Carlo agrees to",
-      f"{iv.frobenius_distance(est_iso, iv.synthesize(iso)):.4f}")
+      f"{frobenius_distance(est_iso, iv.synthesize(iso)):.4f}")

@@ -1,15 +1,15 @@
 """Locally unitary-invariant states of 2K qudits.
 
 Generalized Werner and isotropic families over K qudit pairs and every
-mixture in between: dense operators, projector traces, fidelity
-simplices, exact and Monte-Carlo twirls, partial transposition on
-fidelities, separability criteria, and pair reductions.  The dense
-brute-force oracles live in :mod:`.selfcheck`, which this package does
-not import.
+mixture in between: a dense operator value type, projector traces,
+fidelity simplices, exact and Monte-Carlo twirls, partial transposition
+on fidelities, separability criteria, and pair reductions.  The dense
+brute-force oracles and helpers (identity, partial trace, Frobenius
+distance) live in :mod:`.selfcheck`, which this package does not import.
 """
 
 from .bits import all_vectors, as_bits
-from .operators import Operator, Rng, frobenius_distance, identity, partial_trace
+from .operators import Operator, Rng
 from .projectors import projector_trace
 from .simplex import (
     ConstraintFailure,
@@ -43,10 +43,7 @@ __all__ = [
     "check_ppt_all",
     "extremal_fidelities",
     "fidelities_of",
-    "frobenius_distance",
-    "identity",
     "mc_twirl",
-    "partial_trace",
     "projector_trace",
     "pt_matrix",
     "reduce_mixed_pair",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -169,46 +168,6 @@ def _operator(a) -> Operator:
     if not isinstance(a, Operator):
         raise TypeError(f"expected Operator, got {type(a).__name__}")
     return a
-
-
-def identity(d: int, n: int = 1) -> Operator:
-    return Operator(d, n, np.eye(_side(d, n)))
-
-
-def _check_subsystems(subsystems: Iterable[int], n: int, allow_empty=False) -> tuple[int, ...]:
-    subs = [_integer(s, "subsystem index") for s in subsystems]
-    out = tuple(sorted(set(subs)))
-    if len(out) != len(subs):
-        raise ValueError(f"duplicate subsystem index in {subs}")
-    if not out and not allow_empty:
-        raise ValueError("subsystem set must be nonempty")
-    if out and (out[0] < 1 or out[-1] > n):
-        raise ValueError(f"subsystem indices {out} out of range 1..{n}")
-    return out
-
-
-def partial_trace(a: Operator, subsystems: Iterable[int]) -> Operator:
-    """Trace out the listed subsystems (1-based).
-
-    The result acts on the complement subsystems in their original order
-    and has the same total trace as the input.
-    """
-    subs = _check_subsystems(subsystems, _operator(a).n)
-    keep = [s for s in range(1, a.n + 1) if s not in subs]
-    if not keep:
-        raise ValueError("cannot trace out every subsystem; use .trace()")
-    # row axis s - 1 pairs with column axis n + s - 1; a traced subsystem
-    # gives both the same label, so einsum sums its diagonal
-    cols = [s - 1 if s in subs else a.n + s - 1 for s in range(1, a.n + 1)]
-    out = [s - 1 for s in keep] + [a.n + s - 1 for s in keep]
-    reduced = np.einsum(a.mat.reshape((a.d,) * (2 * a.n)), list(range(a.n)) + cols, out)
-    side = a.d ** len(keep)
-    return Operator(a.d, len(keep), reduced.reshape(side, side))
-
-
-def frobenius_distance(a: Operator, b: Operator) -> float:
-    _operator(a)._check_same_space(b)
-    return float(np.linalg.norm(a.mat - b.mat))
 
 
 @dataclass(frozen=True)

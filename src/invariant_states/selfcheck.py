@@ -4,10 +4,11 @@ Each check exercises one closed-form claim of the library against an
 independent brute-force route (dense matrices, eigenvalues, Monte Carlo)
 and reports a pass/fail result with a deterministic detail string, so a
 verification run with a fixed seed produces byte-identical output.  The
-dense oracles (basis kets, rank-1 projectors, Kronecker products, partial
-transposition, eigenvalues, the family projectors, overlaps and product
-states) are defined here, beside the checks that use them; the tests and
-demos import them from here, and no library module does.
+dense oracles (basis kets, rank-1 projectors, Kronecker products,
+identities, partial traces and transposition, Frobenius distances,
+eigenvalues, the family projectors, overlaps and product states) are
+defined here, beside the checks that use them; the tests and demos
+import them from here, and no library module does.
 
 The ``quick`` level covers the deterministic algebraic identities; the
 ``full`` level adds the randomized dense-oracle sweeps and the
@@ -28,14 +29,10 @@ from .operators import (
     HERMITICITY_ATOL,
     Operator,
     Rng,
-    _check_subsystems,
     _integer,
     _operator,
     _side,
     dimension,
-    frobenius_distance,
-    identity,
-    partial_trace,
 )
 from .projectors import projector_trace
 from .simplex import (
@@ -104,6 +101,41 @@ def tensor_product(a: Operator, b: Operator) -> Operator:
     return Operator(a.d, a.n + b.n, np.kron(a.mat, b.mat))
 
 
+def identity(d: int, n: int = 1) -> Operator:
+    return Operator(d, n, np.eye(_side(d, n)))
+
+
+def _check_subsystems(subsystems: Iterable[int], n: int, allow_empty=False) -> tuple[int, ...]:
+    subs = [_integer(s, "subsystem index") for s in subsystems]
+    out = tuple(sorted(set(subs)))
+    if len(out) != len(subs):
+        raise ValueError(f"duplicate subsystem index in {subs}")
+    if not out and not allow_empty:
+        raise ValueError("subsystem set must be nonempty")
+    if out and (out[0] < 1 or out[-1] > n):
+        raise ValueError(f"subsystem indices {out} out of range 1..{n}")
+    return out
+
+
+def partial_trace(a: Operator, subsystems: Iterable[int]) -> Operator:
+    """Trace out the listed subsystems (1-based).
+
+    The result acts on the complement subsystems in their original order
+    and has the same total trace as the input.
+    """
+    subs = _check_subsystems(subsystems, _operator(a).n)
+    keep = [s for s in range(1, a.n + 1) if s not in subs]
+    if not keep:
+        raise ValueError("cannot trace out every subsystem; use .trace()")
+    # row axis s - 1 pairs with column axis n + s - 1; a traced subsystem
+    # gives both the same label, so einsum sums its diagonal
+    cols = [s - 1 if s in subs else a.n + s - 1 for s in range(1, a.n + 1)]
+    out = [s - 1 for s in keep] + [a.n + s - 1 for s in keep]
+    reduced = np.einsum(a.mat.reshape((a.d,) * (2 * a.n)), list(range(a.n)) + cols, out)
+    side = a.d ** len(keep)
+    return Operator(a.d, len(keep), reduced.reshape(side, side))
+
+
 def partial_transpose(a: Operator, subsystems: Iterable[int]) -> Operator:
     """Transpose the listed tensor factors in the computational basis.
 
@@ -118,6 +150,11 @@ def partial_transpose(a: Operator, subsystems: Iterable[int]) -> Operator:
         axes[s - 1], axes[a.n + s - 1] = axes[a.n + s - 1], axes[s - 1]
     out = a.mat.reshape((a.d,) * (2 * a.n)).transpose(axes).reshape(a.side, a.side)
     return Operator(a.d, a.n, out)
+
+
+def frobenius_distance(a: Operator, b: Operator) -> float:
+    _operator(a)._check_same_space(b)
+    return float(np.linalg.norm(a.mat - b.mat))
 
 
 def min_eigenvalue(a: Operator) -> float:

@@ -13,7 +13,7 @@ import invariant_states as iv
 from invariant_states import formats
 from invariant_states.bits import bits_str, parse_bits
 from invariant_states.cli import main
-from invariant_states.selfcheck import basis_ket, projector_onto
+from invariant_states.selfcheck import basis_ket, frobenius_distance, projector_onto
 from invariant_states.simplex import maximally_mixed_pair
 
 
@@ -75,7 +75,7 @@ def test_build_dense_writes_matrix(tmp_path, capsys):
     assert code == 0
     op = formats.qopb_decode((tmp_path / "q.qopb").read_bytes())
     desc = formats.parse_descriptor(out.read_text())
-    assert iv.frobenius_distance(op, iv.synthesize(desc)) <= 1e-12
+    assert frobenius_distance(op, iv.synthesize(desc)) <= 1e-12
 
 
 @pytest.mark.parametrize("out", [None, "q.qopb"], ids=["no-out", "out-is-matrix-path"])

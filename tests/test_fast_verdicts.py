@@ -253,6 +253,15 @@ def test_exact_transposition_blocks_round_to_pair_forms(d):
         assert [[float(x) for x in row] for row in exact.transpose_block(d, s)] == pair_forms(d, s)[2].tolist()
 
 
+def _failures(verdict):
+    # {(mu, alpha): value} over a PPT verdict's failure rows, as bit tuples
+    out = {}
+    for name, value, _ in verdict.failures:
+        mu, alpha = name.removeprefix("mu=").split(",alpha=")
+        out[tuple(map(int, mu)), tuple(map(int, alpha))] = value
+    return out
+
+
 @pytest.mark.parametrize("seed, k", [(0, 3), (1, 5), (2, 7)])
 def test_ppt_failure_sets_are_the_exact_ones(seed, k):
     """The failures of ppt-all and of the all-ones pattern are exactly the
@@ -265,10 +274,7 @@ def test_ppt_failure_sets_are_the_exact_ones(seed, k):
     ones = {key: entry for key, entry in want.items() if key[0] == (1,) * k}
     scales = {}
     for verdict, entries in ((iv.check_ppt_all(desc), want), (iv.check_ppt(desc, (1,) * k), ones)):
-        got = {}
-        for name, value, _ in verdict.failures:
-            mu, alpha = name.removeprefix("mu=").split(",alpha=")
-            got[tuple(map(int, mu)), tuple(map(int, alpha))] = value
+        got = _failures(verdict)
         assert got.keys() == entries.keys()
         for (mu, alpha), value in got.items():
             if mu not in scales:
@@ -276,6 +282,19 @@ def test_ppt_failure_sets_are_the_exact_ones(seed, k):
             bound = 3 * k * np.finfo(float).eps * scales[mu][int(_name(alpha), 2)]
             assert abs(value - entries[mu, alpha]) <= bound
     assert len(want) > 20 * 4 ** (k - 3) and ones
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("delta", [-1e-6, 1e-6])
+def test_pair_threshold_probes_fail_exactly_where_the_exact_oracle_does(d, s, delta):
+    # the pair-thresholds self-check's probes: weight 1e-6 either side of
+    # 1/2 (Werner-split) or 1/d (isotropic) on the entangled member
+    q = (0.5 if s == 0 else 1.0 / d) + delta
+    desc = StateDescriptor(d, (s,), np.array([1.0 - q, q]))
+    want = exact.ppt_failures(desc.fidelities.tolist(), (s,), d, PPT_ATOL)
+    assert _failures(iv.check_ppt_all(desc)).keys() == want.keys()
+    assert bool(want) == (delta > 0)
 
 
 def test_transforms_and_criteria_never_call_matmul(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 import invariant_states as iv
 from invariant_states import StateDescriptor, formats
+from invariant_states.selfcheck import identity
 
 
 def test_canonical_json_sorted_and_compact():
@@ -123,7 +124,7 @@ def test_qopb_layout_is_interleaved_f64_pairs():
 
 
 def test_qopb_rejects_malformed_blobs():
-    op = iv.identity(2, 1)
+    op = identity(2, 1)
     blob = formats.qopb_encode(op)
     with pytest.raises(ValueError):
         formats.qopb_decode(b"NOPE" + blob[4:])

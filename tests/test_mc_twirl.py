@@ -15,6 +15,7 @@ import invariant_states as iv
 from invariant_states import Rng, formats, selfcheck, simplex
 from invariant_states.cli import main
 from invariant_states.operators import _haar_sample
+from invariant_states.selfcheck import frobenius_distance, identity
 
 
 def _kronecker_twirl(rho, sigma, samples, rng):
@@ -80,12 +81,12 @@ def test_cli_distance_equals_the_distance_to_the_synthesized_target(tmp_path, si
         assert main(["twirl", "--in", str(state), "--sigma", sigma, "--mc", "30", "--out", str(est)]) == 0
     estimate = formats.qopb_decode(est.read_bytes())
     target = iv.synthesize(iv.fidelities_of(rho, [int(c) for c in sigma]))
-    assert json.loads(out.getvalue())["frobenius_distance"] == iv.frobenius_distance(estimate, target)
+    assert json.loads(out.getvalue())["frobenius_distance"] == frobenius_distance(estimate, target)
 
 
 def test_last_counter_is_checked_before_sampling():
     with pytest.raises(ValueError, match="counter must lie in"):
-        iv.mc_twirl(iv.identity(2, 2) / 4, (0,), 3, Rng(0, 2**128 - 2))
+        iv.mc_twirl(identity(2, 2) / 4, (0,), 3, Rng(0, 2**128 - 2))
 
 
 def test_each_sample_draws_the_normals_of_its_own_stream(monkeypatch):
@@ -100,7 +101,7 @@ def test_each_sample_draws_the_normals_of_its_own_stream(monkeypatch):
 
     monkeypatch.setattr(simplex, "_haar_sample", recording)
     d, k, rng = 2, 2, Rng(77, 2**64 - 2_500)
-    iv.mc_twirl(iv.identity(d, 2 * k) / d ** (2 * k), (0, 1), 5_000, rng)
+    iv.mc_twirl(identity(d, 2 * k) / d ** (2 * k), (0, 1), 5_000, rng)
     drawn = np.concatenate(seen)
     assert drawn.shape == (5_000, k, 2, d, d)
     for s in range(5_000):

@@ -9,8 +9,11 @@ from invariant_states.operators import _Fresh, _haar_sample
 from invariant_states.selfcheck import (
     basis_ket,
     biseparable_fidelities,
+    frobenius_distance,
+    identity,
     invariant_projector,
     min_eigenvalue,
+    partial_trace,
     partial_transpose,
     projector_onto,
     tensor_product,
@@ -59,7 +62,7 @@ def test_operator_validation():
 
 
 def test_operator_matrix_is_frozen():
-    op = iv.identity(2, 1)
+    op = identity(2, 1)
     with pytest.raises(ValueError):
         op.mat[0, 0] = 5.0
 
@@ -106,7 +109,7 @@ def test_fresh_results_are_frozen_in_place_not_copied():
 
 
 def test_operators_compare_by_value_and_hash():
-    a = iv.identity(2, 2)
+    a = identity(2, 2)
     b = Operator(np.int64(2), 2, np.eye(4))
     assert a == b and hash(a) == hash(b)
     assert a != a * 0.5
@@ -118,9 +121,9 @@ def test_operators_compare_by_value_and_hash():
 def test_scale_is_bounded_before_any_allocation():
     calls = [
         lambda: Operator(3, 2**20, np.eye(1)),
-        lambda: iv.identity(3, 2**20),
+        lambda: identity(3, 2**20),
         lambda: projector_onto(2, np.ones(2**13)),  # a 1 GiB outer product
-        lambda: tensor_product(iv.identity(2, 6), iv.identity(2, 7)),  # a 1 GiB kron
+        lambda: tensor_product(identity(2, 6), identity(2, 7)),  # a 1 GiB kron
         lambda: basis_ket(2, [0] * 13),
     ]
     for call in calls:
@@ -132,7 +135,7 @@ def test_scale_is_bounded_before_any_allocation():
 
 
 def test_tensor_identity():
-    prod = tensor_product(iv.identity(2, 1), iv.identity(2, 1))
+    prod = tensor_product(identity(2, 1), identity(2, 1))
     assert prod.n == 2
     np.testing.assert_array_equal(prod.mat, np.eye(4))
 
@@ -141,7 +144,7 @@ def test_tensor_trace_multiplicative():
     # dense oracle: Tr(flip) by summing the diagonal
     f = flip(2)
     assert np.sum(np.diagonal(f.mat)).real == 2.0
-    prod = tensor_product(f, iv.identity(2, 1))
+    prod = tensor_product(f, identity(2, 1))
     assert abs(prod.trace() - 4.0) < 1e-15
 
     q0q1 = tensor_product(member(2, 0, 0), member(2, 0, 1))
@@ -155,32 +158,32 @@ def test_tensor_trace_multiplicative():
 
 def test_tensor_dimension_mismatch():
     with pytest.raises(ValueError):
-        tensor_product(iv.identity(2, 1), iv.identity(3, 1))
+        tensor_product(identity(2, 1), identity(3, 1))
 
 
 # --- partial trace --------------------------------------------------------
 
 
 def test_partial_trace_identity_factor():
-    out = iv.partial_trace(iv.identity(2, 2), {1})
+    out = partial_trace(identity(2, 2), {1})
     np.testing.assert_allclose(out.mat, 2 * np.eye(2))
 
 
 def test_partial_trace_max_entangled():
     # reduced state of a maximally entangled pair is maximally mixed
-    out = iv.partial_trace(invariant_projector(2, (1,), (1,)), {1})
+    out = partial_trace(invariant_projector(2, (1,), (1,)), {1})
     np.testing.assert_allclose(out.mat, np.eye(2) / 2, atol=1e-15)
 
 
 def test_partial_trace_flip():
-    out = iv.partial_trace(flip(2), {2})
+    out = partial_trace(flip(2), {2})
     np.testing.assert_allclose(out.mat, np.eye(2), atol=1e-15)
 
 
 def test_partial_trace_preserves_trace():
     for seed, subs in ((0, {1}), (1, {2, 3}), (2, {1, 3})):
         op = random_hermitian(2, 3, seed)
-        reduced = iv.partial_trace(op, subs)
+        reduced = partial_trace(op, subs)
         assert abs(reduced.trace() - op.trace()) < 1e-12
 
 
@@ -211,19 +214,19 @@ def test_partial_trace_matches_letters_einsum():
             subs = {s for s in range(1, n + 1) if mask >> (s - 1) & 1}
             keep = n - len(subs)
             expected = _letters_partial_trace(op, subs).reshape(d**keep, d**keep)
-            np.testing.assert_array_equal(iv.partial_trace(op, subs).mat, expected)
+            np.testing.assert_array_equal(partial_trace(op, subs).mat, expected)
 
 
 def test_partial_trace_errors():
-    op = iv.identity(2, 2)
+    op = identity(2, 2)
     with pytest.raises(ValueError):
-        iv.partial_trace(op, {3})
+        partial_trace(op, {3})
     with pytest.raises(ValueError):
-        iv.partial_trace(op, set())
+        partial_trace(op, set())
     with pytest.raises(ValueError):
-        iv.partial_trace(op, {1, 2})
+        partial_trace(op, {1, 2})
     with pytest.raises(ValueError):
-        iv.partial_trace(op, [1, 1])
+        partial_trace(op, [1, 1])
 
 
 # --- partial transpose ----------------------------------------------------
@@ -237,7 +240,7 @@ def test_partial_transpose_flip():
 
 
 def test_partial_transpose_identity_invariant():
-    op = iv.identity(3, 2)
+    op = identity(3, 2)
     for subs in ({1}, {2}, {1, 2}):
         np.testing.assert_array_equal(partial_transpose(op, subs).mat, op.mat)
 
@@ -277,7 +280,7 @@ def test_min_eigenvalue_transposed_entangled():
 
 
 def test_min_eigenvalue_scalar_matrix():
-    assert abs(min_eigenvalue(iv.identity(2, 2) / 4) - 0.25) < 1e-15
+    assert abs(min_eigenvalue(identity(2, 2) / 4) - 0.25) < 1e-15
 
 
 def test_min_eigenvalue_rejects_non_hermitian():
@@ -317,7 +320,7 @@ def test_finite_operators_compare_equal_and_at_distance_zero():
     m[0, 3] = np.finfo(float).max
     a = Operator(2, 2, m)
     assert a == Operator(2, 2, m) and a == a
-    assert iv.frobenius_distance(a, a) == 0.0
+    assert frobenius_distance(a, a) == 0.0
 
 
 def test_min_eigenvalue_certificate_residual():
@@ -334,29 +337,29 @@ def test_min_eigenvalue_certificate_residual():
 
 def test_frobenius_distance():
     a = random_hermitian(2, 1, 7)
-    assert iv.frobenius_distance(a, a) == 0.0
+    assert frobenius_distance(a, a) == 0.0
     zero = Operator(2, 1, np.zeros((2, 2)))
-    assert abs(iv.frobenius_distance(iv.identity(2, 1), zero) - np.sqrt(2)) < 1e-15
+    assert abs(frobenius_distance(identity(2, 1), zero) - np.sqrt(2)) < 1e-15
     # orthogonal projectors of ranks 3 and 1: distance sqrt(3 + 1) = 2
-    d = iv.frobenius_distance(member(2, 0, 0), member(2, 0, 1))
+    d = frobenius_distance(member(2, 0, 0), member(2, 0, 1))
     assert abs(d - 2.0) < 1e-14
     with pytest.raises(ValueError):
-        iv.frobenius_distance(iv.identity(2, 1), iv.identity(2, 2))
+        frobenius_distance(identity(2, 1), identity(2, 2))
     # equal shapes on different spaces differ, as for a - b
     with pytest.raises(ValueError, match=r"^operator spaces differ: d=4,n=1 vs d=2,n=2$"):
-        iv.frobenius_distance(Operator(4, 1, np.eye(4)), Operator(2, 2, np.eye(4)))
+        frobenius_distance(Operator(4, 1, np.eye(4)), Operator(2, 2, np.eye(4)))
     with pytest.raises(TypeError, match=r"^expected Operator, got ndarray$"):
-        iv.frobenius_distance(iv.identity(2, 1), np.eye(2))
+        frobenius_distance(identity(2, 1), np.eye(2))
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda m: iv.frobenius_distance(m, iv.identity(2, 1)),
-        lambda m: iv.partial_trace(m, {1}),
+        lambda m: frobenius_distance(m, identity(2, 1)),
+        lambda m: partial_trace(m, {1}),
         lambda m: partial_transpose(m, {1}),
         lambda m: min_eigenvalue(m),
-        lambda m: tensor_product(m, iv.identity(2, 1)),
+        lambda m: tensor_product(m, identity(2, 1)),
         lambda m: iv.fidelities_of(m, (0,)),
         lambda m: iv.mc_twirl(m, (0,), 3, Rng(0)),
         lambda m: biseparable_fidelities(m, m),

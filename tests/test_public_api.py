@@ -15,10 +15,7 @@ PUBLIC = {
     "check_ppt_all",
     "extremal_fidelities",
     "fidelities_of",
-    "frobenius_distance",
-    "identity",
     "mc_twirl",
-    "partial_trace",
     "projector_trace",
     "pt_matrix",
     "reduce_mixed_pair",
@@ -29,7 +26,7 @@ PUBLIC = {
 
 
 def test_all_is_exactly_the_public_names():
-    assert len(PUBLIC) == 22
+    assert len(PUBLIC) == 19
     assert len(iv.__all__) == len(set(iv.__all__))
     assert set(iv.__all__) == PUBLIC
     for name in iv.__all__:
@@ -53,6 +50,10 @@ MOVED = (
     "invariant_projector",
     "_pair_block",
     "biseparable_fidelities",
+    "identity",
+    "_check_subsystems",
+    "partial_trace",
+    "frobenius_distance",
 )
 
 

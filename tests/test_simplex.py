@@ -14,8 +14,11 @@ from invariant_states.selfcheck import (
     basis_ket,
     biseparable_fidelities,
     extremal_product_state,
+    frobenius_distance,
+    identity,
     invariant_projector,
     min_eigenvalue,
+    partial_trace,
     partial_transpose,
     projector_onto,
     tensor_product,
@@ -91,14 +94,14 @@ PAIRS = StateDescriptor(2, (0, 1), np.full(4, 0.25))
         lambda: iv.extremal_fidelities((1,), [0.5], 0),
         lambda: iv.extremal_fidelities((1,), [float("nan")], 2),
         lambda: iv.Operator(np.float64(2.0), 2, np.eye(4)),
-        lambda: iv.identity(2.5),
+        lambda: identity(2.5),
         lambda: maximally_mixed_pair(0),
         lambda: iv.reduce_pair(PAIRS, 2.0),
         lambda: iv.reduce_mixed_pair(PAIRS, 1, 2.0),
         lambda: bits_str([0.5]),
-        lambda: iv.partial_trace(iv.identity(2, 4) / 16, [1.5]),
-        lambda: partial_transpose(iv.identity(2, 2), [2.7]),
-        lambda: iv.mc_twirl(iv.identity(2, 2) / 4, (0,), 2.5, Rng(0)),
+        lambda: partial_trace(identity(2, 4) / 16, [1.5]),
+        lambda: partial_transpose(identity(2, 2), [2.7]),
+        lambda: iv.mc_twirl(identity(2, 2) / 4, (0,), 2.5, Rng(0)),
         lambda: Rng(0).at(2.5),
         lambda: Rng(1.5),
         lambda: Rng(-1),
@@ -173,7 +176,7 @@ def test_fidelities_of_family_members():
 
 def test_fidelities_of_maximally_mixed():
     for d, k in ((2, 2), (3, 2)):
-        rho = iv.identity(d, 2 * k) / d ** (2 * k)
+        rho = identity(d, 2 * k) / d ** (2 * k)
         for sigma in all_vectors(k):
             f = iv.fidelities_of(rho, sigma).fidelities
             expected = [
@@ -191,9 +194,9 @@ def test_fidelities_of_max_entangled_pair():
 
 def test_fidelities_of_validation():
     with pytest.raises(ValueError):
-        iv.fidelities_of(iv.identity(2, 2), (0,))  # trace 4, not a state
+        iv.fidelities_of(identity(2, 2), (0,))  # trace 4, not a state
     with pytest.raises(ValueError):
-        iv.fidelities_of(iv.identity(2, 2) / 4, (0, 0))  # wrong pair count
+        iv.fidelities_of(identity(2, 2) / 4, (0, 0))  # wrong pair count
     skew = np.eye(4, dtype=complex) / 4
     skew[1, 2] = 5j  # inside the support of the swap F, outside that of E
     with pytest.raises(ValueError, match="not Hermitian"):
@@ -206,7 +209,7 @@ def test_fidelities_of_validation():
 def test_synthesize_vertex():
     desc = StateDescriptor(2, (0,), [1.0, 0.0])
     expected = invariant_projector(2, (0,), (0,)) / 3.0
-    assert iv.frobenius_distance(iv.synthesize(desc), expected) <= 1e-14
+    assert frobenius_distance(iv.synthesize(desc), expected) <= 1e-14
 
 
 def test_synthesize_isotropic_corner_is_entangled_product():
@@ -214,7 +217,7 @@ def test_synthesize_isotropic_corner_is_entangled_product():
     # entangled pair projectors, embedded on pairs (1,3) and (2,4)
     desc = StateDescriptor(2, (1, 1), [0.0, 0.0, 0.0, 1.0])
     direct = invariant_projector(2, (1, 1), (1, 1))
-    assert iv.frobenius_distance(iv.synthesize(desc), direct) <= 1e-14
+    assert frobenius_distance(iv.synthesize(desc), direct) <= 1e-14
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -272,7 +275,7 @@ def test_exact_twirl_matches_extremal_formula():
 def test_mc_twirl_fixes_invariant_state():
     q0 = invariant_projector(2, (0,), (0,)) / 3.0
     est = iv.mc_twirl(q0, (0,), 10, Rng(3))
-    assert iv.frobenius_distance(est, q0) <= 1e-10
+    assert frobenius_distance(est, q0) <= 1e-10
 
 
 def test_mc_twirl_preserves_trace():
@@ -291,7 +294,7 @@ def test_mc_twirl_deterministic():
 def test_mc_twirl_converges():
     rho = projector_onto(2, basis_ket(2, "01"))
     target = iv.synthesize(iv.fidelities_of(rho, (0,)))
-    dist = iv.frobenius_distance(iv.mc_twirl(rho, (0,), 5000, Rng(0)), target)
+    dist = frobenius_distance(iv.mc_twirl(rho, (0,), 5000, Rng(0)), target)
     assert dist <= 0.05
 
 
@@ -333,10 +336,10 @@ def test_single_pair_dense_transfer_identities(d):
     for a in (0, 1):
         lhs = partial_transpose(q[a], {2})
         rhs = x[a, 0] * p[0] + x[a, 1] * p[1]
-        assert iv.frobenius_distance(lhs, rhs) <= 1e-12
+        assert frobenius_distance(lhs, rhs) <= 1e-12
         lhs = partial_transpose(p[a], {2})
         rhs = y[a, 0] * q[0] + y[a, 1] * q[1]
-        assert iv.frobenius_distance(lhs, rhs) <= 1e-12
+        assert frobenius_distance(lhs, rhs) <= 1e-12
 
 
 def test_pt_matrix_identity_pattern():
@@ -551,7 +554,7 @@ def test_separable_coordinates_are_the_all_ones_entries_of_the_patterns(k, d):
 def test_maximally_mixed_passes_everything():
     for d in (2, 3):
         for k in (1, 2):
-            rho = iv.identity(d, 2 * k) / d ** (2 * k)
+            rho = identity(d, 2 * k) / d ** (2 * k)
             for sigma in all_vectors(k):
                 desc = iv.fidelities_of(rho, sigma)
                 assert iv.check_ppt_all(desc).satisfied
@@ -692,7 +695,7 @@ def test_biseparable_fidelities_rank2_projector():
 
 
 def test_biseparable_fidelities_rejects_non_projector():
-    bad = iv.identity(2, 2) * 0.5
+    bad = identity(2, 2) * 0.5
     with pytest.raises(ValueError):
         biseparable_fidelities(bad, invariant_projector(2, (1,), (1,)))
 
@@ -724,7 +727,7 @@ def test_reduce_pair_matches_dense(sigma):
         for i in (1, 2):
             reduced = iv.reduce_pair(desc, i)
             dense = _dense_fidelities(
-                iv.partial_trace(rho, {i, k + i}), reduced.sigma, {}
+                partial_trace(rho, {i, k + i}), reduced.sigma, {}
             )
             np.testing.assert_allclose(reduced.fidelities, dense, atol=1e-10)
             assert abs(reduced.fidelities.sum() - 1.0) <= 1e-12
@@ -747,7 +750,7 @@ def test_reduce_mixed_pair_two_pairs_maximally_mixed():
     # dense: tracing any unmatched slot pair leaves the rest maximally mixed
     rho = iv.synthesize(desc)
     for slots in ({1, 4}, {2, 3}, {1, 2}, {3, 4}):
-        traced = iv.partial_trace(rho, slots)
+        traced = partial_trace(rho, slots)
         np.testing.assert_allclose(traced.mat, np.eye(4) / 4, atol=1e-10)
 
 
@@ -764,10 +767,10 @@ def test_reduce_mixed_pair_three_pairs():
     # of pair 2 (slot 5); the two orphans are maximally mixed and the
     # surviving pair carries the marginal fidelities
     rho = iv.synthesize(desc)
-    remaining = iv.partial_trace(rho, {1, 5})  # slots now (A2, A3, B1, B3)
-    orphans = iv.partial_trace(remaining, {2, 4})
+    remaining = partial_trace(rho, {1, 5})  # slots now (A2, A3, B1, B3)
+    orphans = partial_trace(remaining, {2, 4})
     np.testing.assert_allclose(orphans.mat, np.eye(4) / 4, atol=1e-10)
-    pair3 = iv.partial_trace(remaining, {1, 3})
+    pair3 = partial_trace(remaining, {1, 3})
     dense = _dense_fidelities(pair3, (sigma[2],), {})
     np.testing.assert_allclose(reduced.fidelities, dense, atol=1e-10)
 
