@@ -41,11 +41,6 @@ def bits_str(bits: Iterable[int]) -> str:
     return "".join(map(str, as_bits(bits)))
 
 
-def label(index: int, k: int) -> str:
-    """Bitstring of length k whose integer encoding is index."""
-    return format(index, f"0{k}b")
-
-
 def xor(a: Iterable[int], b: Iterable[int]) -> Bits:
     """Componentwise addition mod 2."""
     a = as_bits(a)
@@ -55,3 +50,8 @@ def xor(a: Iterable[int], b: Iterable[int]) -> Bits:
 def all_vectors(k: int) -> Iterator[Bits]:
     """All length-k bit vectors in increasing index order."""
     return product((0, 1), repeat=k)
+
+
+def all_labels(k: int) -> list[str]:
+    """all_vectors(k) as bitstrings: entry i is the length-k label of index i."""
+    return list(map("".join, product("01", repeat=k)))

@@ -66,6 +66,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_twirl(args) -> int:
+    rng = Rng(args.seed)  # checked in both modes, though only --mc draws from it
     if args.mc is None:
         with formats.qopb_entries(args.inp) as (d, n, take):
             desc = _fidelities(take, d, n, parse_bits(args.sigma))
@@ -76,7 +77,7 @@ def _cmd_twirl(args) -> int:
     rho = formats.qopb_decode(Path(args.inp).read_bytes())
     sigma = parse_bits(args.sigma)
     desc = fidelities_of(rho, sigma)
-    estimate = mc_twirl(rho, sigma, args.mc, Rng(args.seed))
+    estimate = mc_twirl(rho, sigma, args.mc, rng)
     formats.qopb_write(args.out, estimate)
     # the distance to synthesize(desc), whose nonzero entries _scatter lists,
     # on one copy of the estimate
@@ -116,14 +117,11 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    seed = Rng(args.seed).seed  # checked at both levels, though only --level full uses it
     from .selfcheck import run_checks  # here, so that the other commands never load the checks
-    results = run_checks(level=args.level, seed=args.seed)
+    results = run_checks(level=args.level, seed=seed)
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        line = f"{status} {r.name}"
-        if r.detail:
-            line += f": {r.detail}"
-        sys.stdout.write(line + "\n")
+        sys.stdout.write(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n")
     passed = sum(r.passed for r in results)
     sys.stdout.write(f"{passed}/{len(results)} checks passed\n")
     return 0 if passed == len(results) else 1

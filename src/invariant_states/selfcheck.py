@@ -57,7 +57,7 @@ from .simplex import (
 class CheckResult:
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
 
 
 def _bob_slots(mu) -> list[int]:

@@ -26,12 +26,12 @@ import operator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product, repeat
+from itertools import repeat
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bits import Bits, as_bits, bits_str
+from .bits import Bits, all_labels, as_bits, bits_str
 from .operators import (
     HERMITICITY_ATOL,
     Operator,
@@ -125,7 +125,7 @@ def _fidelities(take, d: int, n: int, sigma) -> StateDescriptor:
     # (see _moments), so that a caller can read them from a file
     sigma = _check_state_shape(n, sigma)
     coeffs, tr, moments = _moments(take, d, sigma)
-    if abs(tr - 1.0) > 1e-10:
+    if abs(tr - 1.0) > FIDELITY_SUM_ATOL:
         raise ValueError(f"state must have unit trace, got {tr:.12g}")
     worst = float(np.max(np.abs(moments.imag)))
     if not worst <= HERMITICITY_ATOL:
@@ -390,11 +390,6 @@ class SeparabilityVerdict:
         return "satisfied" if self.satisfied else "violated"
 
 
-def _labels(k: int) -> list[str]:
-    # the bit label of every fidelity index, in index order (.bits.label)
-    return list(map("".join, product("01", repeat=k)))
-
-
 def _failing(rows: np.ndarray) -> tuple[list[int], list[int], list[float]]:
     # the entries of 2-D rows below -PPT_ATOL, row-major: rows, columns, values and the bound 0.0
     mask = rows < -PPT_ATOL
@@ -419,14 +414,14 @@ def check_ppt(desc: StateDescriptor, mu: Iterable[int]) -> SeparabilityVerdict:
     """
     mu = as_bits(mu, desc.K, "mu")
     name = bits_str(mu)
-    return _ppt(f"ppt:{name}", [f"mu={name},alpha="], _labels(desc.K), _failing(transform_fidelities(desc, mu)[None]))
+    return _ppt(f"ppt:{name}", [f"mu={name},alpha="], all_labels(desc.K), _failing(transform_fidelities(desc, mu)[None]))
 
 
 def _check_bisep(desc: StateDescriptor) -> SeparabilityVerdict:
     # the biseparability test on its own: the all-ones PPT row, named and
     # flagged as in the copy that check_ppt_all embeds
     rows = transform_fidelities(desc, (1,) * desc.K)[None]
-    return _ppt("bisep", [f"mu={'1' * desc.K},alpha="], _labels(desc.K), _failing(rows), necessary_only=True)
+    return _ppt("bisep", [f"mu={'1' * desc.K},alpha="], all_labels(desc.K), _failing(rows), necessary_only=True)
 
 
 # entries of the largest product that check_ppt_all makes in one step (2 MiB)
@@ -456,7 +451,7 @@ def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
     """
     k, f = desc.K, desc.fidelities
     size = 2**k
-    labels = _labels(k)
+    labels = all_labels(k)
     blocks = _transposes(desc.d)
     # before pair i, the row of pattern p is rows[p * 2^(k - i)]
     rows = np.empty((size, size))
@@ -488,7 +483,7 @@ def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:
     one table of the 2^K fidelities and the hull bounds that fail.
     """
     k, f = desc.K, desc.fidelities
-    size, values, sigma = 2**k, f.tolist(), int("".join(map(str, desc.sigma)), 2)
+    size, values, sigma = 2**k, f.tolist(), int(bits_str(desc.sigma), 2)
     weight = list(map(int.bit_count, range(size)))
     overlap = list(map(int.bit_count, map(sigma.__and__, range(size))))
     # Python float powers: numpy's array ** can differ from them in the last
@@ -502,7 +497,7 @@ def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:
     betas = betas.tolist()
     # head 0 names the bound failures, head 1 + alpha the order failures
     # of alpha, each against a beta
-    labels = _labels(k)
+    labels = all_labels(k)
     heads = ["bound,alpha="] + [f"order,alpha={name},beta=" for name in labels]
     columns = _Columns(
         heads,

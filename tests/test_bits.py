@@ -3,18 +3,17 @@ import pytest
 from invariant_states import bits
 
 
-def test_roundtrip_index():
-    for k in (1, 2, 3):
-        for idx in range(2**k):
-            assert int(bits.label(idx, k), 2) == idx
-            assert bits.bits_str(bits.parse_bits(bits.label(idx, k))) == bits.label(idx, k)
+@pytest.mark.parametrize("k", range(1, 13))
+def test_all_labels_is_the_index_encoding_in_all_vectors_order(k):
+    labels = bits.all_labels(k)
+    assert labels == [format(i, f"0{k}b") for i in range(2**k)]
+    assert labels == [bits.bits_str(v) for v in bits.all_vectors(k)]
+    assert all(bits.bits_str(bits.parse_bits(name)) == name for name in labels)
 
 
 def test_first_bit_most_significant():
-    assert bits.label(2, 2) == "10"
-    assert bits.label(1, 2) == "01"
-    assert bits.label(1, 3) == "001"
-    assert [bits.bits_str(v) for v in bits.all_vectors(3)] == [bits.label(i, 3) for i in range(8)]
+    assert bits.all_labels(2) == ["00", "01", "10", "11"]
+    assert bits.all_labels(3)[1] == "001"
 
 
 def test_all_vectors_order():

@@ -509,6 +509,19 @@ def test_only_verify_imports_the_checks():
     assert report.stdout == "False\n"
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "2**128"])
+@pytest.mark.parametrize("mode", [["verify", "--level", "quick"], ["verify", "--level", "full"],
+                                  ["twirl", "--sigma", "0"], ["twirl", "--sigma", "0", "--mc", "10"]],
+                         ids=["verify-quick", "verify-full", "twirl-exact", "twirl-mc"])
+def test_every_mode_rejects_a_seed_outside_the_philox_key(basis_state_file, tmp_path, capsys, mode, seed):
+    # checked before any check runs or any file is read, also where no stream is drawn
+    out = tmp_path / "mc.qopb"
+    files = ["--in", str(basis_state_file), "--out", str(out)] if mode[0] == "twirl" else []
+    code, stdout, err = run(capsys, *mode, *files, "--seed", str(seed))
+    assert (code, stdout, err) == (2, "", f"error: seed must lie in [0, 2**128), got {seed}\n")
+    assert not out.exists()
+
+
 # --- pipeline round trip -------------------------------------------------------
 
 

@@ -284,6 +284,32 @@ def test_ppt_failure_sets_are_the_exact_ones(seed, k):
     assert len(want) > 20 * 4 ** (k - 3) and ones
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("k", [3, 5])
+def test_exact_separable_coordinates_are_nonnegative_exactly_when_every_pattern_passes(k, d):
+    """In rational arithmetic, p = f @ (x)_i B_i^-1 >= 0 holds exactly when
+    no pattern has an entry below 0: on Dirichlet points, on vertex
+    mixtures with half their weights 0, whose p has exact zeros, and on
+    those mixtures with one zero weight moved to -2^-60."""
+    gen = np.random.default_rng(10 * k + d)
+    sigma = tuple(gen.permutation([0, 1] * k)[:k].tolist())
+    points = [gen.dirichlet(np.ones(2**k)).tolist() for _ in range(2)]
+    for _ in range(2):
+        weights = gen.dirichlet(np.ones(2**k))
+        zeros = gen.permutation(2**k)[: 2 ** (k - 1)]
+        weights[zeros] = 0.0
+        f = exact.mixture(weights.tolist(), sigma, d)
+        assert exact.barycentric(f, sigma, d) == weights.tolist()
+        weights[zeros[0]] = -(2.0**-60)
+        points += [f, exact.mixture(weights.tolist(), sigma, d)]
+    outcomes = []
+    for f in points:
+        p = exact.barycentric(f, sigma, d)
+        outcomes.append(min(p) >= 0)
+        assert outcomes[-1] == (not exact.ppt_failures(f, sigma, d, 0))
+    assert outcomes[2:] == [True, False, True, False]
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("s", [0, 1])
 @pytest.mark.parametrize("delta", [-1e-6, 1e-6])
