@@ -16,7 +16,7 @@ import numpy as np
 
 from . import formats
 from .bits import as_bits, parse_bits
-from .operators import Rng, _side
+from .operators import Rng, _norm, _side
 from .simplex import (
     StateDescriptor,
     _check_bisep,
@@ -79,13 +79,11 @@ def _cmd_twirl(args) -> int:
     desc = fidelities_of(rho, sigma)
     estimate = mc_twirl(rho, sigma, args.mc, rng)
     formats.qopb_write(args.out, estimate)
-    # the distance to synthesize(desc), whose nonzero entries _scatter lists,
-    # on one copy of the estimate
+    # the distance to synthesize(desc), on one copy of the estimate: _scatter lists its nonzero entries
     positions, values = _scatter(desc)
     difference = estimate.mat.copy()
     difference.reshape(-1)[positions] -= values
-    distance = float(np.linalg.norm(difference))
-    report = {"samples": args.mc, "seed": args.seed, "frobenius_distance": distance}
+    report = {"samples": args.mc, "seed": args.seed, "frobenius_distance": _norm(difference)}
     sys.stdout.write(formats.canonical_json(report) + "\n")
     return 0
 
@@ -117,9 +115,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seed = Rng(args.seed).seed  # checked at both levels, though only --level full uses it
     from .selfcheck import run_checks  # here, so that the other commands never load the checks
-    results = run_checks(level=args.level, seed=seed)
+    results = run_checks(level=args.level, seed=args.seed)
     for r in results:
         sys.stdout.write(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n")
     passed = sum(r.passed for r in results)

@@ -60,6 +60,11 @@ def _side(d, n) -> int:
     return d**n
 
 
+def _norm(values: np.ndarray) -> float:
+    # the Frobenius norm by one numpy sum, not a BLAS dot as in np.linalg.norm
+    return float(np.sqrt(np.add.reduce(np.ravel(values).view(np.float64) ** 2)))
+
+
 class _Fresh:
     """An array handed over by the code that has just made it and keeps no
     other reference to it, so that :func:`_readonly` freezes it in place

@@ -56,11 +56,13 @@ def pair_forms(d: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and every entry is finite.
     """
     d = float(dimension(d))
-    if s == 0:
-        moments, traces = [[0.5, 0.5], [0.5, -0.5]], [d * (d + 1.0) / 2, d * (d - 1.0) / 2]
-    else:
-        moments, traces = [[1.0, -1.0 / d], [0.0, 1.0 / d]], [(d - 1.0) * (d + 1.0), 1.0]
-    return np.array(moments), np.array(traces), _transposes(d)[s, ..., 0]
+    traces = [d * (d + 1.0) / 2, d * (d - 1.0) / 2] if s == 0 else [(d - 1.0) * (d + 1.0), 1.0]
+    return _moment_blocks(d)[s, ..., 0], np.array(traces), _transposes(d)[s, ..., 0]
+
+
+def _moment_blocks(d: float) -> np.ndarray:
+    # as _transposes, for the moments blocks of pair_forms
+    return np.array([0.5, 0.5, 0.5, -0.5, 1.0, -1.0 / d, 0.0, 1.0 / d]).reshape(2, 2, 2, 1)
 
 
 def _transposes(d: float) -> np.ndarray:
@@ -75,14 +77,14 @@ def _transposes(d: float) -> np.ndarray:
 def moment_expansion(d: int, sigma: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
     """Family projectors as combinations of the moment operators X_S.
 
-    Returns ``(coeffs, patterns)``.  ``coeffs`` is the 2^K x 2^K real
-    matrix with P_alpha = sum_S coeffs[alpha, S] X_S, the Kronecker product
-    of the per-pair 2 x 2 blocks; both indices follow the bit encoding of
-    :mod:`.bits`, a 1 in position i of S selecting X_i.  ``patterns`` has
-    shape (2^K, d^(2K)): row S lists the flat (row-major) positions of the
-    entries of X_S in a d^(2K)-sided matrix, all of which equal 1.  Each
-    X_S is real symmetric, so Tr(rho X_S) sums the entries of rho at the
-    positions in row S.
+    Returns ``(blocks, patterns)``.  The Kronecker product of the moments
+    blocks ``blocks[sigma_i, :, :, 0]`` of :func:`pair_forms`, never built,
+    is C with P_alpha = sum_S C[alpha, S] X_S, both indices in the bit
+    encoding of :mod:`.bits` (1 in position i of S selects X_i).  Row S of
+    ``patterns``, shaped (2^K, d^(2K)), lists the flat row-major positions
+    of the entries of X_S in a d^(2K)-sided matrix, all of which equal 1.
+    Each X_S is real symmetric, so Tr(rho X_S) sums the entries of rho at
+    the positions in row S.
     """
     d, sigma = dimension(d), as_bits(sigma, name="sigma")
     k = len(sigma)
@@ -99,14 +101,13 @@ def moment_expansion(d: int, sigma: Iterable[int]) -> tuple[np.ndarray, np.ndarr
         else:
             x = (first * side + second) * (wa + wb)  # d E = sum |aa><bb|
         offsets.append((row * (side + 1), x))
-    coeffs = reduce(np.kron, [pair_forms(d, s)[0] for s in sigma])
     patterns = np.stack(
         [
             reduce(np.add.outer, [offsets[i][bit] for i, bit in enumerate(subset)]).reshape(-1)
             for subset in all_vectors(k)
         ]
     )
-    return coeffs, patterns
+    return _moment_blocks(d), patterns
 
 
 def projector_trace(d: int, sigma: Iterable[int], alpha: Iterable[int]) -> float:

@@ -30,6 +30,7 @@ from .operators import (
     Operator,
     Rng,
     _integer,
+    _norm,
     _operator,
     _side,
     dimension,
@@ -86,7 +87,7 @@ def projector_onto(d: int, vector: np.ndarray) -> Operator:
     n = max(1, round(math.log(v.size or 1, d)))
     if _side(d, n) != v.size:
         raise ValueError(f"vector length {v.size} is not a power of d={d}")
-    norm = np.linalg.norm(v)
+    norm = _norm(v)
     if norm == 0:
         raise ValueError("cannot project onto the zero vector")
     v = v / norm
@@ -154,7 +155,7 @@ def partial_transpose(a: Operator, subsystems: Iterable[int]) -> Operator:
 
 def frobenius_distance(a: Operator, b: Operator) -> float:
     _operator(a)._check_same_space(b)
-    return float(np.linalg.norm(a.mat - b.mat))
+    return _norm(a.mat - b.mat)
 
 
 def min_eigenvalue(a: Operator) -> float:
@@ -529,6 +530,7 @@ SEEDED_CHECKS = (
 
 
 def run_checks(level: str = "quick", seed: int = 0) -> list[CheckResult]:
+    seed = Rng(seed).seed  # checked at both levels, though only "full" uses it
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
     results = [check() for check in QUICK_CHECKS]

@@ -109,28 +109,28 @@ def _check_state_shape(n: int, sigma) -> Bits:
 
 
 def _moments(take, d: int, sigma: Bits) -> tuple[np.ndarray, complex, np.ndarray]:
-    # the change of basis, the trace and the complex moments Tr(rho X_S),
+    # the change-of-basis blocks, the trace and the complex moments Tr(rho X_S),
     # from one gather; take(positions) returns the entries of rho at flat
     # row-major positions, in the shape of positions
-    coeffs, patterns = moment_expansion(d, sigma)
+    blocks, patterns = moment_expansion(d, sigma)
     entries = take(patterns)
     # X_S for the empty S is the identity, so row 0 holds the diagonal;
     # summed in index order, as np.trace sums it
     trace = complex(entries[0, np.argsort(patterns[0])].sum())
-    return coeffs, trace, entries.sum(axis=1)
+    return blocks, trace, entries.sum(axis=1)
 
 
 def _fidelities(take, d: int, n: int, sigma) -> StateDescriptor:
-    # fidelities_of for the state on n qudits whose entries take reads
-    # (see _moments), so that a caller can read them from a file
+    # fidelities_of for the state on n qudits whose entries take reads, as
+    # from a file (see _moments); f = C m walks the moment blocks transposed
     sigma = _check_state_shape(n, sigma)
-    coeffs, tr, moments = _moments(take, d, sigma)
+    blocks, tr, moments = _moments(take, d, sigma)
     if abs(tr - 1.0) > FIDELITY_SUM_ATOL:
         raise ValueError(f"state must have unit trace, got {tr:.12g}")
     worst = float(np.max(np.abs(moments.imag)))
     if not worst <= HERMITICITY_ATOL:
         raise ValueError(f"state is not Hermitian: a moment Tr(rho X_S) has imaginary part {worst:.3e}")
-    return StateDescriptor(d, sigma, coeffs @ moments.real)
+    return StateDescriptor(d, sigma, _walk(moments.real, blocks.swapaxes(1, 2), (1,) * len(sigma), sigma))
 
 
 def fidelities_of(rho: Operator, sigma: Iterable[int]) -> StateDescriptor:
@@ -153,14 +153,13 @@ def _scatter(desc: StateDescriptor) -> tuple[np.ndarray, np.ndarray]:
     # the entries of synthesize(desc) that can be nonzero: sorted flat
     # row-major positions and their real values; every other entry is 0.
     # Each value sums the weights of the X_S covering it in pattern order
-    # from +0.0, so every caller gets the same bits.
-    coeffs, patterns = moment_expansion(desc.d, desc.sigma)
+    # from +0.0 (np.add.at adds in index order), so every caller gets the same bits.
+    blocks, patterns = moment_expansion(desc.d, desc.sigma)
     traces = reduce(np.kron, [pair_forms(desc.d, s)[1] for s in desc.sigma])
-    weights = (desc.fidelities / traces) @ coeffs
+    weights = _walk(desc.fidelities / traces, blocks, (1,) * desc.K, desc.sigma)
     positions, slots = np.unique(patterns, return_inverse=True)
     values = np.zeros(positions.size)
-    for weight, row in zip(weights, slots.reshape(patterns.shape)):
-        values[row] += weight  # slots within one pattern are distinct
+    np.add.at(values, slots.reshape(-1), np.repeat(weights, patterns.shape[1]))
     return positions, values
 
 
@@ -262,6 +261,15 @@ def _step(x: np.ndarray, block: np.ndarray, out: Optional[np.ndarray] = None) ->
     return np.add(products[..., 0, :, :], products[..., 1, :, :], out=out)
 
 
+def _walk(x: np.ndarray, blocks: np.ndarray, mu: Bits, sigma: Bits) -> np.ndarray:
+    # a new x @ reduce(np.kron, [blocks[s] if m else I for m, s in zip(mu, sigma)]), by steps
+    # of blocks[sigma_i] along axis i of x.reshape((2,) * K), first pair first: never BLAS
+    for i, (m, s) in enumerate(zip(mu, sigma)):
+        if m:
+            x = _step(x.reshape(2**i, 2, 1, -1), blocks[s])
+    return x.copy() if x.ndim == 1 else x.reshape(-1)
+
+
 def pt_matrix(mu: Iterable[int], nu: Iterable[int], d: int) -> np.ndarray:
     """Linear action of a pair-wise partial transposition on fidelities.
 
@@ -299,12 +307,7 @@ def transform_fidelities(desc: StateDescriptor, mu: Iterable[int]) -> np.ndarray
     by elementwise products and sums, so IEEE arithmetic fixes every bit.
     With d <= 2**53 no step can overflow: every entry is finite.
     """
-    mu = as_bits(mu, desc.K, "mu")
-    blocks, t = _transposes(desc.d), desc.fidelities
-    for i, (m, s) in enumerate(zip(mu, desc.sigma)):
-        if m:  # the step along axis i of t.reshape((2,) * K), first pair first
-            t = _step(t.reshape(2**i, 2, 1, -1), blocks[s])
-    return t.copy() if t is desc.fidelities else t.reshape(-1)
+    return _walk(desc.fidelities, _transposes(desc.d), as_bits(mu, desc.K, "mu"), desc.sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import invariant_states as iv
-from invariant_states import formats
+from invariant_states import formats, selfcheck
 from invariant_states.bits import bits_str, parse_bits
 from invariant_states.cli import main
 from invariant_states.selfcheck import basis_ket, frobenius_distance, projector_onto
@@ -520,6 +520,15 @@ def test_every_mode_rejects_a_seed_outside_the_philox_key(basis_state_file, tmp_
     code, stdout, err = run(capsys, *mode, *files, "--seed", str(seed))
     assert (code, stdout, err) == (2, "", f"error: seed must lie in [0, 2**128), got {seed}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-5, 2.5, 2**128], ids=["negative", "float", "2**128"])
+@pytest.mark.parametrize("level", ["quick", "full"])
+def test_run_checks_rejects_a_bad_seed_before_any_check(monkeypatch, level, seed):
+    # the CLI's rule, also at the quick level, where no check draws from the seed
+    monkeypatch.setattr(selfcheck, "QUICK_CHECKS", (lambda: pytest.fail("a check ran"),))
+    with pytest.raises(ValueError, match="^seed must"):
+        selfcheck.run_checks(level=level, seed=seed)
 
 
 # --- pipeline round trip -------------------------------------------------------

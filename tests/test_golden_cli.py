@@ -3,10 +3,14 @@
 Each case runs the CLI in process on fixed inputs and hashes its exit
 code, its stdout and the bytes of every file it writes.  The digests in
 ``golden_cli.json`` pin the output of ``verify --level quick``, of
-``check`` and ``reduce`` on 42 descriptors (K = 1..7, d in {2, 3, 5})
-and of ``build --dense`` -> ``twirl`` chains.  Values printed by the
-dense chains come through BLAS products, so a different BLAS kernel may
-move their last digits; the criteria use elementwise arithmetic only.
+``check`` and ``reduce`` on 42 descriptors (K = 1..7, d in {2, 3, 5}),
+of the ``--strict`` exit codes, of ``build --vertex`` to stdout and of
+``build --dense`` -> ``twirl`` chains.  Every pinned value comes from
+elementwise arithmetic, never from a BLAS product, so the digests hold
+under every BLAS kernel and thread count; one test below forces two
+OpenBLAS kernels.  The digests also pin the installed package: run from
+outside the source tree, the tests use whichever ``invariant_states``
+the interpreter imports, and the children they start import the same.
 
 Regenerate the digests only for an intended output change, and say so in
 CHANGES.md:
@@ -18,11 +22,18 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import platform
 import random
+import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
+import invariant_states
 from invariant_states.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -96,6 +107,12 @@ def golden_digests(workdir: Path) -> dict:
             files=(path, path.with_suffix(".qopb")),
         )
         out[f"twirl-d{d}-K{k}"] = _run("twirl", "--in", path.with_suffix(".qopb"), "--sigma", sigma)
+    out["build-vertex-d3-K3"] = _run("build", "--d", 3, "--K", 3, "--sigma", "011", "--vertex", "101")
+    # verify's criterion-disagreement point: the polytope holds and ppt:11 fails
+    path = workdir / "strict.json"
+    path.write_text(json.dumps({"version": 1, "d": 2, "K": 2, "sigma": [0, 0], "fidelities": [0.4, 0.3, 0.3, 0.0]}))
+    for criterion, outcome in (("polytope", "satisfied"), ("ppt:11", "violated")):
+        out[f"check-strict-{outcome}"] = _run("check", "--in", path, "--criterion", criterion, "--strict")
     return out
 
 
@@ -105,6 +122,42 @@ def test_cli_output_matches_golden_digests(tmp_path):
     assert sorted(actual) == sorted(expected)
     changed = [name for name in expected if actual[name] != expected[name]]
     assert not changed, f"CLI output changed for {len(changed)} cases: {changed[:10]}"
+
+
+# OpenBLAS kernels to force, the cpuinfo flags each needs, and the names
+# OPENBLAS_VERBOSE=2 may report for it (it names the Prescott kernels Katmai)
+FORCED_KERNELS = {"Prescott": ({"pni"}, {"Prescott", "Katmai"}), "Haswell": ({"avx2", "fma"}, {"Haswell"})}
+
+
+def test_golden_digests_hold_under_forced_blas_kernels():
+    if platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("OpenBLAS kernels are forced by their x86-64 names")
+    cpuinfo = Path("/proc/cpuinfo")
+    lines = cpuinfo.read_text().splitlines() if cpuinfo.exists() else []
+    flags = next((set(line.split(":", 1)[1].split()) for line in lines if line.startswith("flags")), set())
+    # the children import the package that this process imported
+    env = dict(os.environ, PYTHONPATH=str(Path(invariant_states.__file__).parents[1]), OPENBLAS_VERBOSE="2")
+    children = {
+        core: subprocess.Popen(
+            [sys.executable, __file__],
+            env=dict(env, OPENBLAS_CORETYPE=core),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for core, (needs, _) in FORCED_KERNELS.items()
+        if needs <= flags
+    }
+    expected, forced = json.loads(GOLDEN.read_text()), []
+    for core, child in children.items():
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        if set(re.findall(r"^Core: (\S+)$", err, re.M)) & FORCED_KERNELS[core][1]:
+            changed = [name for name, digest in json.loads(out).items() if expected.get(name) != digest]
+            assert not changed, f"CLI output changed under the {core} kernel for {len(changed)} cases: {changed[:10]}"
+            forced.append(core)
+    if not forced:
+        pytest.skip("no OpenBLAS kernel could be forced and reported on this machine")
 
 
 if __name__ == "__main__":

@@ -5,8 +5,12 @@ and the convergence self-check that rests on it."""
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +86,34 @@ def test_cli_distance_equals_the_distance_to_the_synthesized_target(tmp_path, si
     estimate = formats.qopb_decode(est.read_bytes())
     target = iv.synthesize(iv.fidelities_of(rho, [int(c) for c in sigma]))
     assert json.loads(out.getvalue())["frobenius_distance"] == frobenius_distance(estimate, target)
+
+
+def test_cli_distance_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """At side 729 a BLAS dot, as np.linalg.norm is, splits its sum over
+    threads.  Under some OpenBLAS kernels (Haswell, Sandybridge) the
+    estimate's matrix products move with the thread count too, so each
+    child's distance is checked against the distance of its own estimate,
+    computed in this process: a function of the estimate's bytes alone."""
+    state = tmp_path / "rho.json"
+    build = ["build", "--d", "3", "--K", "3", "--sigma", "011", "--vertex", "101", "--dense"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*build, "--out", str(state)]) == 0
+    rho = formats.qopb_decode(state.with_suffix(".qopb").read_bytes())
+    target = iv.synthesize(iv.fidelities_of(rho, (0, 1, 1)))
+    argv = ["-m", "invariant_states", "twirl", "--in", str(state.with_suffix(".qopb")), "--sigma", "011", "--mc", "4"]
+    env = dict(os.environ, PYTHONPATH=str(Path(iv.__file__).parents[1]))
+    for threads in ("1", "2"):
+        est = tmp_path / f"est{threads}.qopb"
+        report = subprocess.run(
+            [sys.executable, *argv, "--seed", "3", "--out", str(est)],
+            env=dict(env, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout
+        estimate = formats.qopb_decode(est.read_bytes())
+        assert json.loads(report)["frobenius_distance"] == frobenius_distance(estimate, target), threads
 
 
 def test_last_counter_is_checked_before_sampling():
