@@ -1,10 +1,14 @@
-"""Exact rational oracle for the per-axis PPT transforms.
+"""Reference forms shared by the tests: the per-axis walk, exact and in
+floats, and the dense helpers that several test files build states from.
 
 Every float is a rational number, and so is every entry of the two
-transposition blocks at an integer d.  The transforms below run in
-``fractions.Fraction``, with no rounding anywhere, so the sign of each
-entry they return is the true sign of the mathematical value that the
-float kernels approximate.
+transposition blocks at an integer d.  :func:`walk` runs in the number
+type it is given.  In ``fractions.Fraction`` there is no rounding
+anywhere, so the sign of each entry the exact transforms return is the
+true sign of the mathematical value that the float kernels approximate.
+In floats, with the blocks formed as the library forms them, it is the
+library's per-axis route operation for operation, so its results must be
+equal bit for bit.
 
 The blocks follow from the partial transpose of one pair.  With F the
 swap and E the projector onto the maximally entangled vector, the
@@ -27,16 +31,25 @@ the points with p >= 0.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
+import numpy as np
 
-def transpose_block(d: int, s: int) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+from invariant_states import Operator
+from invariant_states.operators import _haar_sample
+from invariant_states.selfcheck import invariant_projector
+
+
+def transpose_block(d: int, s: int, num=Fraction) -> tuple[tuple, tuple]:
     """The transposition block of family s (0 Werner-split, 1 isotropic)
-    at local dimension d, row by row, exactly."""
-    d = Fraction(d)
+    at local dimension d, row by row, in the number type num: exactly in
+    Fraction, and in float each entry one rounded operation on float(d),
+    as :func:`invariant_states.projectors.pair_forms` forms it."""
+    d = num(d)
     if s == 0:
         return ((d - 1) / d, 1 / d), ((d + 1) / d, -1 / d)
-    return (Fraction(1, 2), Fraction(1, 2)), ((d + 1) / 2, (1 - d) / 2)
+    return (num(1) / 2, num(1) / 2), ((d + 1) / 2, (1 - d) / 2)
 
 
 def vertex_block(d: int, s: int) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
@@ -53,11 +66,12 @@ def inverse_block(d: int, s: int) -> tuple[tuple[Fraction, Fraction], tuple[Frac
     return (Fraction(1), Fraction(0)), (Fraction(1 - d), Fraction(d))
 
 
-def _along(values, k: int, blocks) -> list[Fraction]:
-    # for each pair i with a block B, first pair first, t[.., c, ..] =
-    # t[.., 0, ..] * B[0][c] + t[.., 1, ..] * B[1][c] along axis i of t seen
-    # as a (2,) * K array; None leaves axis i as it is
-    t = [Fraction(x) for x in values]
+def walk(values, blocks) -> list:
+    """values @ (x)_i blocks[i], pair by pair, first pair first, in the
+    number type of values and blocks: for block B of pair i, t[.., c, ..] =
+    t[.., 0, ..] * B[0][c] + t[.., 1, ..] * B[1][c] along axis i of t seen
+    as a (2,) * K array.  A block None leaves axis i as it is."""
+    k, t = len(blocks), list(values)
     for i, block in enumerate(blocks):
         if block is None:
             continue
@@ -70,22 +84,29 @@ def _along(values, k: int, blocks) -> list[Fraction]:
     return t
 
 
-def transform(fidelities, sigma, mu, d: int) -> list[Fraction]:
-    """The exact mu-transformed fidelities: the transposition block of
-    every transposed pair, applied along its axis."""
-    return _along(fidelities, len(sigma), [transpose_block(d, s) if m else None for m, s in zip(mu, sigma)])
+def transform(fidelities, sigma, mu, d: int, num=Fraction) -> list:
+    """The mu-transformed fidelities: the transposition block of every
+    transposed pair, applied along its axis, in the number type num."""
+    blocks = [transpose_block(d, s, num) if m else None for m, s in zip(mu, sigma)]
+    return walk([num(x) for x in fidelities], blocks)
+
+
+def reference_pt_matrix(mu, sigma, d: int) -> np.ndarray:
+    """The transfer of pattern mu as reduce(np.kron, ...) over the float
+    transposition blocks of the transposed pairs and the identity."""
+    return reduce(np.kron, [np.array(transpose_block(d, s, float)) if m else np.eye(2) for m, s in zip(mu, sigma)])
 
 
 def mixture(weights, sigma, d: int) -> list[Fraction]:
     """The exact fidelities weights @ (x)_i V_i of the vertex mixture with
     the given weights, one per vertex in index order."""
-    return _along(weights, len(sigma), [vertex_block(d, s) for s in sigma])
+    return walk(map(Fraction, weights), [vertex_block(d, s) for s in sigma])
 
 
 def barycentric(fidelities, sigma, d: int) -> list[Fraction]:
     """The exact barycentric coordinates p = f @ (x)_i B_i^-1 of the
     fidelities among the vertices; mixture's inverse."""
-    return _along(fidelities, len(sigma), [inverse_block(d, s) for s in sigma])
+    return walk(map(Fraction, fidelities), [inverse_block(d, s) for s in sigma])
 
 
 def ppt_failures(fidelities, sigma, d: int, atol: float) -> dict[tuple, Fraction]:
@@ -100,3 +121,28 @@ def ppt_failures(fidelities, sigma, d: int, atol: float) -> dict[tuple, Fraction
             if entry < bound:
                 out[mu, alpha] = entry
     return out
+
+
+def member(d: int, s: int, a: int) -> Operator:
+    """Member a of the one-pair family s, from the dense oracle."""
+    return invariant_projector(d, (s,), (a,))
+
+
+def flip(d: int) -> Operator:
+    """The exchange operator F: the difference of the two Werner-split
+    members, exactly."""
+    return member(d, 0, 0) - member(d, 0, 1)
+
+
+def random_state(d: int, n: int, seed: int) -> Operator:
+    """A full-rank random density matrix on n qudits, M M^dag / Tr."""
+    gen = np.random.default_rng(seed)
+    side = d**n
+    m = gen.standard_normal((side, side)) + 1j * gen.standard_normal((side, side))
+    rho = m @ m.conj().T
+    return Operator(d, n, rho / np.trace(rho))
+
+
+def haar(d: int, rng) -> np.ndarray:
+    """One Haar unitary from the kernel that mc_twirl samples with."""
+    return _haar_sample(rng.generator().standard_normal((2, d, d)))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import invariant_states as iv
+import reference
 from invariant_states import formats, selfcheck
 from invariant_states.bits import bits_str, parse_bits
 from invariant_states.cli import main
@@ -552,16 +553,6 @@ def test_build_twirl_check_pipeline_stable(tmp_path, capsys):
     assert formats.dumps_descriptor(back) == twirled
 
 
-def _per_axis_transform(fid, sigma, d, mu):
-    """Transformed fidelities applied one pair axis at a time, no Kronecker product."""
-    blocks = (iv.pt_matrix((1,), (0,), d), iv.pt_matrix((1,), (1,), d))
-    t = np.asarray(fid, dtype=float).reshape((2,) * len(sigma))
-    for axis, (m, s) in enumerate(zip(mu, sigma)):
-        if m:
-            t = np.moveaxis(np.tensordot(t, blocks[s], axes=([axis], [0])), -1, axis)
-    return t.reshape(-1)
-
-
 def test_check_large_d_and_k_passes_row_sum_check(tmp_path, capsys):
     # at d=9, K=6 the Kronecker product of pair blocks has row sums off by
     # more than 1e-12 from rounding alone
@@ -574,12 +565,11 @@ def test_check_large_d_and_k_passes_row_sum_check(tmp_path, capsys):
     failures = json.loads(out)["failures"]
     expected = []
     for mu in iv.all_vectors(k):
-        t = _per_axis_transform(fid, sigma, 9, mu)
+        t = reference.transform(fid, sigma, mu, 9, float)
         expected.extend((f"mu={bits_str(mu)},alpha={bits_str(a)}", t[i])
                         for i, a in enumerate(iv.all_vectors(k)) if t[i] < -1e-12)
     assert expected and [f["constraint"] for f in failures] == [name for name, _ in expected]
-    np.testing.assert_allclose([f["value"] for f in failures], [v for _, v in expected],
-                               rtol=0, atol=1e-13)
+    assert [f["value"] for f in failures] == [v for _, v in expected]
     for criterion in ("ppt:111111", "bisep"):
         code, _, err = run(capsys, "check", "--in", str(path), "--criterion", criterion)
         assert code == 0 and err == ""

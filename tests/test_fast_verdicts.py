@@ -2,16 +2,16 @@
 
 The references below are the straightforward forms of the same
 computations, written without the library's bit helpers or array code:
-transfer matrices as ``reduce(np.kron, blocks)``, transformed fidelities
-as a loop over Python floats that applies each transposed pair's 2 x 2
-block along its own axis, the PPT tests as one loop over those values per
-pattern, the polytope test as one loop per fidelity and one per pair of
-fidelities with hull bounds from Python float powers, and canonical JSON
-with one ``json.dumps`` per string and a dict per verdict and failure.
-The library's kernels must return the same float bits and print the same
-bytes.  The Kronecker product with the fidelities, a BLAS product, is the
-oracle within a rounding bound, and the rational transforms of
-``exact.py`` are the oracle of which PPT entries fail.
+transfer matrices as ``reduce(np.kron, blocks)`` over literal blocks,
+transformed fidelities as the walk of ``reference.py`` in Python floats,
+which applies each transposed pair's 2 x 2 block along its own axis, the
+PPT tests as one loop over those values per pattern, the polytope test as
+one loop per fidelity and one per pair of fidelities with hull bounds from
+Python float powers, and canonical JSON with one ``json.dumps`` per string
+and a dict per verdict and failure.  The library's kernels must return the
+same float bits and print the same bytes.  The Kronecker product with the
+fidelities, a BLAS product, is the oracle within a rounding bound, and the
+same walk in rational arithmetic is the oracle of which PPT entries fail.
 """
 
 import copy
@@ -24,7 +24,6 @@ import pickle
 import subprocess
 import sys
 import warnings
-from functools import reduce
 from itertools import product
 from pathlib import Path
 
@@ -33,11 +32,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import exact
 import invariant_states as iv
+import reference
+from reference import reference_pt_matrix
 from invariant_states import ConstraintFailure, SeparabilityVerdict, StateDescriptor, formats, simplex
 from invariant_states.cli import main
-from invariant_states.projectors import pair_forms
+from invariant_states.projectors import _transposes, pair_forms
 from invariant_states.simplex import PPT_ATOL
 
 DIMS = (2, 3, 5, 7)
@@ -55,32 +55,11 @@ def _name(bits):
     return "".join(str(b) for b in bits)
 
 
-def reference_pt_matrix(mu, nu, d):
-    return reduce(np.kron, [pair_forms(d, n)[2] if m else np.eye(2) for m, n in zip(mu, nu)])
-
-
-def reference_transform(desc, mu):
-    """Pair by pair, first pair first: t[.., c, ..] = t[.., 0, ..] * B[0][c] +
-    t[.., 1, ..] * B[1][c] along axis i for each transposed pair i, in
-    Python floats."""
-    k, t = desc.K, desc.fidelities.tolist()
-    for i, (m, s) in enumerate(zip(mu, desc.sigma)):
-        if not m:
-            continue
-        b = pair_forms(desc.d, s)[2].tolist()
-        half = 2 ** (k - 1 - i)
-        for lo in range(0, 2**k, 2 * half):
-            for j in range(lo, lo + half):
-                x0, x1 = t[j], t[j + half]
-                t[j] = x0 * b[0][0] + x1 * b[1][0]
-                t[j + half] = x0 * b[0][1] + x1 * b[1][1]
-    return np.array(t)
-
-
 def reference_ppt(desc, mu):
+    t = reference.transform(desc.fidelities, desc.sigma, mu, desc.d, float)
     failures = tuple(
         ConstraintFailure(f"mu={_name(mu)},alpha={_name(alpha)}", value, 0.0)
-        for alpha, value in zip(_vectors(desc.K), reference_transform(desc, mu).tolist())
+        for alpha, value in zip(_vectors(desc.K), t)
         if value < -PPT_ATOL
     )
     return SeparabilityVerdict(f"ppt:{_name(mu)}", failures)
@@ -208,7 +187,8 @@ def test_writing_a_returned_transfer_leaves_later_transfers_alone():
 def test_verdicts_are_bitwise_the_plain_routes(k, d):
     for desc in _points(d, k, seed=1000 * k + d):
         for mu in list(iv.all_vectors(k))[:: max(1, 2**k // 8)]:
-            assert _bits(iv.transform_fidelities(desc, mu)) == _bits(reference_transform(desc, mu))
+            want = reference.transform(desc.fidelities, desc.sigma, mu, d, float)
+            assert _bits(iv.transform_fidelities(desc, mu)) == _bits(want)
         got, want = iv.check_ppt_all(desc), reference_ppt_all(desc)
         assert got.failures == want.failures
         assert got.biseparable.failures == want.biseparable.failures
@@ -250,7 +230,15 @@ def test_transforms_are_within_rounding_of_the_kron_oracle(k):
 def test_exact_transposition_blocks_round_to_pair_forms(d):
     # each entry is one correctly rounded quotient, as numpy forms it
     for s in (0, 1):
-        assert [[float(x) for x in row] for row in exact.transpose_block(d, s)] == pair_forms(d, s)[2].tolist()
+        assert [[float(x) for x in row] for row in reference.transpose_block(d, s)] == pair_forms(d, s)[2].tolist()
+
+
+@pytest.mark.parametrize("d", DIMS + (TOP - 1, TOP))
+def test_float_transposition_blocks_are_the_library_table(d):
+    # the float walk's literal blocks equal projectors._transposes entry for entry
+    table = _transposes(d)
+    for s in (0, 1):
+        assert reference.transpose_block(d, s, float) == tuple(map(tuple, table[s, ..., 0].tolist()))
 
 
 def _failures(verdict):
@@ -270,7 +258,7 @@ def test_ppt_failure_sets_are_the_exact_ones(seed, k):
     that entry, M the Kronecker transfer of mu."""
     sigma = (1, 0, 1, 1, 0, 0, 1)[:k]
     desc = StateDescriptor(3, sigma, np.random.default_rng(seed).dirichlet(np.ones(2**k)))
-    want = exact.ppt_failures(desc.fidelities.tolist(), sigma, 3, PPT_ATOL)
+    want = reference.ppt_failures(desc.fidelities.tolist(), sigma, 3, PPT_ATOL)
     ones = {key: entry for key, entry in want.items() if key[0] == (1,) * k}
     scales = {}
     for verdict, entries in ((iv.check_ppt_all(desc), want), (iv.check_ppt(desc, (1,) * k), ones)):
@@ -298,15 +286,15 @@ def test_exact_separable_coordinates_are_nonnegative_exactly_when_every_pattern_
         weights = gen.dirichlet(np.ones(2**k))
         zeros = gen.permutation(2**k)[: 2 ** (k - 1)]
         weights[zeros] = 0.0
-        f = exact.mixture(weights.tolist(), sigma, d)
-        assert exact.barycentric(f, sigma, d) == weights.tolist()
+        f = reference.mixture(weights.tolist(), sigma, d)
+        assert reference.barycentric(f, sigma, d) == weights.tolist()
         weights[zeros[0]] = -(2.0**-60)
-        points += [f, exact.mixture(weights.tolist(), sigma, d)]
+        points += [f, reference.mixture(weights.tolist(), sigma, d)]
     outcomes = []
     for f in points:
-        p = exact.barycentric(f, sigma, d)
+        p = reference.barycentric(f, sigma, d)
         outcomes.append(min(p) >= 0)
-        assert outcomes[-1] == (not exact.ppt_failures(f, sigma, d, 0))
+        assert outcomes[-1] == (not reference.ppt_failures(f, sigma, d, 0))
     assert outcomes[2:] == [True, False, True, False]
 
 
@@ -318,7 +306,7 @@ def test_pair_threshold_probes_fail_exactly_where_the_exact_oracle_does(d, s, de
     # 1/2 (Werner-split) or 1/d (isotropic) on the entangled member
     q = (0.5 if s == 0 else 1.0 / d) + delta
     desc = StateDescriptor(d, (s,), np.array([1.0 - q, q]))
-    want = exact.ppt_failures(desc.fidelities.tolist(), (s,), d, PPT_ATOL)
+    want = reference.ppt_failures(desc.fidelities.tolist(), (s,), d, PPT_ATOL)
     assert _failures(iv.check_ppt_all(desc)).keys() == want.keys()
     assert bool(want) == (delta > 0)
 
@@ -390,7 +378,7 @@ def test_the_largest_transfer_at_k12_is_finite_without_a_warning():
         peak = max(mat.max(), -mat.min())
         del mat
     assert np.isfinite(t).all() and np.abs(t).max() == 2.0**624 == peak
-    assert _bits(t) == _bits(reference_transform(desc, ones))
+    assert _bits(t) == _bits(reference.transform(desc.fidelities, ones, ones, TOP, float))
     assert verdict.biseparable.failures == iv.check_ppt(desc, ones).failures
     assert len(verdict.biseparable.failures) == 2**11
 
@@ -432,7 +420,7 @@ def test_top_d_transforms_are_bitwise_within_the_bound_without_a_warning(desc):
         warnings.simplefilter("error")
         for mu in mus:
             t = iv.transform_fidelities(desc, mu)
-            assert _bits(t) == _bits(reference_transform(desc, mu))
+            assert _bits(t) == _bits(reference.transform(desc.fidelities, desc.sigma, mu, desc.d, float))
             bound = total * math.prod(d if s else 2.0 for m, s in zip(mu, desc.sigma) if m)
             assert np.abs(t).max() <= bound <= 2.0 * d**k
         if k <= 9:

@@ -20,6 +20,7 @@ from invariant_states import Rng, formats, selfcheck, simplex
 from invariant_states.cli import main
 from invariant_states.operators import _haar_sample
 from invariant_states.selfcheck import frobenius_distance, identity
+from reference import haar
 
 
 def _kronecker_twirl(rho, sigma, samples, rng):
@@ -140,11 +141,6 @@ def test_each_sample_draws_the_normals_of_its_own_stream(monkeypatch):
         gen = rng.at(s).generator()
         want = [gen.standard_normal((d, d)) for _ in range(2 * k)]
         assert np.array_equal(drawn[s].reshape(2 * k, d, d), want), s
-
-
-def haar(d, rng):
-    # one Haar unitary from the kernel that mc_twirl samples with
-    return _haar_sample(rng.generator().standard_normal((2, d, d)))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

@@ -5,7 +5,7 @@ import pytest
 
 import invariant_states as iv
 from invariant_states import Operator, Rng, formats
-from invariant_states.operators import _Fresh, _haar_sample
+from invariant_states.operators import _Fresh
 from invariant_states.selfcheck import (
     basis_ket,
     biseparable_fidelities,
@@ -18,16 +18,7 @@ from invariant_states.selfcheck import (
     projector_onto,
     tensor_product,
 )
-
-
-def member(d, s, a):
-    # member a of the one-pair family s
-    return invariant_projector(d, (s,), (a,))
-
-
-def flip(d):
-    # the exchange operator F: the difference of the two Werner-split members
-    return member(d, 0, 0) - member(d, 0, 1)
+from reference import flip, haar, member
 
 
 def random_hermitian(d, n, seed):
@@ -35,14 +26,6 @@ def random_hermitian(d, n, seed):
     side = d**n
     m = gen.standard_normal((side, side)) + 1j * gen.standard_normal((side, side))
     return Operator(d, n, (m + m.conj().T) / 2)
-
-
-def random_state(d, n, seed):
-    gen = np.random.default_rng(seed)
-    side = d**n
-    m = gen.standard_normal((side, side)) + 1j * gen.standard_normal((side, side))
-    rho = m @ m.conj().T
-    return Operator(d, n, rho / np.trace(rho))
 
 
 # --- construction ---------------------------------------------------------
@@ -382,11 +365,6 @@ def test_a_matrix_in_place_of_an_operator_is_a_type_error(call):
 
 
 # --- haar sampling --------------------------------------------------------
-
-
-def haar(d, rng):
-    # one Haar unitary from the kernel that mc_twirl samples with
-    return _haar_sample(rng.generator().standard_normal((2, d, d)))
 
 
 def test_haar_unitarity():

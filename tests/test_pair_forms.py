@@ -1,12 +1,13 @@
 """Kronecker forms pinned bit for bit against per-label reference loops.
 
 Every K-pair closed form is a Kronecker product over the one-pair table
-:func:`invariant_states.projectors.pair_forms`.  The references below are
-the earlier formulations: literal 2 x 2 blocks in integer ``d``, the
-per-label trace product, the per-label extremal-point loop, and the
-moment-coefficient maps as a loop over Python floats that applies each
-pair's block along its own axis.  The products multiply and add in the
-same order, so the results must be equal, not merely close.
+:func:`invariant_states.projectors.pair_forms`.  The references are the
+earlier formulations: the literal 2 x 2 transposition blocks of
+``reference.py``, the per-label trace product, the per-label
+extremal-point loop, and the moment-coefficient maps as the walk of
+``reference.py`` in Python floats, which applies each pair's block along
+its own axis.  The products multiply and add in the same order, so the
+results must be equal, not merely close.
 """
 
 from functools import reduce
@@ -17,37 +18,11 @@ import pytest
 import invariant_states as iv
 from invariant_states import all_vectors
 from invariant_states.projectors import moment_expansion, pair_forms
-
-
-def reference_pt_matrix(mu, nu, d):
-    factors = []
-    for m_bit, n_bit in zip(mu, nu):
-        if m_bit == 0:
-            factors.append(np.eye(2))
-        elif n_bit == 0:
-            factors.append(np.array([[d - 1.0, 1.0], [d + 1.0, -1.0]]) / d)
-        else:
-            factors.append(np.array([[1.0, 1.0], [1.0 + d, 1.0 - d]]) / 2)
-    return reduce(np.kron, factors)
+from reference import reference_pt_matrix, walk
 
 
 def reference_moment_blocks(d, sigma):
     return [[[0.5, 0.5], [0.5, -0.5]] if s == 0 else [[1.0, -1.0 / d], [0.0, 1.0 / d]] for s in sigma]
-
-
-def reference_walk(values, blocks):
-    """values @ reduce(np.kron, blocks) pair by pair, first pair first:
-    t[.., c, ..] = t[.., 0, ..] * b[0][c] + t[.., 1, ..] * b[1][c] along
-    axis i for block b of pair i, in Python floats."""
-    k, t = len(blocks), list(values)
-    for i, b in enumerate(blocks):
-        half = 2 ** (k - 1 - i)
-        for lo in range(0, 2**k, 2 * half):
-            for j in range(lo, lo + half):
-                x0, x1 = t[j], t[j + half]
-                t[j] = x0 * b[0][0] + x1 * b[1][0]
-                t[j + half] = x0 * b[0][1] + x1 * b[1][1]
-    return t
 
 
 def reference_projector_trace(d, sigma, alpha):
@@ -119,7 +94,7 @@ def test_moment_coeffs_and_synthesis_match_reference(d, k):
         assert [blocks[s, :, :, 0].tolist() for s in sigma] == expected
         desc = iv.StateDescriptor(d, sigma, gen.dirichlet(np.ones(2**k)))
         traces = [reference_projector_trace(d, sigma, alpha) for alpha in all_vectors(k)]
-        weights = reference_walk([f / t for f, t in zip(desc.fidelities.tolist(), traces)], expected)
+        weights = walk([f / t for f, t in zip(desc.fidelities.tolist(), traces)], expected)
         flat = np.zeros(d ** (4 * k), dtype=np.complex128)
         for weight, pattern in zip(weights, patterns):
             flat[pattern] += weight
@@ -128,4 +103,4 @@ def test_moment_coeffs_and_synthesis_match_reference(d, k):
         # the twirl walks the moments Tr(rho X_S) through the transposed blocks
         moments = rho.mat.reshape(-1)[patterns].sum(axis=1).real.tolist()
         transposed = [[[b[0][0], b[1][0]], [b[0][1], b[1][1]]] for b in expected]
-        assert iv.fidelities_of(rho, sigma).fidelities.tolist() == reference_walk(moments, transposed)
+        assert iv.fidelities_of(rho, sigma).fidelities.tolist() == walk(moments, transposed)

@@ -7,18 +7,8 @@ import pytest
 
 import invariant_states as iv
 from invariant_states import Rng, all_vectors
-from invariant_states.operators import _haar_sample
 from invariant_states.selfcheck import basis_ket, invariant_projector, min_eigenvalue, partial_transpose
-
-
-def _member(d, s, a):
-    # member a of the one-pair family s
-    return invariant_projector(d, (s,), (a,))
-
-
-def _flip(d):
-    # F is the difference of the two Werner-split members, exactly
-    return _member(d, 0, 0) - _member(d, 0, 1)
+from reference import flip, haar, member
 
 
 def _loop_flip(d):
@@ -38,53 +28,53 @@ def _loop_entangled(d):
 
 
 def test_flip_swaps_basis_states():
-    f = _flip(2)
+    f = flip(2)
     np.testing.assert_array_equal(f.mat @ basis_ket(2, "01"), basis_ket(2, "10"))
-    f3 = _flip(3)
+    f3 = flip(3)
     np.testing.assert_array_equal(f3.mat @ basis_ket(3, "12"), basis_ket(3, "21"))
 
 
 def test_flip_involution_and_trace():
     for d in (2, 3, 4):
-        f = _flip(d)
+        f = flip(d)
         np.testing.assert_array_equal((f @ f).mat, np.eye(d * d))
         assert f.trace().real == d
 
 
 def test_max_entangled_projector():
     for d in (2, 3, 4):
-        p = _member(d, 1, 1)
+        p = member(d, 1, 1)
         assert np.max(np.abs((p @ p - p).mat)) <= 1e-12
         assert abs(p.trace() - 1.0) < 1e-14
-        pt_flip = partial_transpose(_flip(d), {2})
+        pt_flip = partial_transpose(flip(d), {2})
         np.testing.assert_allclose((d * p).mat, pt_flip.mat, atol=1e-15)
 
 
 def test_werner_projectors():
     # closed form d(d + (-1)^a)/2 at d=2 gives traces 3 and 1
-    assert _member(2, 0, 0).trace().real == 3.0
-    assert _member(2, 0, 1).trace().real == 1.0
+    assert member(2, 0, 0).trace().real == 3.0
+    assert member(2, 0, 1).trace().real == 1.0
     for d in (2, 3, 4):
-        q0, q1 = _member(d, 0, 0), _member(d, 0, 1)
+        q0, q1 = member(d, 0, 0), member(d, 0, 1)
         assert np.max(np.abs((q0 @ q1).mat)) <= 1e-14
         np.testing.assert_allclose((q0 + q1).mat, np.eye(d * d), atol=1e-15)
         for a in (0, 1):
             closed = d * (d + (-1) ** a) / 2
-            assert abs(_member(d, 0, a).trace().real - closed) < 1e-12
+            assert abs(member(d, 0, a).trace().real - closed) < 1e-12
 
 
 def test_antisymmetric_projector_spectrum():
-    q1 = _member(3, 0, 1)
+    q1 = member(3, 0, 1)
     w = np.linalg.eigvalsh(q1.mat)
     assert np.all((np.abs(w) < 1e-12) | (np.abs(w - 1) < 1e-12))
     assert round(np.sum(w)) == 3  # rank d(d-1)/2 at d=3
 
 
 def test_isotropic_projectors():
-    np.testing.assert_array_equal(_member(2, 1, 1).mat, _loop_entangled(2))
-    assert _member(3, 1, 0).trace().real == 8.0  # d^2 - 1
+    np.testing.assert_array_equal(member(2, 1, 1).mat, _loop_entangled(2))
+    assert member(3, 1, 0).trace().real == 8.0  # d^2 - 1
     for d in (2, 3):
-        p0, p1 = _member(d, 1, 0), _member(d, 1, 1)
+        p0, p1 = member(d, 1, 0), member(d, 1, 1)
         assert np.max(np.abs((p0 @ p1).mat)) <= 1e-14
         np.testing.assert_allclose((p0 + p1).mat, np.eye(d * d), atol=1e-15)
 
@@ -94,11 +84,11 @@ def test_invariant_projector_single_pair():
     (I + F)/2, (I - F)/2, I - E and E, bit for bit."""
     for d in range(2, 6):
         eye, f, e = np.eye(d * d), _loop_flip(d), _loop_entangled(d)
-        np.testing.assert_array_equal(_member(d, 0, 0).mat, (eye + f) * 0.5)
-        np.testing.assert_array_equal(_member(d, 0, 1).mat, (eye - f) * 0.5)
-        np.testing.assert_array_equal(_member(d, 1, 0).mat, eye - e)
-        np.testing.assert_array_equal(_member(d, 1, 1).mat, e)
-        np.testing.assert_array_equal(_flip(d).mat, f)
+        np.testing.assert_array_equal(member(d, 0, 0).mat, (eye + f) * 0.5)
+        np.testing.assert_array_equal(member(d, 0, 1).mat, (eye - f) * 0.5)
+        np.testing.assert_array_equal(member(d, 1, 0).mat, eye - e)
+        np.testing.assert_array_equal(member(d, 1, 1).mat, e)
+        np.testing.assert_array_equal(flip(d).mat, f)
     assert abs(invariant_projector(2, (1,), (1,)).trace() - 1.0) < 1e-15
 
 
@@ -139,11 +129,6 @@ def test_family_algebra_three_pairs():
             assert np.max(np.abs((p @ p - p).mat)) <= 1e-12
             for q in projs[i + 1 :]:
                 assert abs(np.einsum("ij,ji->", p.mat, q.mat).real) <= 1e-12
-
-
-def haar(d, rng):
-    # one Haar unitary from the kernel that mc_twirl samples with
-    return _haar_sample(rng.generator().standard_normal((2, d, d)))
 
 
 def _conjugation(d, sigma, rng):

@@ -8,7 +8,6 @@ import pytest
 import invariant_states as iv
 from invariant_states import Rng, StateDescriptor, all_vectors, simplex
 from invariant_states.bits import bits_str, xor
-from invariant_states.operators import _haar_sample
 from invariant_states.selfcheck import (
     _dense_fidelities,
     basis_ket,
@@ -24,24 +23,12 @@ from invariant_states.selfcheck import (
     tensor_product,
 )
 from invariant_states.simplex import PPT_ATOL, maximally_mixed_pair
+from reference import haar, random_state
 
 
 def random_descriptor(d, k, sigma, seed):
     gen = np.random.default_rng(seed)
     return StateDescriptor(d, sigma, gen.dirichlet(np.ones(2**k)))
-
-
-def random_state(d, n, seed):
-    gen = np.random.default_rng(seed)
-    side = d**n
-    m = gen.standard_normal((side, side)) + 1j * gen.standard_normal((side, side))
-    rho = m @ m.conj().T
-    return iv.Operator(d, n, rho / np.trace(rho))
-
-
-def haar(d, rng):
-    # one Haar unitary from the kernel that mc_twirl samples with
-    return _haar_sample(rng.generator().standard_normal((2, d, d)))
 
 
 def bob_slots(mu):
