@@ -46,8 +46,16 @@ from .operators import (
 )
 from .projectors import _transposes, moment_expansion, pair_forms
 
-FIDELITY_NEG_ATOL = 1e-12
 FIDELITY_SUM_ATOL = 1e-10
+# The PPT tolerance, which also bounds a fidelity below: the identity
+# pattern's row is the fidelity vector itself, so an accepted descriptor
+# never fails it.  Contract: a float PPT entry fails exactly when its
+# exact rational value lies below -PPT_ATOL, except within B = 3K eps
+# (|f| @ |M|) of -PPT_ATOL, M the pattern's transfer, where either answer
+# may come; a hull bound b likewise, within (K + 2) eps (b + PPT_ATOL).
+# PPT_ATOL absorbs the rounding of the verdict, not of how the input was
+# made: the exact value is that of the given floats, not of the point
+# they were rounded from.
 PPT_ATOL = 1e-12
 
 
@@ -78,7 +86,7 @@ class StateDescriptor:
         values = f.tolist()
         if not all(map(math.isfinite, values)):
             raise ValueError(f"fidelities must be finite, got {f}")
-        if not min(values) >= -FIDELITY_NEG_ATOL:
+        if not min(values) >= -PPT_ATOL:
             raise ValueError(f"fidelities must be nonnegative, got min {min(values):.3e}")
         # 2^12 entries of at most 2 cannot sum to inf; larger ones, which fail, can
         with np.errstate(over="ignore") if max(values) > 2.0 else nullcontext():

@@ -109,6 +109,13 @@ def barycentric(fidelities, sigma, d: int) -> list[Fraction]:
     return walk(map(Fraction, fidelities), [inverse_block(d, s) for s in sigma])
 
 
+def hull_bound(alpha, sigma, d: int) -> Fraction:
+    """The exact hull bound (1/2)^|alpha| (2/d)^|sigma.alpha| of fidelity
+    alpha, which every twirled fully product state meets."""
+    overlap = sum(s & a for s, a in zip(sigma, alpha))
+    return Fraction(1, 2) ** sum(alpha) * Fraction(2, d) ** overlap
+
+
 def ppt_failures(fidelities, sigma, d: int, atol: float) -> dict[tuple, Fraction]:
     """{(mu, alpha): entry} for every exact transformed entry below -atol,
     over every pattern mu; mu and alpha are bit tuples, first bit most

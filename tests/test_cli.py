@@ -501,13 +501,38 @@ def test_verify_reports_every_named_check(capsys):
         assert f"PASS {name}" in out
 
 
-def test_only_verify_imports_the_checks():
-    # build, twirl, check and reduce never compile or run selfcheck.py
+_RUN_COMMANDS = """
+import contextlib, io, sys
+from invariant_states.cli import main
+folder = sys.argv[1]
+commands = [
+    ["build", "--d", "2", "--K", "2", "--sigma", "01", "--fid", "0.4,0.3,0.2,0.1", "--out", folder + "/s.json"],
+    ["build", "--d", "2", "--K", "2", "--sigma", "01", "--vertex", "10", "--out", folder + "/v.json", "--dense"],
+    ["twirl", "--in", folder + "/v.qopb", "--sigma", "01"],
+    ["check", "--in", folder + "/s.json", "--criterion", "ppt-all"],
+    ["reduce", "--in", folder + "/s.json", "--pair", "1"],
+]
+loaded = lambda: ["invariant_states.selfcheck" in sys.modules, "numpy.random" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in commands]
+    before = loaded()
+    codes.append(main(["verify", "--level", "quick"]))
+print(codes, before, loaded())
+"""
+
+
+def test_only_verify_imports_the_checks(tmp_path):
+    # build, twirl, check and reduce never compile or run selfcheck.py, and
+    # no command but twirl --mc and verify --level full loads numpy.random,
+    # which a fresh child pays for at start-up
     env = dict(os.environ, PYTHONPATH=str(Path(iv.__file__).parents[1]))
     code = "import sys, invariant_states.cli; print('invariant_states.selfcheck' in sys.modules)"
     report = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
                             timeout=60)
     assert report.stdout == "False\n"
+    report = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, str(tmp_path)], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert report.stdout == "[0, 0, 0, 0, 0, 0] [False, False] [True, False]\n" and report.stderr == ""
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "2**128"])

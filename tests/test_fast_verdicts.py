@@ -19,11 +19,13 @@ import dataclasses
 import gc
 import json
 import math
+import operator
 import os
 import pickle
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -309,6 +311,241 @@ def test_pair_threshold_probes_fail_exactly_where_the_exact_oracle_does(d, s, de
     want = reference.ppt_failures(desc.fidelities.tolist(), (s,), d, PPT_ATOL)
     assert _failures(iv.check_ppt_all(desc)).keys() == want.keys()
     assert bool(want) == (delta > 0)
+
+
+# ---------------------------------------------------------------------------
+# the PPT_ATOL tolerance-edge contract
+
+EDGE = -Fraction(PPT_ATOL)
+EPS = Fraction(np.finfo(float).eps)
+
+
+def _column(sigma, mu, d, alpha):
+    # column alpha of the exact transfer of pattern mu, one entry per fidelity
+    rows = [reference.transpose_block(d, s) if m else ((1, 0), (0, 1)) for m, s in zip(mu, sigma)]
+    return [math.prod(row[b][a] for row, b, a in zip(rows, beta, alpha)) for beta in _vectors(len(sigma))]
+
+
+def _straddle(f, sigma, d, mu, alpha, i, j, target):
+    """Two fidelity vectors whose exact entry alpha of pattern mu lies either
+    side of target, lower first: mass moves from fidelity i to fidelity j
+    until that entry, in rational arithmetic, is target; fidelity i is then
+    rounded, and fidelity j is each of the two adjacent floats around the
+    value that puts the entry at target."""
+    column = _column(sigma, mu, d, alpha)
+    entry = sum(map(operator.mul, map(Fraction, f), column))
+    f = list(f)
+    f[i] = float(f[i] - (target - entry) / (column[j] - column[i]))
+    x = (target - sum(Fraction(y) * c for beta, (y, c) in enumerate(zip(f, column)) if beta != j)) / column[j]
+    below = float(x) if Fraction(float(x)) <= x else math.nextafter(float(x), -math.inf)
+    points = [f[:j] + [y] + f[j + 1 :] for y in (below, math.nextafter(below, math.inf))]
+    return points if column[j] > 0 else points[::-1]
+
+
+def _magnitudes(f, sigma, mu, d, num=Fraction):
+    # |f| @ |M|, M the transfer of pattern mu, in the number type num
+    blocks = [[list(map(abs, row)) for row in reference.transpose_block(d, s, num)] if m else None
+              for m, s in zip(mu, sigma)]
+    return reference.walk([abs(num(x)) for x in f], blocks)
+
+
+def _keys(verdict):
+    # the failures of a PPT verdict as (mu, alpha) and the hull bounds that a
+    # polytope verdict fails as ("bound", alpha), as bit tuples; the order
+    # rule is left out
+    keys = set()
+    for name, _, _ in verdict.failures:
+        head, _, alpha = name.partition(",alpha=")
+        if head != "order":
+            keys.add((head if head == "bound" else tuple(map(int, head[3:])), tuple(map(int, alpha))))
+    return keys
+
+
+def _assert_contract(desc):
+    """Assert the contract for ppt:<mu> at every mu, ppt-all, the
+    standalone bisep and the polytope's hull bounds, and return the keys
+    (as _keys makes them) whose exact value lies within its bound of the
+    edge, where either answer is allowed."""
+    k, f, sigma, d = desc.K, desc.fidelities.tolist(), desc.sigma, desc.d
+    vectors = _vectors(k)
+    fails, near = set(), set()
+    for mu in vectors:
+        exact = reference.transform(f, sigma, mu, d)
+        bounds = [3 * k * EPS * m for m in _magnitudes(f, sigma, mu, d)]
+        for alpha, x, bound, value in zip(vectors, exact, bounds, iv.transform_fidelities(desc, mu).tolist()):
+            assert abs(Fraction(value) - x) <= bound
+            if x < EDGE:
+                fails.add((mu, alpha))
+            if abs(x - EDGE) <= bound:
+                near.add((mu, alpha))
+    for alpha, x in zip(vectors, f):
+        edge = reference.hull_bound(alpha, sigma, d) + Fraction(PPT_ATOL)
+        if x > edge:
+            fails.add(("bound", alpha))
+        if abs(x - edge) <= (k + 2) * EPS * edge:
+            near.add(("bound", alpha))
+    verdicts = [(iv.check_ppt(desc, mu), {mu}) for mu in vectors] + [
+        (iv.check_ppt_all(desc), set(vectors)),
+        (simplex._check_bisep(desc), {(1,) * k}),
+        (iv.check_polytope(desc), {"bound"}),
+    ]
+    for verdict, heads in verdicts:
+        assert _keys(verdict) ^ {key for key in fails if key[0] in heads} <= near
+    return near
+
+
+# per cell: sigma, the start point, the PPT entry (mu, alpha) moved to the
+# edge, and the fidelities (i, j) that move; at K = 1 the entangled
+# member's entry from the pair's separable threshold
+EDGE_CELLS = [((s,), [0.5, 0.5] if s == 0 else [1.0 - 1.0 / d, 1.0 / d], d, (1,), (1,), 0, 1)
+              for s in (0, 1) for d in (2, 3, 10**6)]
+EDGE_CELLS += [((1, 0, 1), np.random.default_rng(9).dirichlet(np.ones(8)).tolist(), 3, (1, 1, 1), (0, 1, 1), 0, 6)]
+
+
+@pytest.mark.parametrize("sigma, start, d, mu, alpha, i, j", EDGE_CELLS,
+                         ids=[f"K={len(c[0])},sigma={_name(c[0])},d={c[2]}" for c in EDGE_CELLS])
+def test_verdicts_keep_the_ppt_atol_contract_at_the_edge(sigma, start, d, mu, alpha, i, j):
+    """A float verdict's failure set equals the exact one, except for
+    entries whose exact value lies within B = 3K eps (|f| @ |M|) of
+    -PPT_ATOL, M the transfer of the pattern, where either answer is
+    allowed.  B follows from the walk: at each transposed pair an entry
+    becomes t0 * b0 + t1 * b1, two products and one sum, so each term is
+    rounded at most three times with its block entry, and after K pairs
+    the float entry lies within gamma_3K (|f| @ |M|) of the exact one,
+    gamma_n = n u / (1 - n u) <= n eps at u = eps / 2.  A hull bound b +
+    PPT_ATOL is 2/d rounded, raised to at most the K-th power (within one
+    ulp), scaled exactly by a power of 1/2 and then PPT_ATOL added, so it
+    lies within (K + 2) eps (b + PPT_ATOL) of its exact value.
+
+    One PPT entry, and the hull bound of the last fidelity, are put one
+    float either side of the edge, where the exact answers differ and
+    either float answer is allowed, and 2B either side, where the float
+    answer must be the exact one."""
+    k = len(sigma)
+    ones = (1,) * k
+    hull_edge = reference.hull_bound(ones, sigma, d) + Fraction(PPT_ATOL)
+    entry = int(_name(alpha), 2)
+    cases = (
+        # (pattern, label, the fidelity moved to, edge, key, bound at a point):
+        # the PPT entry against -PPT_ATOL, and the last fidelity, the
+        # identity pattern's entry, against its hull bound
+        (mu, alpha, j, EDGE, (mu, alpha), lambda f: 3 * k * EPS * _magnitudes(f, sigma, mu, d)[entry]),
+        ((0,) * k, ones, 2**k - 1, hull_edge, ("bound", ones), lambda f: (k + 2) * EPS * hull_edge),
+    )
+    for pattern, label, target, edge, key, bound in cases:
+        low, high = _straddle(start, sigma, d, pattern, label, i, target, edge)
+        below = _straddle(low, sigma, d, pattern, label, i, target, edge - 2 * bound(low))[0]
+        above = _straddle(low, sigma, d, pattern, label, i, target, edge + 2 * bound(low))[1]
+        for point, at_edge in ((low, True), (high, True), (below, False), (above, False)):
+            assert (key in _assert_contract(StateDescriptor(d, sigma, point))) == at_edge
+        index = int(_name(label), 2)
+        exact = [reference.transform(point, sigma, pattern, d)[index] for point in (low, high)]
+        assert exact[0] < edge < exact[1]
+
+
+# ---------------------------------------------------------------------------
+# structural identities at K = 8 to 12
+
+IDENTITY_CELLS = [(k, d) for k in (8, 10, 12) for d in (2, 3, 5)]
+
+
+def _scale(f, sigma, mu, d):
+    # |f| @ |M| in floats, M the transfer of pattern mu: the scale of the
+    # rounding bounds below
+    return np.array(_magnitudes(np.abs(f).tolist(), sigma, mu, d, float))
+
+
+def _random_point(gen, k, d):
+    # a Dirichlet(0.3) point with random sigma, and a random pattern
+    sigma, mu = (tuple(gen.integers(0, 2, k).tolist()) for _ in range(2))
+    return StateDescriptor(d, sigma, gen.dirichlet(np.full(2**k, 0.3))), mu
+
+
+@pytest.mark.parametrize("k, d", IDENTITY_CELLS)
+def test_transforms_are_pair_permutation_equivariant(k, d):
+    """Relabelling the pairs by a permutation pi relabels the transform:
+    the descriptor with sigma o pi and re-indexed fidelities, under mu o
+    pi, gives the re-indexed transform of the original under mu.  The two
+    walks round in different orders, each within 3K eps (|f| @ |M|) of
+    the exact transform.  Up to K = 10 (one cell at K = 10) the ppt-all
+    failure names map onto each other, except for an entry whose exact
+    value lies within that bound of -PPT_ATOL; at K = 8 the exact
+    transforms of both, on the sampled pattern, are re-indexed copies."""
+    gen = np.random.default_rng(100 * k + d)
+    desc, mu = _random_point(gen, k, d)
+    perm = gen.permutation(k).tolist()
+
+    def moved(x):
+        # pair i of the result is pair perm[i] of x
+        return np.asarray(x).reshape((2,) * k).transpose(perm).reshape(-1)
+
+    other = StateDescriptor(d, [desc.sigma[p] for p in perm], moved(desc.fidelities))
+    mu_moved = tuple(mu[p] for p in perm)
+    t, got = iv.transform_fidelities(desc, mu), iv.transform_fidelities(other, mu_moved)
+    scale = moved(_scale(desc.fidelities, desc.sigma, mu, d))
+    assert np.all(np.abs(got - moved(t)) <= 6 * k * np.finfo(float).eps * scale)
+    if k == 8:
+        # in rational arithmetic the identity holds exactly
+        exact = reference.transform(desc.fidelities, desc.sigma, mu, d)
+        exact_moved = reference.transform(other.fidelities, other.sigma, mu_moved, d)
+        assert exact_moved == [exact[i] for i in moved(np.arange(2**k))]
+        for x, y, m in zip(exact, t.tolist(), _magnitudes(desc.fidelities, desc.sigma, mu, d)):
+            assert abs(Fraction(y) - x) <= 3 * k * EPS * m
+    if k == 8 or (k, d) == (10, 3):
+        relabel = {_name(bits): _name(bits[p] for p in perm) for bits in iv.all_vectors(k)}
+        heads = {f"mu={name},alpha=": f"mu={moved_name},alpha=" for name, moved_name in relabel.items()}
+        # at K = 10 about half a million failures each; the cyclic
+        # collector's passes over their new tuples would take most of the time
+        gc.disable()
+        try:
+            failures, moved_failures = (iv.check_ppt_all(x).failures for x in (desc, other))
+        finally:
+            gc.enable()
+        want = {heads[name[:-k]] + relabel[name[-k:]] for name, _, _ in failures}
+        got = {name for name, _, _ in moved_failures}
+        assert len(got) > 4**k // 8
+        for name in got ^ want:
+            # an entry of the permuted descriptor, at the edge of the contract
+            mu, alpha = name.removeprefix("mu=").split(",alpha=")
+            mu, alpha = tuple(map(int, mu)), int(alpha, 2)
+            exact = reference.transform(other.fidelities, other.sigma, mu, d)[alpha]
+            assert abs(exact - EDGE) <= 3 * k * EPS * _magnitudes(other.fidelities, other.sigma, mu, d)[alpha]
+
+
+@pytest.mark.parametrize("k, d", IDENTITY_CELLS)
+def test_transforms_of_products_are_products(k, d):
+    """For f = f1 (x) f2, with sigma and mu split the same way, t = t1 (x)
+    t2 within (6K + 2) eps (|f| @ |M|): each walk is within 3K eps of its
+    exact transform, and the product f1 (x) f2 and t1 (x) t2 each round
+    once."""
+    gen = np.random.default_rng(200 * k + d)
+    k1 = int(gen.integers(1, k))
+    first, mu1 = _random_point(gen, k1, d)
+    second, mu2 = _random_point(gen, k - k1, d)
+    desc = StateDescriptor(d, first.sigma + second.sigma, np.kron(first.fidelities, second.fidelities))
+    mu = mu1 + mu2
+    want = np.kron(iv.transform_fidelities(first, mu1), iv.transform_fidelities(second, mu2))
+    error = np.abs(iv.transform_fidelities(desc, mu) - want)
+    assert np.all(error <= (6 * k + 2) * np.finfo(float).eps * _scale(desc.fidelities, desc.sigma, mu, d))
+
+
+@pytest.mark.parametrize("k, d", IDENTITY_CELLS)
+def test_reduction_commutes_with_transposition(k, d):
+    """Tracing out pair i after the partial transpose is the partial
+    transpose after tracing it out: the transform of reduce_pair(desc, i)
+    under mu without bit i is the transform of desc under mu summed over
+    bit i, for either value of mu_i, within (6K + 2) eps (|f| @ |M|)
+    summed over bit i, since each transposition block's rows sum to 1."""
+    gen = np.random.default_rng(300 * k + d)
+    desc, mu = _random_point(gen, k, d)
+    i = int(gen.integers(1, k + 1))
+    reduced = iv.reduce_pair(desc, i)
+    for bit in (0, 1):
+        mu = mu[: i - 1] + (bit,) + mu[i:]
+        want = iv.transform_fidelities(reduced, mu[: i - 1] + mu[i:])
+        summed = iv.transform_fidelities(desc, mu).reshape(2 ** (i - 1), 2, -1).sum(axis=1).reshape(-1)
+        scale = _scale(desc.fidelities, desc.sigma, mu, d).reshape(2 ** (i - 1), 2, -1).sum(axis=1).reshape(-1)
+        assert np.all(np.abs(summed - want) <= (6 * k + 2) * np.finfo(float).eps * scale)
 
 
 def test_transforms_and_criteria_never_call_matmul(monkeypatch):

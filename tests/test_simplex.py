@@ -61,6 +61,17 @@ def test_descriptor_validation():
         StateDescriptor(2, (0,), [1e308, 1e308])
 
 
+def test_fidelities_are_accepted_down_to_the_ppt_tolerance():
+    # the identity pattern's row is the fidelity vector itself, so the
+    # smallest fidelity a descriptor accepts passes ppt:00 and its ppt-all row
+    desc = StateDescriptor(3, (0, 1), [1.0 + PPT_ATOL, -PPT_ATOL, 0.0, 0.0])
+    assert desc.fidelities.min() == -PPT_ATOL
+    assert iv.check_ppt(desc, (0, 0)).satisfied
+    assert not [f for f in iv.check_ppt_all(desc).failures if f.constraint.startswith("mu=00,")]
+    with pytest.raises(ValueError, match="nonnegative"):
+        StateDescriptor(3, (0, 1), [1.0 + PPT_ATOL, np.nextafter(-PPT_ATOL, -1), 0.0, 0.0])
+
+
 PAIRS = StateDescriptor(2, (0, 1), np.full(4, 0.25))
 
 
