@@ -19,7 +19,6 @@ import dataclasses
 import gc
 import json
 import math
-import operator
 import os
 import pickle
 import subprocess
@@ -320,26 +319,26 @@ EDGE = -Fraction(PPT_ATOL)
 EPS = Fraction(np.finfo(float).eps)
 
 
-def _column(sigma, mu, d, alpha):
-    # column alpha of the exact transfer of pattern mu, one entry per fidelity
-    rows = [reference.transpose_block(d, s) if m else ((1, 0), (0, 1)) for m, s in zip(mu, sigma)]
-    return [math.prod(row[b][a] for row, b, a in zip(rows, beta, alpha)) for beta in _vectors(len(sigma))]
-
-
 def _straddle(f, sigma, d, mu, alpha, i, j, target):
     """Two fidelity vectors whose exact entry alpha of pattern mu lies either
     side of target, lower first: mass moves from fidelity i to fidelity j
     until that entry, in rational arithmetic, is target; fidelity i is then
     rounded, and fidelity j is each of the two adjacent floats around the
     value that puts the entry at target."""
-    column = _column(sigma, mu, d, alpha)
-    entry = sum(map(operator.mul, map(Fraction, f), column))
+    index = int(_name(alpha), 2)
+
+    def entry(x):
+        # linear in x: the exact walk's entry
+        return reference.transform(x, sigma, mu, d)[index]
+
+    slope_i, slope_j = (entry([beta == n for beta in range(len(f))]) for n in (i, j))
     f = list(f)
-    f[i] = float(f[i] - (target - entry) / (column[j] - column[i]))
-    x = (target - sum(Fraction(y) * c for beta, (y, c) in enumerate(zip(f, column)) if beta != j)) / column[j]
+    f[i] = float(f[i] - (target - entry(f)) / (slope_j - slope_i))
+    f[j] = 0.0
+    x = (target - entry(f)) / slope_j
     below = float(x) if Fraction(float(x)) <= x else math.nextafter(float(x), -math.inf)
     points = [f[:j] + [y] + f[j + 1 :] for y in (below, math.nextafter(below, math.inf))]
-    return points if column[j] > 0 else points[::-1]
+    return points if slope_j > 0 else points[::-1]
 
 
 def _magnitudes(f, sigma, mu, d, num=Fraction):
@@ -349,23 +348,12 @@ def _magnitudes(f, sigma, mu, d, num=Fraction):
     return reference.walk([abs(num(x)) for x in f], blocks)
 
 
-def _keys(verdict):
-    # the failures of a PPT verdict as (mu, alpha) and the hull bounds that a
-    # polytope verdict fails as ("bound", alpha), as bit tuples; the order
-    # rule is left out
-    keys = set()
-    for name, _, _ in verdict.failures:
-        head, _, alpha = name.partition(",alpha=")
-        if head != "order":
-            keys.add((head if head == "bound" else tuple(map(int, head[3:])), tuple(map(int, alpha))))
-    return keys
-
-
 def _assert_contract(desc):
     """Assert the contract for ppt:<mu> at every mu, ppt-all, the
-    standalone bisep and the polytope's hull bounds, and return the keys
-    (as _keys makes them) whose exact value lies within its bound of the
-    edge, where either answer is allowed."""
+    standalone bisep and the polytope's hull bounds, and return the keys,
+    (mu, alpha) for a PPT entry and ("bound", alpha) for a hull bound,
+    whose exact value lies within its bound of the edge, where either
+    answer is allowed."""
     k, f, sigma, d = desc.K, desc.fidelities.tolist(), desc.sigma, desc.d
     vectors = _vectors(k)
     fails, near = set(), set()
@@ -387,10 +375,12 @@ def _assert_contract(desc):
     verdicts = [(iv.check_ppt(desc, mu), {mu}) for mu in vectors] + [
         (iv.check_ppt_all(desc), set(vectors)),
         (simplex._check_bisep(desc), {(1,) * k}),
-        (iv.check_polytope(desc), {"bound"}),
     ]
-    for verdict, heads in verdicts:
-        assert _keys(verdict) ^ {key for key in fails if key[0] in heads} <= near
+    for verdict, patterns in verdicts:
+        assert _failures(verdict).keys() ^ {key for key in fails if key[0] in patterns} <= near
+    hull = {("bound", tuple(map(int, name.removeprefix("bound,alpha="))))
+            for name, _, _ in iv.check_polytope(desc).failures if name.startswith("bound,")}
+    assert hull ^ {key for key in fails if key[0] == "bound"} <= near
     return near
 
 
@@ -452,7 +442,7 @@ IDENTITY_CELLS = [(k, d) for k in (8, 10, 12) for d in (2, 3, 5)]
 def _scale(f, sigma, mu, d):
     # |f| @ |M| in floats, M the transfer of pattern mu: the scale of the
     # rounding bounds below
-    return np.array(_magnitudes(np.abs(f).tolist(), sigma, mu, d, float))
+    return np.array(_magnitudes(f, sigma, mu, d, float))
 
 
 def _random_point(gen, k, d):
@@ -506,10 +496,10 @@ def test_transforms_are_pair_permutation_equivariant(k, d):
         assert len(got) > 4**k // 8
         for name in got ^ want:
             # an entry of the permuted descriptor, at the edge of the contract
-            mu, alpha = name.removeprefix("mu=").split(",alpha=")
-            mu, alpha = tuple(map(int, mu)), int(alpha, 2)
-            exact = reference.transform(other.fidelities, other.sigma, mu, d)[alpha]
-            assert abs(exact - EDGE) <= 3 * k * EPS * _magnitudes(other.fidelities, other.sigma, mu, d)[alpha]
+            pattern, label = name.removeprefix("mu=").split(",alpha=")
+            pattern, entry = tuple(map(int, pattern)), int(label, 2)
+            exact = reference.transform(other.fidelities, other.sigma, pattern, d)[entry]
+            assert abs(exact - EDGE) <= 3 * k * EPS * _magnitudes(other.fidelities, other.sigma, pattern, d)[entry]
 
 
 @pytest.mark.parametrize("k, d", IDENTITY_CELLS)
