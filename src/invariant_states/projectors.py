@@ -10,9 +10,12 @@ For one qudit pair there are two natural resolutions of the identity:
 For K pairs arranged as slots (i, K+i) of a 2K-slot space, choosing one
 resolution per pair (a bit vector sigma) and one member per pair (a bit
 vector alpha) yields 2^K families of 2^K mutually orthogonal projectors,
-each family summing to the identity.  Every K-pair closed form (traces,
-moment coefficients, partial-transposition maps) is the Kronecker product
-of the one-pair forms in :func:`pair_forms`, first pair most significant.
+each family summing to the identity.  Every K-pair closed form is the
+Kronecker product, first pair most significant, of one-pair forms in three
+float tables indexed [s, alpha], Werner split (s = 0) first: the moment
+blocks (:func:`_moment_blocks`), the partial-transposition blocks
+(:func:`_transposes`) and the traces Tr P_alpha (:func:`_traces`).  Their
+entries, from a validated d <= 2**53, which is exactly a float, are finite.
 
 Each family member also factors as a product over pairs of a_i I + b_i X_i,
 with X_i = F_i for a Werner-split pair and X_i = d E_i for an isotropic
@@ -38,53 +41,38 @@ from .bits import all_vectors, as_bits
 from .operators import _side, dimension
 
 
-def pair_forms(d: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed forms of one pair in family s: Werner split if s = 0, isotropic if 1.
-
-    Returns ``(moments, traces, transpose)``, each indexed by the member
-    alpha of the pair's family:
-
-    * ``moments``: 2 x 2 block whose row alpha holds (a, b) with
-      P_alpha = a I + b X, where X = F for s = 0 and X = d E for s = 1;
-    * ``traces``: Tr P_alpha;
-    * ``transpose``: 2 x 2 map of fidelities under transposition of the
-      pair's second member; row alpha expands the transposed normalized
-      P_alpha in family 1 - s.  Its rows sum to 1, and the blocks of the
-      two families are mutual inverses.
-
-    Entries are computed in floats; every d <= 2**53 is exactly a float,
-    and every entry is finite.
-    """
-    d = float(dimension(d))
-    traces = [d * (d + 1.0) / 2, d * (d - 1.0) / 2] if s == 0 else [(d - 1.0) * (d + 1.0), 1.0]
-    return _moment_blocks(d)[s, ..., 0], np.array(traces), _transposes(d)[s, ..., 0]
-
-
 def _moment_blocks(d: float) -> np.ndarray:
-    # as _transposes, for the moments blocks of pair_forms
+    # shaped as _transposes: row alpha of block s holds (a, b) with P_alpha =
+    # a I + b X, where X = F for s = 0 and X = d E for s = 1
     return np.array([0.5, 0.5, 0.5, -0.5, 1.0, -1.0 / d, 0.0, 1.0 / d]).reshape(2, 2, 2, 1)
 
 
 def _transposes(d: float) -> np.ndarray:
-    # the transpose blocks of pair_forms for both families, Werner first, for
-    # a validated d, each shaped (2, 2, 1) as simplex._step takes it; on its
-    # own so that the per-pair PPT steps need not build the other forms
+    # both families' 2 x 2 maps of fidelities under transposition of a pair's
+    # second member, each shaped (2, 2, 1) as simplex._step takes it: row
+    # alpha of block s expands the transposed normalized P_alpha in family
+    # 1 - s.  Rows sum to 1, and the two families' blocks are mutual inverses
     d = float(d)
     entries = [(d - 1.0) / d, 1.0 / d, (d + 1.0) / d, -1.0 / d, 0.5, 0.5, (1.0 + d) / 2, (1.0 - d) / 2]
     return np.array(entries).reshape(2, 2, 2, 1)
 
 
-def moment_expansion(d: int, sigma: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+def _traces(d: float) -> np.ndarray:
+    # Tr P_alpha at [s, alpha]: d (d + (-1)^alpha) / 2 for a Werner-split
+    # member; d^2 - 1 for I - E and 1 for E
+    return np.array([d * (d + 1.0) / 2, d * (d - 1.0) / 2, (d - 1.0) * (d + 1.0), 1.0]).reshape(2, 2)
+
+
+def moment_expansion(d: int, sigma: Iterable[int]) -> np.ndarray:
     """Family projectors as combinations of the moment operators X_S.
 
-    Returns ``(blocks, patterns)``.  The Kronecker product of the moments
-    blocks ``blocks[sigma_i, :, :, 0]`` of :func:`pair_forms`, never built,
-    is C with P_alpha = sum_S C[alpha, S] X_S, both indices in the bit
-    encoding of :mod:`.bits` (1 in position i of S selects X_i).  Row S of
-    ``patterns``, shaped (2^K, d^(2K)), lists the flat row-major positions
-    of the entries of X_S in a d^(2K)-sided matrix, all of which equal 1.
-    Each X_S is real symmetric, so Tr(rho X_S) sums the entries of rho at
-    the positions in row S.
+    The Kronecker product of the blocks ``_moment_blocks(d)[sigma_i, :, :,
+    0]``, never built, is C with P_alpha = sum_S C[alpha, S] X_S, both
+    indices in the bit encoding of :mod:`.bits` (1 in position i of S
+    selects X_i).  Returns ``patterns``, shaped (2^K, d^(2K)): row S lists
+    the flat row-major positions of the entries of X_S in a d^(2K)-sided
+    matrix, all of which equal 1.  Each X_S is real symmetric, so Tr(rho
+    X_S) sums the entries of rho at the positions in row S.
     """
     d, sigma = dimension(d), as_bits(sigma, name="sigma")
     k = len(sigma)
@@ -101,18 +89,17 @@ def moment_expansion(d: int, sigma: Iterable[int]) -> tuple[np.ndarray, np.ndarr
         else:
             x = (first * side + second) * (wa + wb)  # d E = sum |aa><bb|
         offsets.append((row * (side + 1), x))
-    patterns = np.stack(
+    return np.stack(
         [
             reduce(np.add.outer, [offsets[i][bit] for i, bit in enumerate(subset)]).reshape(-1)
             for subset in all_vectors(k)
         ]
     )
-    return _moment_blocks(d), patterns
 
 
 def projector_trace(d: int, sigma: Iterable[int], alpha: Iterable[int]) -> float:
     """Closed-form trace of the dense :func:`.selfcheck.invariant_projector`:
-    the product over pairs of the traces in :func:`pair_forms`.
+    the product over pairs of the traces in :func:`_traces`.
 
     Per pair: d(d + (-1)^alpha)/2 for a Werner-split factor, and 1 or
     d^2 - 1 for the entangled projector or its complement.  A count
@@ -120,7 +107,8 @@ def projector_trace(d: int, sigma: Iterable[int], alpha: Iterable[int]) -> float
     """
     sigma = as_bits(sigma, name="sigma")
     alpha = as_bits(alpha, len(sigma), "alpha")
-    trace = math.prod(float(pair_forms(d, s)[1][a]) for s, a in zip(sigma, alpha))  # inf without a warning
+    traces = _traces(float(dimension(d))).tolist()
+    trace = math.prod(traces[s][a] for s, a in zip(sigma, alpha))  # inf without a warning
     if trace == math.inf:
         raise ValueError(f"projector trace beyond the float range at d={d}, K={len(sigma)}")
     return trace

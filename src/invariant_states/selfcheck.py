@@ -172,7 +172,7 @@ def min_eigenvalue(a: Operator) -> float:
 
 def _pair_block(d: int, s: int, a: int) -> Operator:
     # member a of one pair's family from F or E, filled entry by entry and so
-    # independent of pair_forms: (I + (1 - 2a) F) / 2 if s = 0, else E or I - E
+    # independent of the per-pair tables of .projectors: (I + (1 - 2a) F) / 2 if s = 0, else E or I - E
     x = np.zeros((d * d, d * d))
     for i in range(d):
         for j in range(d):

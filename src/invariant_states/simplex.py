@@ -44,7 +44,7 @@ from .operators import (
     _side,
     dimension,
 )
-from .projectors import _transposes, moment_expansion, pair_forms
+from .projectors import _moment_blocks, _traces, _transposes, moment_expansion
 
 FIDELITY_SUM_ATOL = 1e-10
 # The PPT tolerance, which also bounds a fidelity below: the identity
@@ -116,29 +116,30 @@ def _check_state_shape(n: int, sigma) -> Bits:
     return sigma
 
 
-def _moments(take, d: int, sigma: Bits) -> tuple[np.ndarray, complex, np.ndarray]:
-    # the change-of-basis blocks, the trace and the complex moments Tr(rho X_S),
-    # from one gather; take(positions) returns the entries of rho at flat
-    # row-major positions, in the shape of positions
-    blocks, patterns = moment_expansion(d, sigma)
+def _moments(take, d: int, sigma: Bits) -> tuple[complex, np.ndarray]:
+    # the trace and the complex moments Tr(rho X_S), from one gather;
+    # take(positions) returns the entries of rho at flat row-major positions,
+    # in the shape of positions
+    patterns = moment_expansion(d, sigma)
     entries = take(patterns)
     # X_S for the empty S is the identity, so row 0 holds the diagonal;
     # summed in index order, as np.trace sums it
     trace = complex(entries[0, np.argsort(patterns[0])].sum())
-    return blocks, trace, entries.sum(axis=1)
+    return trace, entries.sum(axis=1)
 
 
 def _fidelities(take, d: int, n: int, sigma) -> StateDescriptor:
     # fidelities_of for the state on n qudits whose entries take reads, as
     # from a file (see _moments); f = C m walks the moment blocks transposed
     sigma = _check_state_shape(n, sigma)
-    blocks, tr, moments = _moments(take, d, sigma)
+    tr, moments = _moments(take, d, sigma)
     if abs(tr - 1.0) > FIDELITY_SUM_ATOL:
         raise ValueError(f"state must have unit trace, got {tr:.12g}")
     worst = float(np.max(np.abs(moments.imag)))
     if not worst <= HERMITICITY_ATOL:
         raise ValueError(f"state is not Hermitian: a moment Tr(rho X_S) has imaginary part {worst:.3e}")
-    return StateDescriptor(d, sigma, _walk(moments.real, blocks.swapaxes(1, 2), (1,) * len(sigma), sigma))
+    blocks = _moment_blocks(float(d)).swapaxes(1, 2)
+    return StateDescriptor(d, sigma, _walk(moments.real, blocks, (1,) * len(sigma), sigma))
 
 
 def fidelities_of(rho: Operator, sigma: Iterable[int]) -> StateDescriptor:
@@ -162,9 +163,9 @@ def _scatter(desc: StateDescriptor) -> tuple[np.ndarray, np.ndarray]:
     # row-major positions and their real values; every other entry is 0.
     # Each value sums the weights of the X_S covering it in pattern order
     # from +0.0 (np.add.at adds in index order), so every caller gets the same bits.
-    blocks, patterns = moment_expansion(desc.d, desc.sigma)
-    traces = reduce(np.kron, [pair_forms(desc.d, s)[1] for s in desc.sigma])
-    weights = _walk(desc.fidelities / traces, blocks, (1,) * desc.K, desc.sigma)
+    patterns, d = moment_expansion(desc.d, desc.sigma), float(desc.d)
+    traces = reduce(np.kron, _traces(d)[list(desc.sigma)])
+    weights = _walk(desc.fidelities / traces, _moment_blocks(d), (1,) * desc.K, desc.sigma)
     positions, slots = np.unique(patterns, return_inverse=True)
     values = np.zeros(positions.size)
     np.add.at(values, slots.reshape(-1), np.repeat(weights, patterns.shape[1]))
@@ -287,7 +288,7 @@ def pt_matrix(mu: Iterable[int], nu: Iterable[int], d: int) -> np.ndarray:
     which is what makes the PPT test nontrivial.  It is
     ``reduce(np.kron, blocks)``, first pair most significant, of the
     identity where mu_i = 0 and of the transposition block of family nu_i
-    in :func:`.projectors.pair_forms` where mu_i = 1: the oracle of
+    in :func:`.projectors._transposes` where mu_i = 1: the oracle of
     :func:`transform_fidelities`, which never builds it.
 
     K is at most 12, as for :class:`StateDescriptor`, checked before any
@@ -552,7 +553,7 @@ def extremal_fidelities(sigma: Iterable[int], overlaps, d: int) -> np.ndarray:
     a = _check_overlaps(overlaps, len(sigma))
     d = float(dimension(d))
     # each Werner factor carries a 1/2, which scales exactly; a_i / d is
-    # written 1 - (1 - a_i / d), the rounding that tests/test_pair_forms.py pins
+    # written 1 - (1 - a_i / d), the rounding that the tests' reference_extremal pins
     factors = [
         np.array([1.0 + a_i, 1.0 - a_i]) * 0.5
         if s == 0

@@ -45,7 +45,7 @@ def transpose_block(d: int, s: int, num=Fraction) -> tuple[tuple, tuple]:
     """The transposition block of family s (0 Werner-split, 1 isotropic)
     at local dimension d, row by row, in the number type num: exactly in
     Fraction, and in float each entry one rounded operation on float(d),
-    as :func:`invariant_states.projectors.pair_forms` forms it."""
+    as :func:`invariant_states.projectors._transposes` forms it."""
     d = num(d)
     if s == 0:
         return ((d - 1) / d, 1 / d), ((d + 1) / d, -1 / d)

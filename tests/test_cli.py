@@ -14,6 +14,7 @@ import reference
 from invariant_states import formats, selfcheck
 from invariant_states.bits import bits_str, parse_bits
 from invariant_states.cli import main
+from invariant_states.projectors import _traces
 from invariant_states.selfcheck import basis_ket, frobenius_distance, projector_onto
 from invariant_states.simplex import maximally_mixed_pair
 
@@ -313,7 +314,6 @@ ENTRY_POINTS = {
     "parse_descriptor": lambda d: formats.parse_descriptor(_BEYOND_JSON % d),
     "pt_matrix": lambda d: iv.pt_matrix((1,), (1,), d),
     "extremal_fidelities": lambda d: iv.extremal_fidelities((1,), [0.5], d),
-    "pair_forms": lambda d: iv.projectors.pair_forms(d, 1),
     "maximally_mixed_pair": lambda d: maximally_mixed_pair(d),
     "projector_trace": lambda d: iv.projector_trace(d, (1,), (0,)),
 }
@@ -356,7 +356,7 @@ def test_every_entry_point_accepts_d_2_53(tmp_path, capsys):
         assert formats.parse_descriptor(formats.dumps_descriptor(desc)) == desc
         assert iv.pt_matrix((1,), (1,), d).tolist() == [[0.5, 0.5], [2.0**52, 0.5 - 2.0**52]]
         assert iv.extremal_fidelities((1,), [1.0], d).tolist() == [1.0 - 2.0**-53, 2.0**-53]
-        assert iv.projectors.pair_forms(d, 1)[1].tolist() == [2.0**106 - 2.0**53, 1.0]  # d + 1.0 rounds to d
+        assert _traces(float(d))[1].tolist() == [2.0**106 - 2.0**53, 1.0]  # d + 1.0 rounds to d
         assert maximally_mixed_pair(d).d == d and iv.projector_trace(d, (1,), (0,)) == 2.0**106 - 2.0**53
         code, out, err = run(capsys, "build", "--d", str(d), "--K", "1", "--sigma", "1", "--fid", "0.5,0.5")
         assert (code, err) == (0, "") and formats.parse_descriptor(out) == desc

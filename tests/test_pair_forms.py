@@ -1,7 +1,7 @@
 """Kronecker forms pinned bit for bit against per-label reference loops.
 
-Every K-pair closed form is a Kronecker product over the one-pair table
-:func:`invariant_states.projectors.pair_forms`.  The references are the
+Every K-pair closed form is a Kronecker product over the one-pair tables
+of :mod:`invariant_states.projectors`.  The references are the
 earlier formulations: the literal 2 x 2 transposition blocks of
 ``reference.py``, the per-label trace product, the per-label
 extremal-point loop, and the moment-coefficient maps as the walk of
@@ -17,7 +17,7 @@ import pytest
 
 import invariant_states as iv
 from invariant_states import all_vectors
-from invariant_states.projectors import moment_expansion, pair_forms
+from invariant_states.projectors import _moment_blocks, _traces, moment_expansion
 from reference import reference_pt_matrix, walk
 
 
@@ -74,7 +74,7 @@ def test_kronecker_forms_match_reference_loops(k, d):
         sigma, mu = _bits(gen, k), _bits(gen, k)
         assert np.array_equal(iv.pt_matrix(mu, sigma, d), reference_pt_matrix(mu, sigma, d))
         assert np.array_equal(iv.pt_matrix((1,) * k, sigma, d), reference_pt_matrix((1,) * k, sigma, d))
-        traces = reduce(np.kron, [pair_forms(d, s)[1] for s in sigma])
+        traces = reduce(np.kron, [_traces(float(d))[s] for s in sigma])
         expected = [reference_projector_trace(d, sigma, alpha) for alpha in all_vectors(k)]
         assert np.array_equal(traces, expected)
         assert [iv.projector_trace(d, sigma, alpha) for alpha in all_vectors(k)] == expected
@@ -89,7 +89,7 @@ def test_kronecker_forms_match_reference_loops(k, d):
 def test_moment_coeffs_and_synthesis_match_reference(d, k):
     gen = np.random.default_rng(10 * d + k)
     for sigma in all_vectors(k):
-        blocks, patterns = moment_expansion(d, sigma)
+        patterns, blocks = moment_expansion(d, sigma), _moment_blocks(float(d))
         expected = reference_moment_blocks(d, sigma)
         assert [blocks[s, :, :, 0].tolist() for s in sigma] == expected
         desc = iv.StateDescriptor(d, sigma, gen.dirichlet(np.ones(2**k)))
