@@ -361,6 +361,10 @@ class SeparabilityVerdict:
     ``failures`` lists each violated inequality with its raw margin, so
     callers can apply their own thresholds.  ``necessary_only`` marks
     criteria that can only certify non-separability, never separability.
+    Built by hand, ``failures`` may be any iterable of ``(constraint,
+    value, bound)`` entries: it is read once, at construction, into a
+    tuple of :class:`ConstraintFailure`, and an entry of another length
+    raises TypeError there.
 
     The checkers of this module pass their failures to the constructor as
     columns (names, values and bounds indexed by pattern and fidelity),
@@ -382,7 +386,10 @@ class SeparabilityVerdict:
     def __init__(self, criterion: str, failures, necessary_only: bool = False, biseparable=None):
         fields = self.__dict__  # past the frozen __setattr__; a checker's _Columns goes aside
         fields["criterion"], fields["necessary_only"], fields["biseparable"] = criterion, necessary_only, biseparable
-        fields["_columns" if isinstance(failures, _Columns) else "failures"] = failures
+        if isinstance(failures, _Columns):
+            fields["_columns"] = failures
+        else:
+            fields["failures"] = tuple(map(ConstraintFailure._make, failures))
 
     def __getattr__(self, name):
         # only when the instance dict lacks name: the failures of a checker's

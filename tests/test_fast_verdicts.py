@@ -883,6 +883,27 @@ def test_checker_verdicts_are_frozen_like_built_ones():
         object.__new__(SeparabilityVerdict).failures
 
 
+def test_hand_built_failures_are_read_once_into_constraint_failures():
+    """A verdict built from a list, an iterator or a generator holds the
+    tuple of ConstraintFailure that a tuple of the same entries gives."""
+    entry = ("a", -1.0, 0.0)
+    from_tuple = SeparabilityVerdict("x", (entry,))
+    # a list: hashable, and equal to the verdict built from a tuple
+    from_list = SeparabilityVerdict("x", [entry])
+    assert hash(from_list) == hash(from_tuple) and from_list == from_tuple
+    assert type(from_list.failures) is tuple and type(from_list.failures[0]) is ConstraintFailure
+    # an empty iterator: no failures, so satisfied
+    assert SeparabilityVerdict("y", iter([])).outcome == "satisfied"
+    # a generator: read once, so every print is the same
+    generated = SeparabilityVerdict("x", (e for e in [entry]))
+    printed = formats.dumps_verdict(generated)
+    assert formats.dumps_verdict(generated) == printed == formats.dumps_verdict(from_tuple)
+    assert '"failures":[{' in printed
+    # an entry of two fields fails at construction, not when printed
+    with pytest.raises(TypeError):
+        SeparabilityVerdict("z", [("a", -1.0)])
+
+
 @pytest.mark.parametrize("entries", [1, 2**8, 2**12])
 def test_ppt_all_by_blocks_of_patterns_is_bitwise_one_block(monkeypatch, entries):
     # one, two and 32 patterns per step at K=7, against all 64 of the last pair at once

@@ -1,11 +1,15 @@
 """Property tests: transfer matrices over random (d, mu, nu), twirl
-idempotence, fail-closed parsing and argument checks, and the bytes of
-the JSON writers at the edges of the descriptor rule and of .17g.
+idempotence, fail-closed parsing, CLI commands and argument checks, and
+the bytes of the JSON writers at the edges of the descriptor rule and of
+.17g.
 
 Deterministic (derandomized, no example database), so a run writes no
-files and every run draws the same examples.
+files but the CLI's input, under pytest's temporary directory, and every
+run draws the same examples.
 """
 
+import contextlib
+import io
 import json
 import re
 import struct
@@ -18,6 +22,7 @@ from hypothesis import strategies as st
 import invariant_states as iv
 from invariant_states import formats
 from invariant_states.bits import xor
+from invariant_states.cli import main
 from invariant_states.operators import dimension
 
 PROPERTY = settings(database=None, derandomize=True, deadline=None)
@@ -82,6 +87,33 @@ def test_parse_descriptor_fails_closed(text):
         return
     canonical = formats.dumps_descriptor(desc)
     assert formats.dumps_descriptor(formats.parse_descriptor(canonical)) == canonical
+
+
+# check and reduce options that argparse accepts, valid or not for the descriptor
+criteria = st.sampled_from(["ppt-all", "polytope", "bisep", "ppt:1", "ppt:01", "ppt:x", "ppt:", "entropy"])
+cli_options = st.builds(lambda c, strict: ["check", "--criterion", c] + ["--strict"] * strict, criteria, st.booleans())
+cli_options |= st.sampled_from(
+    [["reduce", "--pair", p] for p in ("0", "1", "2")] + [["reduce", "--mixed", m] for m in ("1,2", "1,1", "a,b")]
+)
+
+
+@PROPERTY
+@given(text=descriptor_texts(), options=cli_options)
+def test_cli_fails_closed(tmp_path_factory, text, options):
+    """Every run ends in one of three ways, never an exception: a result
+    (exit 0), one error line (exit 2), or under --strict a violated
+    verdict (exit 1)."""
+    path = tmp_path_factory.getbasetemp() / "cli_fuzz.json"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([options[0], "--in", str(path), *options[1:]])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert code == 0 or (code == 1 and "--strict" in options and '"outcome":"violated"' in out)
+        assert out != "" and err == ""
 
 
 # entries at the edges of the descriptor rule and of float formatting:
