@@ -314,6 +314,7 @@ ENTRY_POINTS = {
     "parse_descriptor": lambda d: formats.parse_descriptor(_BEYOND_JSON % d),
     "pt_matrix": lambda d: iv.pt_matrix((1,), (1,), d),
     "extremal_fidelities": lambda d: iv.extremal_fidelities((1,), [0.5], d),
+    "moment_expansion": lambda d: iv.projectors.moment_expansion(d, (1,)),
     "maximally_mixed_pair": lambda d: maximally_mixed_pair(d),
     "projector_trace": lambda d: iv.projector_trace(d, (1,), (0,)),
 }
