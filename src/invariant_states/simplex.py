@@ -409,18 +409,13 @@ class SeparabilityVerdict:
         return "satisfied" if self.satisfied else "violated"
 
 
-def _failing(rows: np.ndarray) -> tuple[list[int], list[int], list[float]]:
-    # the entries of 2-D rows below -PPT_ATOL, row-major: rows, columns, values and the bound 0.0
+def _ppt(criterion, heads, labels, rows, necessary_only=False, biseparable=None) -> SeparabilityVerdict:
+    # the PPT verdict of 2-D transfer rows: entry (p, c) below -PPT_ATOL
+    # fails, row-major, as heads[p] + labels[c] against the bound 0.0
     mask = rows < -PPT_ATOL
     patterns, cols = mask.nonzero()
-    return patterns.tolist(), cols.tolist(), rows[mask].tolist() + [0.0]
-
-
-def _ppt(criterion, heads, labels, failing, necessary_only=False, biseparable=None) -> SeparabilityVerdict:
-    # the PPT verdict whose failure i of _failing is heads[patterns[i]] + labels[cols[i]]
-    patterns, cols, table = failing
     n = len(patterns)
-    columns = _Columns(heads, patterns, labels, cols, table, range(n), [n] * n)
+    columns = _Columns(heads, patterns.tolist(), labels, cols.tolist(), rows[mask].tolist() + [0.0], range(n), [n] * n)
     return SeparabilityVerdict(criterion, columns, necessary_only, biseparable)
 
 
@@ -433,14 +428,14 @@ def check_ppt(desc: StateDescriptor, mu: Iterable[int]) -> SeparabilityVerdict:
     """
     mu = as_bits(mu, desc.K, "mu")
     name = bits_str(mu)
-    return _ppt(f"ppt:{name}", [f"mu={name},alpha="], all_labels(desc.K), _failing(transform_fidelities(desc, mu)[None]))
+    return _ppt(f"ppt:{name}", [f"mu={name},alpha="], all_labels(desc.K), transform_fidelities(desc, mu)[None])
 
 
 def _check_bisep(desc: StateDescriptor) -> SeparabilityVerdict:
     # the biseparability test on its own: the all-ones PPT row, named and
     # flagged as in the copy that check_ppt_all embeds
     rows = transform_fidelities(desc, (1,) * desc.K)[None]
-    return _ppt("bisep", [f"mu={'1' * desc.K},alpha="], all_labels(desc.K), _failing(rows), necessary_only=True)
+    return _ppt("bisep", [f"mu={'1' * desc.K},alpha="], all_labels(desc.K), rows, necessary_only=True)
 
 
 # entries of the largest product that check_ppt_all makes in one step (2 MiB)
@@ -481,11 +476,9 @@ def check_ppt_all(desc: StateDescriptor) -> SeparabilityVerdict:
         for p in range(0, 2**i, chunk):
             _step(grid[p : p + chunk, 0, 0, ..., None, :], blocks[s], grid[p : p + chunk, 1, 0])
     heads = [f"mu={name},alpha=" for name in labels]
-    failing = _failing(rows)
-    # the last row's failures, the all-ones pattern's, end the lists: the biseparability test
-    tail = len(failing[0]) - failing[0].count(size - 1)
-    bisep = _ppt("bisep", heads, labels, [part[tail:] for part in failing], necessary_only=True)
-    return _ppt("ppt-all", heads, labels, failing, biseparable=bisep)
+    # the last row, the all-ones pattern's, is the biseparability test
+    bisep = _ppt("bisep", heads[-1:], labels, rows[-1:], necessary_only=True)
+    return _ppt("ppt-all", heads, labels, rows, biseparable=bisep)
 
 
 def check_polytope(desc: StateDescriptor) -> SeparabilityVerdict:
