@@ -609,6 +609,8 @@ def test_the_largest_transfer_at_k12_is_finite_without_a_warning():
     assert _bits(t) == _bits(reference.transform(desc.fidelities, ones, ones, TOP, float))
     assert verdict.biseparable.failures == iv.check_ppt(desc, ones).failures
     assert len(verdict.biseparable.failures) == 2**11
+    # the embedded copy's columns, cut from the chunked walk's rows, print as the standalone test's
+    assert formats.dumps_verdict(verdict.biseparable) == formats.dumps_verdict(simplex._check_bisep(desc))
 
 
 def _top_points():

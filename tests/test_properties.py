@@ -4,8 +4,9 @@ the bytes of the JSON writers at the edges of the descriptor rule and of
 .17g.
 
 Deterministic (derandomized, no example database), so a run writes no
-files but the CLI's input, under pytest's temporary directory, and every
-run draws the same examples.
+files but the CLI's input and output, under pytest's temporary directory
+(each output is deleted after its example), and every run draws the same
+examples.
 """
 
 import contextlib
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import invariant_states as iv
 from invariant_states import formats
-from invariant_states.bits import xor
+from invariant_states.bits import parse_bits, xor
 from invariant_states.cli import main
 from invariant_states.operators import dimension
 
@@ -105,15 +106,83 @@ def test_cli_fails_closed(tmp_path_factory, text, options):
     verdict (exit 1)."""
     path = tmp_path_factory.getbasetemp() / "cli_fuzz.json"
     path.write_text(text, encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([options[0], "--in", str(path), *options[1:]])
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = _cli([options[0], "--in", str(path), *options[1:]])
     if code == 2:
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert _one_error_line(out, err)
     else:
         assert code == 0 or (code == 1 and "--strict" in options and '"outcome":"violated"' in out)
         assert out != "" and err == ""
+
+
+def _cli(argv) -> tuple[int, str, str]:
+    # cli.main in process: its exit code, stdout and stderr
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _one_error_line(out: str, err: str) -> bool:
+    return out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+# option text: arbitrary, or at the edges of the bit rule (empty, a
+# leading '-', a line break, a non-ASCII digit, a blank)
+option_texts = st.text(max_size=6) | st.sampled_from(["", "-1", "0\n1", "\u0661", " 1"])
+
+fidelity_lists = st.lists(st.sampled_from(["0", "1", "0.5", "-0", "-1e-11", "nan", "inf"]), min_size=1).map(",".join)
+
+# the values that replace one build option: integers over and past the
+# rule for --d and --K, text for the rest, and for --fid also entries in
+# and out of the descriptor rule
+wild_build_values = {
+    "d": st.integers(-3, 2**60),
+    "K": st.integers(-2, 14),
+    "sigma": option_texts,
+    "fid": fidelity_lists | option_texts,
+    "vertex": option_texts,
+}
+
+
+@st.composite
+def build_options(draw):
+    """Valid build options, or with one value replaced from
+    wild_build_values.  Each is given as --opt=value, so that text
+    starting with '-' reaches the parser."""
+    k = draw(st.integers(1, 3))
+    bits = st.text("01", min_size=k, max_size=k)
+    values = {"d": draw(st.integers(2, 3)), "K": k, "sigma": draw(bits)}
+    if draw(st.booleans()):
+        values["fid"] = ",".join([repr(2.0**-k)] * 2**k)
+    else:
+        values["vertex"] = draw(bits)
+    key = draw(st.sampled_from([None, *values]))
+    if key is not None:
+        values[key] = draw(wild_build_values[key])
+    return ["build", *(f"--{name}={value}" for name, value in values.items())]
+
+
+@settings(PROPERTY, max_examples=150)
+@given(options=build_options(), dense=st.booleans())
+def test_cli_build_fails_closed(tmp_path_factory, options, dense):
+    """build, with and without --out and --dense, ends in a descriptor that
+    parses back (on stdout, or at --out beside its matrix), or in one error
+    line and no file, never in an exception."""
+    path = tmp_path_factory.getbasetemp() / "b.json"
+    matrix = path.with_suffix(".qopb")
+    try:
+        code, out, err = _cli(options + [f"--out={path}", "--dense"] * dense)
+        if code == 2:
+            assert _one_error_line(out, err) and not path.exists() and not matrix.exists()
+            return
+        assert code == 0 and err == "" and (out == "") == dense
+        desc = formats.parse_descriptor(path.read_text() if dense else out)
+        if dense:
+            with formats.qopb_entries(matrix) as (d, n, _):
+                assert (d, n) == (desc.d, 2 * desc.K)
+    finally:
+        path.unlink(missing_ok=True)
+        matrix.unlink(missing_ok=True)
 
 
 # entries at the edges of the descriptor rule and of float formatting:
@@ -216,6 +285,48 @@ def test_qopb_decode_fails_closed(blob):
     except ValueError:
         return
     assert formats.qopb_encode(op) == blob
+
+
+@st.composite
+def twirl_inputs(draw):
+    """The QOPB bytes of an invariant state at K = 1 or 2 and its family
+    bits, either of them replaced by qopb_blobs() or by text."""
+    d, sigma = draw(st.integers(2, 3)), draw(st.text("01", min_size=1, max_size=2))
+    size = 2 ** len(sigma)
+    desc = iv.StateDescriptor(d, parse_bits(sigma), np.eye(size)[draw(st.integers(0, size - 1))])
+    blob = formats.qopb_encode(iv.synthesize(desc))
+    kind = draw(st.sampled_from(["valid", "blob", "sigma"]))
+    if kind == "blob":
+        blob = draw(qopb_blobs())
+    elif kind == "sigma":
+        sigma = draw(option_texts)
+    return blob, sigma
+
+
+@settings(PROPERTY, max_examples=150)
+@given(inputs=twirl_inputs(), seed=st.integers(0, 3) | st.integers(-1, 2**130), mc=st.none() | st.integers(0, 2))
+def test_cli_twirl_fails_closed(tmp_path_factory, inputs, seed, mc):
+    """The exact twirl ends in a descriptor on stdout, and --mc in a report
+    on stdout and an estimate at --out that both parse back, or either ends
+    in one error line, never in an exception."""
+    base = tmp_path_factory.getbasetemp()
+    path, estimate = base / "t.qopb", base / "e.qopb"
+    blob, sigma = inputs
+    path.write_bytes(blob)
+    argv = ["twirl", f"--in={path}", f"--sigma={sigma}", f"--seed={seed}"]
+    try:
+        code, out, err = _cli(argv if mc is None else argv + [f"--mc={mc}", f"--out={estimate}"])
+        if code == 2:
+            assert _one_error_line(out, err)
+            return
+        assert code == 0 and err == ""
+        if mc is None:
+            formats.parse_descriptor(out)
+        else:
+            assert json.loads(out)["samples"] == mc
+            formats.qopb_decode(estimate.read_bytes())
+    finally:
+        estimate.unlink(missing_ok=True)
 
 
 @PROPERTY
